@@ -1,11 +1,14 @@
 // Client streams one collector's update bytes into an atomd ingest
 // session. Payload is framed record-aligned wherever the archive
-// parses (so acked offsets land on record boundaries, which is what
-// makes resume-after-restart decode from a clean record start) and in
-// fixed raw chunks where it does not (damaged archives still arrive
-// byte-exact; the server's batch decoder handles the damage). A NAK
-// rewinds the send cursor; Drain flushes everything, sends EOF, and
-// waits for the server's drained ack — the applied barrier.
+// parses — each DATA frame is a run of whole records up to frameTarget
+// bytes, so acked offsets land on record boundaries, which is what
+// makes resume-after-restart decode from a clean record start — and in
+// raw chunks where it does not (damaged archives still arrive
+// byte-exact; the server's batch decoder handles the damage). A raw
+// chunk ends early where a whole record starts, so framing recovers
+// after the damage. A NAK rewinds the send cursor; Drain flushes
+// everything, sends EOF, and waits for the server's drained ack — the
+// applied barrier.
 package atomd
 
 import (
@@ -16,6 +19,13 @@ import (
 
 	"repro/internal/mrt"
 )
+
+// frameTarget bounds the payload of a packed DATA frame. The server
+// pays one ack, one decode-pipe hand-off and one parser pass per frame,
+// so packing records up to this size spreads those costs over ~64 KiB
+// instead of one record. A single record longer than this still
+// travels alone in its own frame.
+const frameTarget = 64 << 10
 
 // rawChunk is the frame payload size used for bytes that do not parse
 // as an MRT record.
@@ -170,26 +180,57 @@ func (c *Client) pump(flush bool) error {
 	}
 }
 
-// nextChunk picks the next frame's payload length: one whole MRT
-// record when the bytes parse as one, a raw chunk when they do not,
-// zero to wait for a record's remaining bytes (unless flushing).
+// nextChunk picks the next frame's payload length: a run of whole MRT
+// records up to frameTarget when the bytes parse as records (a longer
+// record travels alone), a raw chunk when they do not, zero to wait for
+// a record's remaining bytes (unless flushing). Packing only takes
+// records already fully buffered, so it never delays a frame.
 func nextChunk(pend []byte, flush bool) int {
-	if len(pend) >= mrtHeaderLen && mrt.PlausibleHeader(pend[:mrtHeaderLen]) {
-		rl := mrtHeaderLen + int(binary.BigEndian.Uint32(pend[8:12]))
-		if rl <= MaxFramePayload {
-			if len(pend) >= rl {
-				return rl
+	n := nextRecord(pend)
+	if n > 0 {
+		for {
+			m := nextRecord(pend[n:])
+			if m <= 0 || n+m > frameTarget {
+				break
 			}
-			if !flush {
-				return 0
-			}
-			return min(len(pend), rawChunk)
+			n += m
 		}
+		return n
 	}
-	if len(pend) < mrtHeaderLen && !flush {
+	if n == 0 && !flush {
 		return 0
 	}
-	return min(len(pend), rawChunk)
+	// Raw bytes: end the chunk where a whole plausible record starts, so
+	// one unknown record does not push the rest of the archive into raw
+	// framing and acked offsets land on record boundaries again.
+	raw := min(len(pend), rawChunk)
+	for i := 1; i < raw; i++ {
+		if nextRecord(pend[i:]) > 0 {
+			return i
+		}
+	}
+	return raw
+}
+
+// nextRecord sizes the MRT record at the start of pend: its length
+// when a plausible header heads a record that is fully buffered, 0
+// when the header or the record is still partial, -1 when the bytes do
+// not start a record this client can frame.
+func nextRecord(pend []byte) int {
+	if len(pend) < mrtHeaderLen {
+		return 0
+	}
+	if !mrt.PlausibleHeader(pend[:mrtHeaderLen]) {
+		return -1
+	}
+	rl := mrtHeaderLen + int(binary.BigEndian.Uint32(pend[8:12]))
+	if rl > MaxFramePayload {
+		return -1
+	}
+	if len(pend) < rl {
+		return 0
+	}
+	return rl
 }
 
 // mrtHeaderLen is the MRT record header size (timestamp, type,

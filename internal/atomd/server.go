@@ -35,8 +35,10 @@ import (
 
 // deltaFlushSize is how many mapped deltas a decode goroutine batches
 // before handing them to the apply loop. Flush boundaries depend only
-// on the session's own byte stream, never on timing, so the number of
-// published epochs is deterministic for a given ingest history.
+// on the session's own byte stream, never on timing, and the apply
+// loop publishes a new epoch only for a batch that changed at least
+// one cell, so the number of published epochs is deterministic for a
+// given ingest history.
 const deltaFlushSize = 256
 
 // Config configures a Server.
@@ -382,8 +384,8 @@ func (srv *Server) applyLoop() {
 }
 
 // apply handles one message: a command answers against the current
-// index state; a delta batch mutates the index and publishes the next
-// view generation.
+// index state; a delta batch mutates the index and, when it changed at
+// least one cell, publishes the next view generation.
 func (srv *Server) apply(msg applyMsg, epoch uint64, remap []int32) (uint64, []int32) {
 	if msg.reply != nil {
 		r := applyReply{epoch: epoch, stats: srv.ix.Stats()}
@@ -407,7 +409,9 @@ func (srv *Server) apply(msg applyMsg, epoch uint64, remap []int32) (uint64, []i
 	case srv.freeCh <- msg.deltas[:0]:
 	default:
 	}
-	if updates > 0 {
+	// A batch of pure re-announcements leaves every cell, and so the
+	// partition, as it was: the published view stays current.
+	if applied > 0 {
 		epoch++
 		part, remap2 := srv.ix.Partition(remap)
 		remap = remap2

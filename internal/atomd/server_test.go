@@ -197,13 +197,17 @@ func TestDaemonDifferentialFaults(t *testing.T) {
 	}
 }
 
-// recordCut returns a record-aligned offset at or past target, walking
-// the archive with the same framing the client uses.
+// recordCut returns the first frame-aligned offset at or past target,
+// walking the archive one record at a time (raw chunks where it does
+// not parse, as the client frames them).
 func recordCut(data []byte, target int) int {
 	off := 0
 	for off < len(data) && off < target {
-		n := nextChunk(data[off:], false)
-		if n == 0 {
+		n := nextRecord(data[off:])
+		if n < 0 {
+			n = nextChunk(data[off:], false)
+		}
+		if n <= 0 {
 			break
 		}
 		off += n
@@ -286,6 +290,55 @@ func TestDaemonResumeConverges(t *testing.T) {
 		if st.Sessions != 2 {
 			t.Fatalf("collector %s: %d sessions, want 2 (crash + resume)", st.Collector, st.Sessions)
 		}
+	}
+}
+
+// TestDaemonNoOpBatchKeepsView feeds the apply loop a batch in which
+// every delta re-announces the resident route: the ledger counts the
+// no-ops, but the epoch and the published view stay as they were. A
+// batch that changes one cell then publishes the next epoch.
+func TestDaemonNoOpBatchKeepsView(t *testing.T) {
+	w := harness.BuildWorld(harness.DefaultConfig(26))
+	srv := newTestServer(t, w.Ribs, 1)
+	snap := srv.snap
+	var noops []delta
+	for p := 0; p < len(snap.Prefixes) && len(noops) < deltaFlushSize; p++ {
+		for v := range snap.VPs {
+			noops = append(noops, delta{p: int32(p), v: int32(v), id: snap.RouteID(p, v)})
+		}
+	}
+	before := srv.view.Load()
+	src := srv.source("noop")
+	srv.enqueue(applyMsg{src: src, deltas: noops, elems: len(noops)})
+	srv.barrier()
+	if e := srv.Epoch(); e != 0 {
+		t.Fatalf("all-no-op batch advanced the epoch to %d", e)
+	}
+	if srv.view.Load() != before {
+		t.Fatal("all-no-op batch republished the view")
+	}
+	st := srv.IngestStats()
+	if len(st) != 1 || st[0].NoOps != len(noops) || st[0].Applied != 0 || st[0].Updates != len(noops) {
+		t.Fatalf("ledger after the no-op batch: %+v, want %d no-ops", st, len(noops))
+	}
+
+	// Move one cell to another row's route at the same VP.
+	var change []delta
+	for p := 1; p < len(snap.Prefixes) && change == nil; p++ {
+		if id := snap.RouteID(p, 0); id != snap.RouteID(0, 0) {
+			change = []delta{{p: 0, v: 0, id: id}}
+		}
+	}
+	if change == nil {
+		t.Fatal("every prefix shares VP 0's route; no changing delta to build")
+	}
+	srv.enqueue(applyMsg{src: src, deltas: change, elems: 1})
+	srv.barrier()
+	if e := srv.Epoch(); e != 1 {
+		t.Fatalf("a batch that changed a cell left the epoch at %d, want 1", e)
+	}
+	if st := srv.IngestStats(); st[0].Applied != 1 {
+		t.Fatalf("ledger after the changing batch: %+v, want 1 applied", st[0])
 	}
 }
 

@@ -131,13 +131,14 @@ func (s *session) handle(srv *Server, fr Frame, resp *[]byte) bool {
 		srv.barrier()
 		*resp = s.st.respondDrained(*resp)
 	}
+	// Ledger before the error frame, as in quarantineWire.
+	if res.closed && s.st.quarantined {
+		srv.addQuarantine("wire:" + s.quarName() + ": " + s.st.reason)
+	}
 	if len(*resp) > 0 {
 		if _, werr := s.conn.Write(*resp); werr != nil {
 			return true
 		}
-	}
-	if res.closed && s.st.quarantined {
-		srv.addQuarantine("wire:" + s.quarName() + ": " + s.st.reason)
 	}
 	return res.closed
 }
@@ -176,15 +177,16 @@ func (s *session) quarName() string {
 	return s.conn.RemoteAddr().String()
 }
 
-// quarantineWire handles parser desync: flush a final error frame and
-// record the quarantine.
+// quarantineWire handles parser desync: record the quarantine, then
+// flush a final error frame — in that order, so a peer that has read
+// the error frame finds the quarantine in the ledger.
 func (s *session) quarantineWire(srv *Server) {
 	s.st.quarantined = true
 	s.st.reason = ErrDesync.Error()
+	srv.addQuarantine("wire:" + s.quarName() + ": frame desync")
 	var buf []byte
 	buf = AppendFrameFlags(buf, FrameError, 0, s.st.acked, []byte(s.st.reason))
 	s.conn.Write(buf)
-	srv.addQuarantine("wire:" + s.quarName() + ": frame desync")
 }
 
 // addBytes accumulates accepted payload bytes under the server lock.

@@ -1,10 +1,11 @@
 // The epoch/RCU query seam: the apply goroutine owns the mutable
-// core.AtomIndex and, after each applied delta batch, publishes a
-// freshly built core.Partition (canonical numbering, shares no storage
-// with the index) behind an atomic pointer. Readers load the pointer
-// and index flat arrays — no locks, no allocation, never blocked by
-// ingest — and every answer is tagged with the epoch it came from, so
-// two point queries can be recognized as same-generation or not.
+// core.AtomIndex and, after each delta batch that changed at least one
+// cell, publishes a freshly built core.Partition (canonical numbering,
+// shares no storage with the index) behind an atomic pointer. Readers
+// load the pointer and index flat arrays — no locks, no allocation,
+// never blocked by ingest — and every answer is tagged with the epoch
+// it came from, so two point queries can be recognized as
+// same-generation or not.
 package atomd
 
 import "repro/internal/core"
@@ -59,7 +60,7 @@ func (srv *Server) PrefixAtom(p int) int32 {
 
 // Epoch returns the current published generation number. Epoch 0 is
 // the bootstrap partition (the RIB snapshot before any ingest); each
-// applied delta batch advances it by one.
+// delta batch that changed at least one cell advances it by one.
 func (srv *Server) Epoch() uint64 {
 	return srv.view.Load().epoch
 }

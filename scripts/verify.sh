@@ -1,6 +1,7 @@
 #!/bin/sh
 # verify.sh — the repo's full pre-merge check: vet, atomlint, build,
-# tests, a race-detector smoke of the concurrency-sensitive packages
+# tests, vet and unit tests of the nested bench module (so an exported
+# API change cannot silently break the benchmark), a race-detector smoke of the concurrency-sensitive packages
 # (the obs instruments are lock-free atomics; bgpstream caches counters;
 # collector and routing fan work out to the pool), the fault-injection
 # harness under -race, the incremental atom-maintenance differential
@@ -61,6 +62,9 @@ go build ./...
 
 echo "== go test ./..."
 go test ./...
+
+echo "== bench module (nested: the root ./... never compiles it) vet + unit tests"
+(cd bench && go vet ./... && go test -count=1 -run 'TestLayer|TestAlloc|TestPercentile|TestTail|TestQuartiles|TestOps|TestBenchmarkJSON' ./...)
 
 echo "== go test -race (smoke: internal/obs internal/bgpstream)"
 go test -race -count=1 ./internal/obs/ ./internal/bgpstream/
