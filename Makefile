@@ -13,12 +13,12 @@ test:
 lint:
 	$(GO) run ./cmd/atomlint ./...
 
-# Key benchmarks (native GOMAXPROCS plus a -cpu 8 rerun of the RunTrend
-# matrix), distilled into BENCH_pr10.json (see scripts/bench.sh).
+# The end-to-end benchmark (bench/, declared in BENCHMARK.json): every
+# workload, one JSON result line each (see bench/README.md).
 bench:
-	sh scripts/bench.sh
+	bash bench/run.sh -workload all
 
-# The full benchmark sweep (one per table/figure; slow).
+# The full go-test benchmark sweep (one per table/figure; slow).
 bench-all:
 	$(GO) test -bench . -benchmem ./...
 

@@ -97,7 +97,7 @@ func BenchmarkAtomComputation(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		core.ComputeAtoms(snap)
+		core.ComputeAtoms(snap, nil, 1)
 	}
 }
 
@@ -231,9 +231,8 @@ func BenchmarkSnapshotBuildFastPath(b *testing.B) {
 // BenchmarkRunTrendParallel measures the parallel longitudinal sweep
 // end to end — six independent eras fanned out across the worker pool.
 // workers=1 is the sequential baseline; the speedup at higher counts is
-// bounded by GOMAXPROCS, which scripts/bench.sh records per entry (it
-// reruns this matrix under `go test -cpu 8` so an 8-worker pool is
-// measured against an 8-way scheduler even on a small host).
+// bounded by GOMAXPROCS (rerun with `go test -cpu 8` to measure an
+// 8-worker pool against an 8-way scheduler even on a small host).
 func BenchmarkRunTrendParallel(b *testing.B) {
 	eras := []topology.Era{
 		topology.EraOf(2004, 1), topology.EraOf(2008, 1),

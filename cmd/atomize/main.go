@@ -141,7 +141,7 @@ func main() {
 	if err != nil {
 		cli.Fatal(tool, err)
 	}
-	atoms := core.ComputeAtomsSpanWorkers(snap, o.Root, *workers)
+	atoms := core.ComputeAtoms(snap, o.Root, *workers)
 
 	ssp := o.Root.Child("stats")
 	st := atoms.Stats()
@@ -222,7 +222,7 @@ func main() {
 		if *replayVfy {
 			vsp := o.Root.Child("replay_verify")
 			inc := ix.Materialize(*workers)
-			bat := core.ComputeAtomsWorkers(snap, *workers)
+			bat := core.ComputeAtoms(snap, nil, *workers)
 			vsp.End()
 			if !sameAtoms(inc, bat) {
 				cli.Fatal(tool, fmt.Errorf("replay verify: incremental partition differs from batch recompute on the final snapshot"))

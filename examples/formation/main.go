@@ -85,7 +85,7 @@ func main() {
 		}
 	}
 
-	atoms := core.ComputeAtoms(snap)
+	atoms := core.ComputeAtoms(snap, nil, 1)
 	fmt.Printf("\natoms: %d (groups were %d — group 0's two prefixes stay together)\n",
 		len(atoms.Atoms), len(groups))
 

@@ -43,7 +43,7 @@ func main() {
 
 	// 5. Policy atoms: groups of prefixes sharing the same AS path at
 	// every vantage point.
-	atoms := core.ComputeAtoms(snap)
+	atoms := core.ComputeAtoms(snap, nil, 1)
 	stats := atoms.Stats()
 	fmt.Printf("atoms: %d across %d ASes (mean size %.2f, largest %d, single-prefix %.1f%%)\n",
 		stats.Atoms, stats.ASes, stats.MeanAtomSize, stats.LargestAtom,

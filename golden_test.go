@@ -125,7 +125,7 @@ func TestGoldenPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	atoms := core.ComputeAtoms(snap)
+	atoms := core.ComputeAtoms(snap, nil, 1)
 
 	var b strings.Builder
 	fmt.Fprintf(&b, "golden pipeline v1\n")

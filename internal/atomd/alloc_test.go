@@ -1,8 +1,11 @@
+//go:build !race
+
 // The query hot path — view.Load plus flat-array indexing — must not
 // allocate, even while a live ingest session is mid-stream. This is
 // the acceptance pin behind the //atomlint:hotpath annotations in
 // view.go; the hotpath analyzer bans allocation *syntax*, this test
-// pins the *behavior*.
+// pins the *behavior*. Race instrumentation allocates, so the pin runs
+// only in the non-race pass.
 package atomd
 
 import (
@@ -12,9 +15,6 @@ import (
 )
 
 func TestQueryPathZeroAlloc(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race instrumentation allocates; pin runs in the non-race pass")
-	}
 	w := harness.BuildWorld(harness.DefaultConfig(61))
 	srv := newTestServer(t, w.Ribs, 1)
 	n := srv.PrefixCount()

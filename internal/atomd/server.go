@@ -197,20 +197,20 @@ func NewServer(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	srv := &Server{
-		cfg:       cfg,
-		ix:        core.NewAtomIndex(cfg.Snapshot),
-		snap:      cfg.Snapshot,
-		mapper:    replay.NewMapper(cfg.Snapshot),
-		ingestLn:  ingestLn,
-		queryLn:   queryLn,
-		applyCh:   make(chan applyMsg, 64),
-		applyQuit: make(chan struct{}),
-		applyDone: make(chan struct{}),
+		cfg:          cfg,
+		ix:           core.NewAtomIndex(cfg.Snapshot),
+		snap:         cfg.Snapshot,
+		mapper:       replay.NewMapper(cfg.Snapshot),
+		ingestLn:     ingestLn,
+		queryLn:      queryLn,
+		applyCh:      make(chan applyMsg, 64),
+		applyQuit:    make(chan struct{}),
+		applyDone:    make(chan struct{}),
 		freeCh:       make(chan []delta, 64),
 		conns:        make(map[net.Conn]struct{}),
 		sources:      make(map[string]*SourceStats),
 		sessionLocks: make(map[string]*sync.Mutex),
-		m:         newServerMetrics(cfg.Metrics),
+		m:            newServerMetrics(cfg.Metrics),
 	}
 	part, _ := srv.ix.Partition(nil)
 	srv.view.Store(&view{epoch: 0, part: part})

@@ -17,6 +17,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/faultgen"
 	"repro/internal/faultgen/harness"
+	"repro/internal/parallel"
 	"repro/internal/replay"
 	"repro/internal/sanitize"
 )
@@ -123,8 +124,8 @@ func daemonAtoms(t testing.TB, ribs, upds map[string][]byte, workers int) []byte
 func batchAtoms(t testing.TB, ribs, upds map[string][]byte, workers int) []byte {
 	t.Helper()
 	if workers > 1 {
-		bgpstream.ForceParallelDecode(true)
-		defer bgpstream.ForceParallelDecode(false)
+		parallel.ForceParallel(true)
+		defer parallel.ForceParallel(false)
 	}
 	ix := core.NewAtomIndex(buildSnap(t, ribs))
 	var srcs []bgpstream.Source

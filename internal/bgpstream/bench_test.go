@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/aspath"
 	"repro/internal/bgp"
+	"repro/internal/parallel"
 )
 
 // BenchmarkStreamDecode measures end-to-end ingest throughput — MRT
@@ -30,8 +31,8 @@ func BenchmarkStreamDecode(b *testing.B) {
 	// Measure the real parallel path at every worker count, even on a
 	// single-core host where the effective-CPU gate would fall back to
 	// sequential decode.
-	ForceParallelDecode(true)
-	defer ForceParallelDecode(false)
+	parallel.ForceParallel(true)
+	defer parallel.ForceParallel(false)
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.SetBytes(int64(len(archive) * nSources))

@@ -34,10 +34,8 @@ import (
 	"fmt"
 	"io"
 	"net/netip"
-	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/aspath"
 	"repro/internal/bgp"
@@ -356,19 +354,6 @@ var (
 	attrCachePool = sync.Pool{New: func() any { return bgp.NewAttrCache() }}
 )
 
-// forceParallelDecode bypasses the effective-CPU gate on parallel
-// materialization (see ensureRunning). Process-wide because it is a
-// test seam, not configuration: determinism tests and decode benchmarks
-// must exercise the real parallel path even on single-core hosts, where
-// the gate would otherwise (correctly) fall back to sequential decode.
-var forceParallelDecode atomic.Bool
-
-// ForceParallelDecode makes SetWorkers(n>1) take the parallel
-// materialization path even when the host has a single effective CPU.
-// For tests and benchmarks pinning parallel-path behavior; production
-// callers should let the stream decide.
-func ForceParallelDecode(on bool) { forceParallelDecode.Store(on) }
-
 // Degradation-budget defaults: a source is quarantined when, having
 // produced at least DefaultDegradeMinRecords records (decoded plus
 // skipped), more than DefaultDegradeMaxSkipRatio of them were skipped.
@@ -576,12 +561,9 @@ func (s *Stream) ensureRunning() {
 	// GOMAXPROCS inflated past it) there is no overlap to buy — the
 	// sequential path is faster and far lighter on memory. The served
 	// element sequence is byte-identical either way, so this is purely a
-	// throughput decision. ForceParallelDecode lets tests and benches
-	// pin the parallel path's behavior on any hardware, and race builds
-	// always take it — -race runs exist to catch synchronization bugs.
-	par := s.workers > 1 && len(s.decs) > 1 &&
-		(raceEnabled || forceParallelDecode.Load() ||
-			min(runtime.GOMAXPROCS(0), runtime.NumCPU()) > 1)
+	// throughput decision, made by the pool's effective-CPU clamp (which
+	// race builds and parallel.ForceParallel bypass).
+	par := len(s.decs) > 1 && parallel.EffectiveWorkers(s.workers) > 1
 	if !par && s.attrCache == nil {
 		s.attrCache = attrCachePool.Get().(*bgp.AttrCache)
 	}

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/aspath"
 	"repro/internal/bgp"
+	"repro/internal/parallel"
 )
 
 // mixedSources builds a source set exercising every merge-order hazard:
@@ -46,13 +47,30 @@ func runStream(t *testing.T, workers int, useBatch bool, intern *aspath.Table) s
 		// The effective-CPU gate would route workers>1 to the sequential
 		// path on a single-core host; these tests pin the parallel path
 		// itself, so bypass the gate.
-		ForceParallelDecode(true)
-		defer ForceParallelDecode(false)
+		parallel.ForceParallel(true)
+		defer parallel.ForceParallel(false)
 	}
 	s := NewStream(nil, mixedSources(t)...)
 	s.SetWorkers(workers)
 	if intern != nil {
 		s.SetIntern(intern)
+	}
+	// Parallel materialization decodes every source to completion before
+	// serving; sequential streaming has decoded nothing yet. Pin which
+	// path ran, so a change that quietly serializes decode fails here.
+	// (workers <= 0 resolves per host, so either path is correct.)
+	s.ensureRunning()
+	drained := 0
+	for _, d := range s.decs {
+		if d.done {
+			drained++
+		}
+	}
+	if workers > 1 && drained != len(s.decs) {
+		t.Fatalf("workers=%d: %d of %d sources decoded up front; the parallel path did not run", workers, drained, len(s.decs))
+	}
+	if workers == 1 && drained != 0 {
+		t.Fatalf("workers=1: %d sources decoded up front; want sequential streaming", drained)
 	}
 	var elems []Elem
 	if useBatch {

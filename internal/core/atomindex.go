@@ -346,7 +346,7 @@ func (ix *AtomIndex) Partition(remap []int32) (*Partition, []int32) {
 // numbering, so Materialize after any update history equals
 // ComputeAtoms on the same matrix byte for byte (the differential
 // harness pins this). workers bounds the origin-computation fan-out,
-// as in ComputeAtomsWorkers.
+// as in ComputeAtoms.
 func (ix *AtomIndex) Materialize(workers int) *AtomSet {
 	n := len(ix.snap.Prefixes)
 	as := &AtomSet{Snap: ix.snap, ByPrefix: make([]int, n)}

@@ -28,7 +28,7 @@ func marshalAtomSet(as *AtomSet) []byte {
 func requireEqualBatch(t *testing.T, ix *AtomIndex, workers int) {
 	t.Helper()
 	inc := marshalAtomSet(ix.Materialize(workers))
-	bat := marshalAtomSet(ComputeAtomsWorkers(ix.Snapshot(), workers))
+	bat := marshalAtomSet(ComputeAtoms(ix.Snapshot(), nil, workers))
 	if !bytes.Equal(inc, bat) {
 		t.Fatalf("incremental != batch\nincremental:\n%s\nbatch:\n%s", inc, bat)
 	}
@@ -251,8 +251,8 @@ func TestApplyUpdateSteadyStateAllocs(t *testing.T) {
 		ix.ApplyUpdate(7, 3, aspath.Empty)
 	}
 	allocs := testing.AllocsPerRun(500, func() {
-		ix.ApplyUpdate(7, 3, a)        // move / create
-		ix.ApplyUpdate(7, 3, b)        // move between vectors
+		ix.ApplyUpdate(7, 3, a)            // move / create
+		ix.ApplyUpdate(7, 3, b)            // move between vectors
 		ix.ApplyUpdate(7, 3, aspath.Empty) // withdraw, retire
 	})
 	if allocs != 0 {
@@ -271,7 +271,7 @@ func TestAtomIndexMaterializeStats(t *testing.T) {
 		ix.ApplyUpdate(i*7%300, i%6, id)
 	}
 	got := ix.Materialize(1).Stats()
-	want := ComputeAtoms(s).Stats()
+	want := ComputeAtoms(s, nil, 1).Stats()
 	if got != want {
 		t.Fatalf("stats diverge:\nincremental %+v\nbatch       %+v", got, want)
 	}

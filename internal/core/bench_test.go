@@ -41,7 +41,7 @@ func BenchmarkComputeAtoms(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if as := ComputeAtoms(s); len(as.Atoms) == 0 {
+		if as := ComputeAtoms(s, nil, 1); len(as.Atoms) == 0 {
 			b.Fatal("no atoms")
 		}
 	}
@@ -55,21 +55,21 @@ func BenchmarkComputeAtomsBare(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if as := computeAtoms(s, 1); len(as.Atoms) == 0 {
+		if as := computeAtomsSeq(s, 1); len(as.Atoms) == 0 {
 			b.Fatal("no atoms")
 		}
 	}
 }
 
-// BenchmarkComputeAtomsWorkers measures the sharded grouping at several
-// pool sizes on a snapshot large enough to clear shardMinPrefixes.
-func BenchmarkComputeAtomsWorkers(b *testing.B) {
+// BenchmarkComputeAtomsPool measures the grouping at several pool
+// sizes; the pool bounds only the per-atom origin fan-out.
+func BenchmarkComputeAtomsPool(b *testing.B) {
 	s := benchSnapshot(20000, 50)
 	for _, w := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if as := ComputeAtomsWorkers(s, w); len(as.Atoms) == 0 {
+				if as := ComputeAtoms(s, nil, w); len(as.Atoms) == 0 {
 					b.Fatal("no atoms")
 				}
 			}
@@ -153,7 +153,7 @@ func BenchmarkComputeAtomsTraced(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if as := ComputeAtomsSpan(s, root); len(as.Atoms) == 0 {
+		if as := ComputeAtoms(s, root, 1); len(as.Atoms) == 0 {
 			b.Fatal("no atoms")
 		}
 	}
@@ -193,24 +193,5 @@ func BenchmarkApplyUpdate(b *testing.B) {
 	}
 	if ix.AtomCount() == 0 {
 		b.Fatal("index churned to zero atoms")
-	}
-}
-
-// BenchmarkComputeAtomsSharded forces the sharded grouping at fixed
-// shard counts, bypassing shardParts' hardware gate — the number that
-// matters on multi-core hosts, where the dispatcher actually picks this
-// path. On a single-CPU host it quantifies the merge overhead the
-// GOMAXPROCS gate avoids.
-func BenchmarkComputeAtomsSharded(b *testing.B) {
-	s := benchSnapshot(20000, 50)
-	for _, parts := range []int{2, 4, 8} {
-		b.Run(fmt.Sprintf("parts=%d", parts), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if as := computeAtomsSharded(s, parts, parts); len(as.Atoms) == 0 {
-					b.Fatal("no atoms")
-				}
-			}
-		})
 	}
 }

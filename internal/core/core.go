@@ -10,7 +10,6 @@ package core
 import (
 	"hash/maphash"
 	"net/netip"
-	"runtime"
 	"sort"
 	"strconv"
 	"sync"
@@ -148,81 +147,30 @@ type AtomSet struct {
 
 var atomSeed = maphash.MakeSeed()
 
-// ComputeAtoms groups prefixes with identical path vectors. The grouping
-// hashes each row and verifies exactly on collision, so results are
-// independent of hash quality. Runs in O(prefixes × VPs), sequentially;
-// ComputeAtomsWorkers shards the same computation across a worker pool
-// with byte-identical output.
-func ComputeAtoms(s *Snapshot) *AtomSet { return computeAtomsSeq(s) }
-
-// ComputeAtomsWorkers is ComputeAtoms over a bounded worker pool:
-// prefix rows are hashed and pre-grouped in contiguous shards, then
-// merged deterministically in shard order. The result — atom IDs,
-// member lists, ByPrefix, origins — is identical to the sequential
-// computation at any worker count (workers <= 1 runs the sequential
-// path; 0 means one worker per CPU). shardParts calibrates the actual
-// shard count to the snapshot size and the schedulable CPUs, so asking
-// for more workers than the hardware can run never costs anything.
-func ComputeAtomsWorkers(s *Snapshot, workers int) *AtomSet {
-	return ComputeAtomsSpanWorkers(s, nil, workers)
-}
-
-// ComputeAtomsSpan is ComputeAtoms with stage tracing: when parent is
-// non-nil a child span records the wall time, allocation delta, and
-// input/output cardinalities (prefixes, VPs, atoms). A nil parent is
-// the zero-cost path ComputeAtoms takes.
-func ComputeAtomsSpan(s *Snapshot, parent *obs.Span) *AtomSet {
-	return ComputeAtomsSpanWorkers(s, parent, 1)
-}
-
-// ComputeAtomsSpanWorkers combines stage tracing with the worker pool.
-func ComputeAtomsSpanWorkers(s *Snapshot, parent *obs.Span, workers int) *AtomSet {
+// ComputeAtoms groups prefixes with identical path vectors in one
+// pass over the rows: each row is hashed and verified exactly on
+// collision, so results are independent of hash quality, and atom IDs
+// are first-occurrence order. Runs in O(prefixes × VPs). workers bounds
+// only the per-atom origin fan-out (0 means one per CPU); the result is
+// identical at any worker count.
+//
+// When parent is non-nil a "core.compute_atoms" child span records the
+// wall time, allocation delta, and input/output cardinalities
+// (prefixes, VPs, atoms, workers). A nil parent is the zero-cost path.
+func ComputeAtoms(s *Snapshot, parent *obs.Span, workers int) *AtomSet {
 	workers = parallel.Workers(workers)
 	if parent == nil {
 		// Skip even the attr boxing: disabled tracing costs nothing.
-		return computeAtoms(s, workers)
+		return computeAtomsSeq(s, workers)
 	}
 	sp := parent.Child("core.compute_atoms")
-	as := computeAtoms(s, workers)
+	as := computeAtomsSeq(s, workers)
 	sp.SetAttr("prefixes", len(s.Prefixes))
 	sp.SetAttr("vps", len(s.VPs))
 	sp.SetAttr("atoms", len(as.Atoms))
 	sp.SetAttr("workers", workers)
 	sp.End()
 	return as
-}
-
-// shardMinPrefixes gates the sharded path: below this row count the
-// merge bookkeeping costs more than the parallelism buys.
-const shardMinPrefixes = 2048
-
-// shardMinRows is the floor on rows per shard: splitting finer than
-// this makes the per-shard group tables (and the merge that re-unifies
-// them) cost more than the parallel hashing saves.
-const shardMinRows = shardMinPrefixes / 2
-
-// shardParts calibrates the shard count for n prefix rows: never more
-// shards than requested workers, than schedulable CPUs (on a one-core
-// host the shards would time-slice a single CPU and only add merge
-// overhead, so the sequential path is strictly better), and never so
-// fine that a shard falls below shardMinRows. A result ≤ 1 means
-// "don't shard".
-func shardParts(n, workers int) int {
-	parts := workers
-	if g := runtime.GOMAXPROCS(0); parts > g {
-		parts = g
-	}
-	if m := n / shardMinRows; parts > m {
-		parts = m
-	}
-	return parts
-}
-
-func computeAtoms(s *Snapshot, workers int) *AtomSet {
-	if parts := shardParts(len(s.Prefixes), workers); parts > 1 {
-		return computeAtomsSharded(s, workers, parts)
-	}
-	return computeAtomsSeq(s)
 }
 
 // rowBytes encodes a route row into buf (reused across rows) as
@@ -245,30 +193,19 @@ func rowsEqual(a, b []aspath.ID) bool {
 	return true
 }
 
-// groupNode is one distinct vector in a groupScratch index: its first
-// (representative) prefix row, the atom it was assigned, and the next
-// node sharing the same row hash (hash collisions chain; equality is
-// always verified with rowsEqual, so results never depend on hash
-// quality).
-type groupNode struct {
-	rep  int32
-	atom int32
-	next int32 // index of the next node in the chain, -1 terminates
-}
-
-// groupScratch is the reusable grouping state: the hash → node-chain
-// index, the row-encoding buffer, and the sharded path's per-shard
-// entry slices. Instances recycle through groupPool so the steady
-// state of a longitudinal run (hundreds of snapshots) re-uses warm
-// maps and slices instead of re-growing them per snapshot.
+// groupScratch is the reusable grouping state. Atom i is the i-th
+// distinct vector seen; reps[i] is its first (representative) prefix
+// row, and next[i] the next atom whose row hash collides with atom i's
+// (hash collisions chain; equality is always verified with rowsEqual,
+// so results never depend on hash quality). Instances recycle through
+// groupPool so the steady state of a longitudinal run (hundreds of
+// snapshots) re-uses warm maps and slices instead of re-growing them
+// per snapshot.
 type groupScratch struct {
-	m      map[uint64]int32 // row hash → head node index
-	nodes  []groupNode
-	buf    []byte  // rowBytes encoding buffer
-	reps   []int32 // representative row per atom/entry, first-seen order
-	hashes []uint64
-	local  []int32 // sharded: per-row local entry index
-	atoms  []int32 // sharded merge: local entry → global atom
+	m    map[uint64]int32 // row hash → first atom in its chain
+	next []int32          // per atom: next atom in the chain, -1 terminates
+	buf  []byte           // rowBytes encoding buffer
+	reps []int32          // per atom: representative row
 }
 
 var groupPool = sync.Pool{
@@ -278,29 +215,30 @@ var groupPool = sync.Pool{
 func getGroupScratch() *groupScratch {
 	g := groupPool.Get().(*groupScratch)
 	clear(g.m)
-	g.nodes = g.nodes[:0]
+	g.next = g.next[:0]
 	g.reps = g.reps[:0]
-	g.hashes = g.hashes[:0]
 	return g
 }
 
-// findOrAdd returns the index (atom or shard-local entry) of row, whose
-// hash is hv, adding a new node bound to next when the vector is new.
-func (g *groupScratch) findOrAdd(s *Snapshot, hv uint64, row []aspath.ID, rep, next int32) (idx int32, added bool) {
+// findOrAdd returns the atom of prefix row p, whose hash is hv, starting
+// a new atom represented by p when the vector is new.
+func (g *groupScratch) findOrAdd(s *Snapshot, hv uint64, p int32) int32 {
+	row := s.Row(int(p))
 	head, ok := g.m[hv]
 	if ok {
-		for ni := head; ni >= 0; ni = g.nodes[ni].next {
-			n := &g.nodes[ni]
-			if rowsEqual(s.Row(int(n.rep)), row) {
-				return n.atom, false
+		for a := head; a >= 0; a = g.next[a] {
+			if rowsEqual(s.Row(int(g.reps[a])), row) {
+				return a
 			}
 		}
 	} else {
 		head = -1
 	}
-	g.nodes = append(g.nodes, groupNode{rep: rep, atom: next, next: head})
-	g.m[hv] = int32(len(g.nodes) - 1)
-	return next, true
+	a := int32(len(g.reps))
+	g.reps = append(g.reps, p)
+	g.next = append(g.next, head)
+	g.m[hv] = a
+	return a
 }
 
 // finalizeAtoms builds the Atoms slice once ByPrefix is fully assigned:
@@ -347,88 +285,22 @@ func finalizeAtoms(as *AtomSet, reps []int32, workers int) {
 	})
 }
 
-func computeAtomsSeq(s *Snapshot) *AtomSet {
+// computeAtomsSeq is the batch grouping: one pass over the rows in
+// prefix order, so an atom's ID is the rank of its vector's first
+// occurrence. It is the reference the incremental AtomIndex, replay
+// and daemon differentials compare against.
+func computeAtomsSeq(s *Snapshot, workers int) *AtomSet {
 	n := len(s.Prefixes)
 	as := &AtomSet{Snap: s, ByPrefix: make([]int, n)}
 	g := getGroupScratch()
 	defer groupPool.Put(g)
 
 	for p := 0; p < n; p++ {
-		row := s.Row(p)
-		g.buf = rowBytes(g.buf, row)
+		g.buf = rowBytes(g.buf, s.Row(p))
 		hv := maphash.Bytes(atomSeed, g.buf)
-		atom, added := g.findOrAdd(s, hv, row, int32(p), int32(len(g.reps)))
-		if added {
-			g.reps = append(g.reps, int32(p))
-		}
-		as.ByPrefix[p] = int(atom)
+		as.ByPrefix[p] = int(g.findOrAdd(s, hv, int32(p)))
 	}
-	finalizeAtoms(as, g.reps, 1)
-	return as
-}
-
-// computeAtomsSharded splits the prefix rows into parts contiguous
-// shards, groups each shard independently (per-shard hashing into a
-// per-shard pooled index), and merges the shards in order. The merge
-// order makes the result identical to the sequential pass for any
-// shard count: a vector's atom ID is its global first-occurrence rank,
-// and contiguous in-order shards enumerate first occurrences in
-// exactly that order. Row hashes computed in the shards are reused by
-// the merge, and shard members are never materialized — the merge
-// rewrites each shard's per-row local entry indices into global atom
-// IDs, and finalizeAtoms carves the member lists.
-func computeAtomsSharded(s *Snapshot, workers, parts int) *AtomSet {
-	n := len(s.Prefixes)
-	if parts > n {
-		parts = n
-	}
-	as := &AtomSet{Snap: s, ByPrefix: make([]int, n)}
-	shards := make([]*groupScratch, parts)
-	parallel.ForEach(workers, parts, func(si int) error {
-		lo, hi := parallel.ChunkBounds(n, parts, si)
-		g := getGroupScratch()
-		if cap(g.local) < hi-lo {
-			g.local = make([]int32, hi-lo)
-		}
-		g.local = g.local[:hi-lo]
-		for p := lo; p < hi; p++ {
-			row := s.Row(p)
-			g.buf = rowBytes(g.buf, row)
-			hv := maphash.Bytes(atomSeed, g.buf)
-			ei, added := g.findOrAdd(s, hv, row, int32(p), int32(len(g.reps)))
-			if added {
-				g.reps = append(g.reps, int32(p))
-				g.hashes = append(g.hashes, hv)
-			}
-			g.local[p-lo] = ei
-		}
-		shards[si] = g
-		return nil
-	})
-
-	// Deterministic merge: shards in index order, entries in first-seen
-	// order within each shard.
-	mg := getGroupScratch()
-	defer groupPool.Put(mg)
-	for si, g := range shards {
-		lo, _ := parallel.ChunkBounds(n, parts, si)
-		if cap(g.atoms) < len(g.reps) {
-			g.atoms = make([]int32, len(g.reps))
-		}
-		g.atoms = g.atoms[:len(g.reps)]
-		for ei, rep := range g.reps {
-			atom, added := mg.findOrAdd(s, g.hashes[ei], s.Row(int(rep)), rep, int32(len(mg.reps)))
-			if added {
-				mg.reps = append(mg.reps, rep)
-			}
-			g.atoms[ei] = atom
-		}
-		for i, ei := range g.local {
-			as.ByPrefix[lo+i] = int(g.atoms[ei])
-		}
-		groupPool.Put(g)
-	}
-	finalizeAtoms(as, mg.reps, workers)
+	finalizeAtoms(as, g.reps, workers)
 	return as
 }
 

@@ -48,7 +48,7 @@ func TestComputeAtomsGrouping(t *testing.T) {
 		{"100 200 300", "101 201 300"},
 		{"100 200 300", ""},
 	})
-	as := ComputeAtoms(s)
+	as := ComputeAtoms(s, nil, 1)
 	if len(as.Atoms) != 3 {
 		t.Fatalf("atoms = %d, want 3", len(as.Atoms))
 	}
@@ -74,7 +74,7 @@ func TestComputeAtomsMOAS(t *testing.T) {
 		{"100 200 300", "101 200 999"}, // origins disagree: MOAS
 		{"100 200 300", "101 200 300"},
 	})
-	as := ComputeAtoms(s)
+	as := ComputeAtoms(s, nil, 1)
 	var moas int
 	for i := range as.Atoms {
 		if as.Atoms[i].MOASConflict {
@@ -99,7 +99,7 @@ func TestComputeAtomsAllEmptyRow(t *testing.T) {
 		{"", ""},
 		{"100 1", "101 1"},
 	})
-	as := ComputeAtoms(s)
+	as := ComputeAtoms(s, nil, 1)
 	if len(as.Atoms) != 2 {
 		t.Fatalf("atoms = %d", len(as.Atoms))
 	}
@@ -121,7 +121,7 @@ func TestStats(t *testing.T) {
 		{"100 200 1"},
 		{"100 2"},
 	})
-	as := ComputeAtoms(s)
+	as := ComputeAtoms(s, nil, 1)
 	st := as.Stats()
 	if st.Prefixes != 4 || st.Atoms != 3 || st.ASes != 2 {
 		t.Errorf("stats = %+v", st)
@@ -150,7 +150,7 @@ func TestDistributions(t *testing.T) {
 		{"100 200 1"},
 		{"100 2"},
 	})
-	as := ComputeAtoms(s)
+	as := ComputeAtoms(s, nil, 1)
 	if got := as.AtomsPerASCounts(); len(got) != 2 || got[0] != 1 || got[1] != 2 {
 		t.Errorf("atoms/AS = %v", got)
 	}
@@ -168,7 +168,7 @@ func TestByOriginAndPrefixSet(t *testing.T) {
 		{"100 200 1"},
 		{"100 2"},
 	})
-	as := ComputeAtoms(s)
+	as := ComputeAtoms(s, nil, 1)
 	by := as.ByOrigin()
 	if len(by[1]) != 2 || len(by[2]) != 1 {
 		t.Errorf("ByOrigin = %v", by)
@@ -218,7 +218,7 @@ func TestComputeAtomsProperty(t *testing.T) {
 				s.SetRoute(p, v, paths[r.Intn(len(paths))])
 			}
 		}
-		as := ComputeAtoms(s)
+		as := ComputeAtoms(s, nil, 1)
 		// Partition: every prefix in exactly one atom.
 		seen := make([]int, nPfx)
 		total := 0
@@ -255,14 +255,14 @@ func TestComputeAtomsProperty(t *testing.T) {
 	}
 }
 
-// TestComputeAtomsWorkersDeterminism asserts the PR's hard invariant at
-// the core layer: the sharded computation returns byte-identical atoms
-// (IDs, member lists, vectors, origins, ByPrefix) for any worker count,
-// on snapshots both above and below the sharding threshold.
-func TestComputeAtomsWorkersDeterminism(t *testing.T) {
+// TestComputeAtomsDeterminismAcrossWorkers asserts the hard invariant
+// at the core layer: ComputeAtoms returns byte-identical atoms (IDs,
+// member lists, vectors, origins, ByPrefix) for any worker count, on a
+// small snapshot and one with thousands of prefixes.
+func TestComputeAtomsDeterminismAcrossWorkers(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	paths := []aspath.Seq{nil, {1, 9}, {2, 9}, {1, 2, 9}, {3, 8}, {4, 9}, {2, 3, 8}}
-	for _, nPfx := range []int{100, shardMinPrefixes + 500} {
+	for _, nPfx := range []int{100, 2548} {
 		nVP := 6
 		vps := make([]VP, nVP)
 		for i := range vps {
@@ -278,9 +278,9 @@ func TestComputeAtomsWorkersDeterminism(t *testing.T) {
 				s.SetRoute(p, v, paths[r.Intn(len(paths))])
 			}
 		}
-		want := ComputeAtomsWorkers(s, 1)
+		want := ComputeAtoms(s, nil, 1)
 		for _, w := range []int{2, 3, runtime.NumCPU(), runtime.NumCPU() + 3} {
-			got := ComputeAtomsWorkers(s, w)
+			got := ComputeAtoms(s, nil, w)
 			if len(got.Atoms) != len(want.Atoms) {
 				t.Fatalf("n=%d workers=%d: %d atoms, want %d", nPfx, w, len(got.Atoms), len(want.Atoms))
 			}
@@ -325,7 +325,7 @@ func TestStatsP99NearestRank(t *testing.T) {
 				p++
 			}
 		}
-		return ComputeAtoms(s).Stats()
+		return ComputeAtoms(s, nil, 1).Stats()
 	}
 	sizes := make([]int, 0, 100)
 	for i := 0; i < 99; i++ {
@@ -346,43 +346,6 @@ func TestStatsP99NearestRank(t *testing.T) {
 func TestVPString(t *testing.T) {
 	if got := (VP{Collector: "rrc00", ASN: 3356}).String(); got != "rrc00/AS3356" {
 		t.Errorf("VP.String = %q", got)
-	}
-}
-
-// TestComputeAtomsShardedForcedDeterminism drives computeAtomsSharded
-// directly at forced shard counts, bypassing shardParts' hardware
-// calibration — on a single-CPU host the public dispatcher (correctly)
-// never shards, and this test keeps the merge logic covered there
-// anyway.
-func TestComputeAtomsShardedForcedDeterminism(t *testing.T) {
-	r := rand.New(rand.NewSource(43))
-	paths := []aspath.Seq{nil, {1, 9}, {2, 9}, {1, 2, 9}, {3, 8}, {4, 9}, {2, 3, 8}}
-	for _, nPfx := range []int{50, 1000, shardMinPrefixes + 500} {
-		nVP := 5
-		vps := make([]VP, nVP)
-		for i := range vps {
-			vps[i] = VP{Collector: "c", ASN: uint32(i)}
-		}
-		prefixes := make([]netip.Prefix, nPfx)
-		for i := range prefixes {
-			prefixes[i] = netip.PrefixFrom(netip.AddrFrom4([4]byte{10, byte(i >> 8), byte(i), 0}), 24)
-		}
-		s := NewSnapshot(0, vps, prefixes)
-		for p := 0; p < nPfx; p++ {
-			for v := 0; v < nVP; v++ {
-				s.SetRoute(p, v, paths[r.Intn(len(paths))])
-			}
-		}
-		want := computeAtomsSeq(s)
-		for _, parts := range []int{2, 3, 7, 16} {
-			got := computeAtomsSharded(s, parts, parts)
-			if !reflect.DeepEqual(got.ByPrefix, want.ByPrefix) {
-				t.Fatalf("n=%d parts=%d: ByPrefix differs", nPfx, parts)
-			}
-			if !reflect.DeepEqual(got.Atoms, want.Atoms) {
-				t.Fatalf("n=%d parts=%d: atoms differ", nPfx, parts)
-			}
-		}
 	}
 }
 

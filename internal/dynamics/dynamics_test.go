@@ -31,7 +31,7 @@ func handSnapshot(t *testing.T) *core.AtomSet {
 	s.SetRoute(3, 0, pathB)
 	s.SetRoute(4, 0, pathB)
 	s.SetRoute(5, 0, pathC)
-	return core.ComputeAtoms(s)
+	return core.ComputeAtoms(s, nil, 1)
 }
 
 func rec(prefixes ...netip.Prefix) metrics.UpdateRecord {

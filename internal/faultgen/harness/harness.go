@@ -214,7 +214,7 @@ func runPipeline(cfg Config, ribs, upds map[string][]byte) *runOutcome {
 	}
 	out.Resyncs += int(m.CounterValue("bgpstream.resyncs"))
 	if err == nil {
-		out.Atoms = len(core.ComputeAtomsWorkers(snap, cfg.Workers).Atoms)
+		out.Atoms = len(core.ComputeAtoms(snap, nil, cfg.Workers).Atoms)
 	}
 	return out
 }

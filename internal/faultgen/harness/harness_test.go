@@ -5,8 +5,8 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/bgpstream"
 	"repro/internal/faultgen"
+	"repro/internal/parallel"
 )
 
 // TestHarnessInvariantAllClasses is the PR's core assertion: for every
@@ -55,8 +55,8 @@ func TestHarnessInvariantAllClasses(t *testing.T) {
 	// single byte of the verdict. Force the parallel decode path so the
 	// contract is exercised even on a single-core host, where the
 	// stream's effective-CPU gate would fall back to sequential decode.
-	bgpstream.ForceParallelDecode(true)
-	defer bgpstream.ForceParallelDecode(false)
+	parallel.ForceParallel(true)
+	defer parallel.ForceParallel(false)
 	cfg8 := cfg
 	cfg8.Workers = 8
 	res8, err := Run(cfg8)

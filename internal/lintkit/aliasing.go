@@ -109,9 +109,9 @@ func runAliasing(pass *Pass) {
 // producerInfo is the package's producer surface: every func decl and
 // interface method by display name, and which carry //atomlint:borrowed.
 type producerInfo struct {
-	decls     map[string]ast.Node    // display name -> declaring node
-	names     map[string]bool        // display name -> annotated
-	annotated map[*types.Func]bool   // resolved annotated producers
+	decls     map[string]ast.Node  // display name -> declaring node
+	names     map[string]bool      // display name -> annotated
+	annotated map[*types.Func]bool // resolved annotated producers
 }
 
 // collectProducers enumerates the package's functions and interface

@@ -313,8 +313,8 @@ func stoppedOrEscapes(info *types.Info, body *ast.BlockStmt, obj types.Object) b
 func (lc *lifecycleCtx) checkLocalWaitGroups(fd *ast.FuncDecl) {
 	info := lc.pass.Pkg.Info
 	type wgState struct {
-		addPos ast.Node
-		waited bool
+		addPos  ast.Node
+		waited  bool
 		escapes bool
 	}
 	wgs := map[types.Object]*wgState{}
@@ -373,9 +373,9 @@ func (lc *lifecycleCtx) checkLocalWaitGroups(fd *ast.FuncDecl) {
 func (lc *lifecycleCtx) checkLocalChannels(fd *ast.FuncDecl) {
 	info := lc.pass.Pkg.Info
 	type chState struct {
-		makePos  ast.Node
-		sent     bool
-		drained  bool // received, closed, or escaped
+		makePos ast.Node
+		sent    bool
+		drained bool // received, closed, or escaped
 	}
 	chans := map[types.Object]*chState{}
 

@@ -56,9 +56,10 @@ type Config struct {
 	MaxK int
 	// Workers bounds the worker pools used throughout the pipeline:
 	// eras within RunTrend, the four snapshot offsets within RunEra,
-	// daily snapshots within RunSplits, and the sharded stages inside
-	// sanitization and atom grouping. 0 = one worker per CPU, 1 = fully
-	// sequential. Every output is byte-identical at any value.
+	// daily snapshots within RunSplits, the per-feed and row-range
+	// stages inside sanitization, and the origin fan-out of atom
+	// grouping. 0 = one worker per CPU, 1 = fully sequential. Every
+	// output is byte-identical at any value.
 	Workers int
 	// Trace, when non-nil, receives one child span per era and stage
 	// (generation, each snapshot, the update window, each analysis), so
@@ -254,7 +255,7 @@ func (r *EraRun) SnapshotAt(t float64) (*core.AtomSet, *sanitize.Report, error) 
 	if err != nil {
 		return nil, nil, err
 	}
-	return core.ComputeAtomsSpanWorkers(snap, sp, r.Cfg.Workers), rep, nil
+	return core.ComputeAtoms(snap, sp, r.Cfg.Workers), rep, nil
 }
 
 // UpdateSources synthesizes the update window's archives and returns

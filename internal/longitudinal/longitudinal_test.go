@@ -80,7 +80,7 @@ func TestRunChurnReplayDifferential(t *testing.T) {
 		t.Fatalf("degenerate replay: %+v", st)
 	}
 	inc := ix.Materialize(1)
-	bat := core.ComputeAtomsWorkers(ix.Snapshot(), 1)
+	bat := core.ComputeAtoms(ix.Snapshot(), nil, 1)
 	if !reflect.DeepEqual(inc, bat) {
 		t.Fatal("churn replay materialized a partition batch recompute disagrees with")
 	}

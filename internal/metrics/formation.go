@@ -111,7 +111,7 @@ func formationDistances(as *core.AtomSet, opts FormationOptions) *FormationResul
 	if opts.Method == MethodStripBeforeGrouping {
 		// Method (i): recompute atoms over prepending-stripped paths.
 		stripped := StripPrependingSnapshot(snap)
-		set = core.ComputeAtoms(stripped)
+		set = core.ComputeAtoms(stripped, nil, 1)
 		snap = stripped
 	}
 

@@ -48,7 +48,7 @@ func TestCorrelateUpdates(t *testing.T) {
 		{"100 200 1"},
 		{"100 2"},
 	})
-	as := core.ComputeAtoms(s)
+	as := core.ComputeAtoms(s, nil, 1)
 	recs := []UpdateRecord{
 		{Prefixes: []netip.Prefix{pfx(0), pfx(1)}},         // atom A full; AS1 partial
 		{Prefixes: []netip.Prefix{pfx(0)}},                 // atom A partial; AS1 partial
@@ -86,7 +86,7 @@ func TestCorrelateUpdatesSinglePrefixAtomAS(t *testing.T) {
 		{"100 1"},
 		{"100 200 1"},
 	})
-	as := core.ComputeAtoms(s)
+	as := core.ComputeAtoms(s, nil, 1)
 	recs := []UpdateRecord{
 		{Prefixes: []netip.Prefix{pfx(0)}},
 		{Prefixes: []netip.Prefix{pfx(0), pfx(1)}},
@@ -109,7 +109,7 @@ func TestFormationDistanceBasics(t *testing.T) {
 		// Origin 2: single atom → distance 1.
 		{"100 200 2", "101 200 2"},
 	})
-	as := core.ComputeAtoms(s)
+	as := core.ComputeAtoms(s, nil, 1)
 	res := FormationDistances(as, DefaultFormationOptions())
 	if res.TotalAtoms != 3 || res.TotalOrigins != 2 {
 		t.Fatalf("totals: %+v", res)
@@ -135,7 +135,7 @@ func TestFormationDistancePrependD1(t *testing.T) {
 		{"100 200 1"},
 		{"100 200 1 1"},
 	})
-	as := core.ComputeAtoms(s)
+	as := core.ComputeAtoms(s, nil, 1)
 	res := FormationDistances(as, DefaultFormationOptions())
 	if res.AtomsAtDistance[1] != 2 {
 		t.Errorf("distances: %v", res.AtomsAtDistance)
@@ -168,7 +168,7 @@ func TestFormationDistanceUniquePeers(t *testing.T) {
 		{"100 200 1", "101 200 1"},
 		{"100 201 1", ""},
 	})
-	as := core.ComputeAtoms(s)
+	as := core.ComputeAtoms(s, nil, 1)
 	res := FormationDistances(as, DefaultFormationOptions())
 	if res.AtomsAtDistance[1] != 2 {
 		t.Errorf("distances: %v", res.AtomsAtDistance)
@@ -185,7 +185,7 @@ func TestFormationDistanceTransitSplit(t *testing.T) {
 		{"100 300 200 1"},
 		{"100 301 200 1"},
 	})
-	as := core.ComputeAtoms(s)
+	as := core.ComputeAtoms(s, nil, 1)
 	res := FormationDistances(as, DefaultFormationOptions())
 	if res.AtomsAtDistance[3] != 2 {
 		t.Errorf("distances: %v", res.AtomsAtDistance)
@@ -197,7 +197,7 @@ func TestFormationMOASExcluded(t *testing.T) {
 		{"100 200 1", "101 200 9"}, // MOAS conflict
 		{"100 200 1", "101 200 1"},
 	})
-	as := core.ComputeAtoms(s)
+	as := core.ComputeAtoms(s, nil, 1)
 	res := FormationDistances(as, DefaultFormationOptions())
 	if res.SkippedMOAS != 1 {
 		t.Errorf("skipped MOAS = %d", res.SkippedMOAS)
@@ -214,7 +214,7 @@ func TestFormationSampling(t *testing.T) {
 		rows[i] = []string{aspath.Seq{100, uint32(200 + i), 1}.String()}
 	}
 	s := mkSnap(t, 1, rows)
-	as := core.ComputeAtoms(s)
+	as := core.ComputeAtoms(s, nil, 1)
 	opts := DefaultFormationOptions()
 	opts.MaxAtomsPerOrigin = 10
 	res := FormationDistances(as, opts)
@@ -233,12 +233,12 @@ func TestCompareStability(t *testing.T) {
 		{"100 1"},
 		{"100 1"},
 		{"100 200 1"},
-	}))
+	}), nil, 1)
 	t2 := core.ComputeAtoms(mkSnap(t, 1, [][]string{
 		{"100 1"},
 		{"100 1"},
 		{"100 1"}, // prefix 2 merged into the big atom
-	}))
+	}), nil, 1)
 	st := CompareStability(t1, t2)
 	// t2 has one atom {0,1,2}; its exact set did not exist at t1 → CAM 0.
 	if st.CAM != 0 || st.MatchedAtoms != 0 || st.TotalAtoms != 1 {
@@ -263,10 +263,10 @@ func TestCompareStabilityGreedyMapping(t *testing.T) {
 	// at t1 → 0.
 	t1 := core.ComputeAtoms(mkSnap(t, 1, [][]string{
 		{"100 1"}, {"100 1"}, {"100 1"},
-	}))
+	}), nil, 1)
 	t2 := core.ComputeAtoms(mkSnap(t, 1, [][]string{
 		{"100 1"}, {"100 1"}, {"100 200 1"},
-	}))
+	}), nil, 1)
 	st := CompareStability(t1, t2)
 	if st.CAM != 0 {
 		t.Errorf("CAM = %v", st.CAM)
@@ -280,7 +280,7 @@ func TestDetectSplits(t *testing.T) {
 	// Atom {0,1} stable at t0,t1; at t2 VP1 sees different paths for 0
 	// and 1 while VP0 still sees them together.
 	mk := func(rows [][]string) *core.AtomSet {
-		return core.ComputeAtoms(mkSnap(t, 2, rows))
+		return core.ComputeAtoms(mkSnap(t, 2, rows), nil, 1)
 	}
 	s0 := mk([][]string{
 		{"100 200 1", "101 200 1"},
@@ -319,7 +319,7 @@ func TestDetectSplits(t *testing.T) {
 
 func TestDetectSplitsMissingPrefix(t *testing.T) {
 	mk := func(rows [][]string) *core.AtomSet {
-		return core.ComputeAtoms(mkSnap(t, 1, rows))
+		return core.ComputeAtoms(mkSnap(t, 1, rows), nil, 1)
 	}
 	s01 := mk([][]string{
 		{"100 200 1"},
@@ -331,7 +331,7 @@ func TestDetectSplitsMissingPrefix(t *testing.T) {
 	s2snap := core.NewSnapshot(0, vpList, []netip.Prefix{pfx(0)})
 	seq, _ := aspath.ParseSeq("100 200 1")
 	s2snap.SetRoute(0, 0, seq)
-	s2 := core.ComputeAtoms(s2snap)
+	s2 := core.ComputeAtoms(s2snap, nil, 1)
 	events := DetectSplits(s01, s01, s2)
 	if len(events) != 1 {
 		t.Fatalf("events = %d", len(events))

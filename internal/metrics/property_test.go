@@ -27,7 +27,7 @@ func randomAtomSet(r *rand.Rand, nPfx, nVP int, salt byte) *core.AtomSet {
 			s.SetRoute(p, v, paths[r.Intn(len(paths))])
 		}
 	}
-	return core.ComputeAtoms(s)
+	return core.ComputeAtoms(s, nil, 1)
 }
 
 // mutate produces a second snapshot sharing most routes with the first.
@@ -44,7 +44,7 @@ func mutate(r *rand.Rand, base *core.AtomSet, churn float64) *core.AtomSet {
 			}
 		}
 	}
-	return core.ComputeAtoms(s)
+	return core.ComputeAtoms(s, nil, 1)
 }
 
 // TestStabilityProperties checks CAM/MPM invariants over random

@@ -40,7 +40,7 @@ var forceParallel atomic.Bool
 // callers never touch it.
 func ForceParallel(on bool) { forceParallel.Store(on) }
 
-// effectiveWorkers clamps a resolved pool size to the hardware
+// EffectiveWorkers clamps a resolved pool size to the hardware
 // parallelism actually available: spawning more CPU-bound goroutines
 // than min(GOMAXPROCS, NumCPU) buys no concurrency and costs
 // scheduling, cache churn, and deeper live heaps (every in-flight item
@@ -48,8 +48,10 @@ func ForceParallel(on bool) { forceParallel.Store(on) }
 // lands item i's output at index i — so the clamp is invisible except
 // in time. Race builds skip the clamp: -race runs exist to catch
 // synchronization bugs, so they always exercise the real pool, as does
-// anything that called ForceParallel(true).
-func effectiveWorkers(w int) int {
+// anything that called ForceParallel(true). It is the repo's one
+// effective-CPU gate: ForEach applies it, and callers that choose
+// between a sequential and a concurrent algorithm ask it first.
+func EffectiveWorkers(w int) int {
 	if raceEnabled || forceParallel.Load() {
 		return w
 	}
@@ -75,7 +77,7 @@ func ForEach(workers, n int, fn func(i int) error) error {
 	if workers > n {
 		workers = n
 	}
-	workers = effectiveWorkers(workers)
+	workers = EffectiveWorkers(workers)
 	if workers == 1 {
 		for i := 0; i < n; i++ {
 			if err := fn(i); err != nil {

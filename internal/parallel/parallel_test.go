@@ -30,6 +30,33 @@ func TestWorkers(t *testing.T) {
 	}
 }
 
+// TestEffectiveWorkers pins the one effective-CPU gate: forced, it
+// passes the request through; otherwise, outside race builds, it never
+// exceeds min(GOMAXPROCS, NumCPU) and never raises a request.
+func TestEffectiveWorkers(t *testing.T) {
+	defer ForceParallel(true) // TestMain's setting
+	hw := min(runtime.GOMAXPROCS(0), runtime.NumCPU())
+	for _, w := range []int{0, 1, 2, hw, hw + 1, 64} {
+		ForceParallel(true)
+		if got := EffectiveWorkers(w); got != w {
+			t.Errorf("forced EffectiveWorkers(%d) = %d, want %d", w, got, w)
+		}
+		ForceParallel(false)
+		want := min(w, hw)
+		if raceEnabled {
+			want = w
+		}
+		if got := EffectiveWorkers(w); got != want {
+			t.Errorf("EffectiveWorkers(%d) = %d, want %d (hw %d, race %v)", w, got, want, hw, raceEnabled)
+		}
+	}
+	// A one-CPU schedule serializes any request, on any host.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	if got := EffectiveWorkers(8); !raceEnabled && got != 1 {
+		t.Errorf("EffectiveWorkers(8) at GOMAXPROCS=1 = %d, want 1", got)
+	}
+}
+
 func TestForEachCoversAllItems(t *testing.T) {
 	for _, workers := range []int{1, 2, 3, 8, 100} {
 		const n = 57

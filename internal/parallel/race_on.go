@@ -3,5 +3,5 @@
 package parallel
 
 // raceEnabled mirrors the -race build flag: race runs always exercise
-// the real multi-goroutine pool (see effectiveWorkers).
+// the real multi-goroutine pool (see EffectiveWorkers).
 const raceEnabled = true

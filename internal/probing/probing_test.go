@@ -27,7 +27,7 @@ func handAtoms(t *testing.T) *core.AtomSet {
 		s.SetRoute(i, 1, b)
 	}
 	s.SetRoute(3, 0, c) // singleton {3}
-	return core.ComputeAtoms(s)
+	return core.ComputeAtoms(s, nil, 1)
 }
 
 func TestBuildPlanAndReduction(t *testing.T) {

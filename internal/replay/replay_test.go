@@ -12,6 +12,7 @@ import (
 	"repro/internal/faultgen"
 	"repro/internal/faultgen/harness"
 	"repro/internal/obs"
+	"repro/internal/parallel"
 	"repro/internal/sanitize"
 )
 
@@ -75,8 +76,8 @@ func replayWorld(t *testing.T, ribs, upds map[string][]byte, workers int) (Stats
 		// Exercise the real parallel decode path even on a single-core
 		// host, where the stream's effective-CPU gate would otherwise
 		// fall back to sequential decode.
-		bgpstream.ForceParallelDecode(true)
-		defer bgpstream.ForceParallelDecode(false)
+		parallel.ForceParallel(true)
+		defer parallel.ForceParallel(false)
 	}
 	ix := buildIndex(t, ribs)
 	stats, err := Run(ix, sortedSources(upds), Options{Workers: workers})
@@ -84,7 +85,7 @@ func replayWorld(t *testing.T, ribs, upds map[string][]byte, workers int) (Stats
 		t.Fatalf("replay (workers=%d): %v", workers, err)
 	}
 	inc := marshalAtoms(ix.Materialize(workers))
-	bat := marshalAtoms(core.ComputeAtomsWorkers(ix.Snapshot(), workers))
+	bat := marshalAtoms(core.ComputeAtoms(ix.Snapshot(), nil, workers))
 	if !bytes.Equal(inc, bat) {
 		t.Fatalf("workers=%d: incremental partition differs from batch recompute on the final snapshot", workers)
 	}

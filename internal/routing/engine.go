@@ -585,7 +585,7 @@ func (e *Engine) carve(n int) []uint32 {
 		e.pathArena = make([]uint32, 0, sz)
 	}
 	m := len(e.pathArena)
-	s := e.pathArena[m:m:m+n]
+	s := e.pathArena[m : m : m+n]
 	e.pathArena = e.pathArena[:m+n]
 	return s
 }

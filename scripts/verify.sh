@@ -1,5 +1,5 @@
 #!/bin/sh
-# verify.sh — the repo's full pre-merge check: vet, atomlint, build,
+# verify.sh — the repo's full pre-merge check: gofmt, vet, atomlint, build,
 # tests, vet and unit tests of the nested bench module (so an exported
 # API change cannot silently break the benchmark), a race-detector smoke of the concurrency-sensitive packages
 # (the obs instruments are lock-free atomics; bgpstream caches counters;
@@ -40,6 +40,14 @@ check_coverage() {
 	fi
 	echo "coverage: $pkg $pct% (floor $floor%)"
 }
+
+echo "== gofmt -l ."
+unformatted="$(gofmt -l .)"
+if [ -n "$unformatted" ]; then
+	echo "gofmt: these files need gofmt -w:"
+	echo "$unformatted"
+	exit 1
+fi
 
 echo "== go vet ./..."
 go vet ./...
