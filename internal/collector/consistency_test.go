@@ -8,6 +8,7 @@ import (
 	"repro/internal/bgp"
 	"repro/internal/bgpstream"
 	"repro/internal/routing"
+	"repro/internal/sanitize"
 	"repro/internal/topology"
 )
 
@@ -59,12 +60,12 @@ func TestUpdatesTransformRIBs(t *testing.T) {
 	var table1, table2 map[netip.Prefix]aspath.Seq
 	for _, f := range feeds1 {
 		if f.VP.Collector == coll.Name && f.VP.ASN == peer.ASN {
-			table1 = f.Routes
+			table1 = routeMap(f.Routes)
 		}
 	}
 	for _, f := range feeds2 {
 		if f.VP.Collector == coll.Name && f.VP.ASN == peer.ASN {
-			table2 = f.Routes
+			table2 = routeMap(f.Routes)
 		}
 	}
 	if table1 == nil || table2 == nil {
@@ -129,4 +130,13 @@ func TestUpdatesTransformRIBs(t *testing.T) {
 	if after < 0.97 {
 		t.Errorf("replayed table agrees with t2 at only %.3f", after)
 	}
+}
+
+// routeMap indexes a feed's sorted routes by prefix.
+func routeMap(routes []sanitize.Route) map[netip.Prefix]aspath.Seq {
+	m := make(map[netip.Prefix]aspath.Seq, len(routes))
+	for _, r := range routes {
+		m[r.Prefix] = r.Path
+	}
+	return m
 }

@@ -1,11 +1,10 @@
 package collector
 
 import (
-	"net/netip"
-	"sort"
+	"slices"
 
-	"repro/internal/aspath"
 	"repro/internal/core"
+	"repro/internal/prefixset"
 	"repro/internal/routing"
 	"repro/internal/sanitize"
 	"repro/internal/topology"
@@ -24,135 +23,58 @@ import (
 // encoding defect); its detection signal travels via update-stream
 // warnings in both paths.
 func BuildFeeds(g *topology.Graph, in *Infra, ov *routing.Overlay, ts uint32) []*sanitize.Feed {
-	peerSet := map[uint32]*Peer{}
-	var vps, stuckVPs []uint32
-	for _, cp := range in.AllPeers() {
-		if _, ok := peerSet[cp.Peer.ASN]; ok {
-			continue
-		}
-		peerSet[cp.Peer.ASN] = cp.Peer
-		if cp.Peer.Artifact == ArtifactStuck {
-			stuckVPs = append(stuckVPs, cp.Peer.ASN)
-		} else {
-			vps = append(vps, cp.Peer.ASN)
-		}
-	}
-	sort.Slice(vps, func(i, j int) bool { return vps[i] < vps[j] })
-	sort.Slice(stuckVPs, func(i, j int) bool { return stuckVPs[i] < stuckVPs[j] })
-
-	// Per-prefix routes are a dense slice with one slot per VP (carved
-	// from a chunked arena), not an inner map: the map-per-prefix
-	// version dominated this function's allocation profile.
-	nVPs := len(vps) + len(stuckVPs)
-	vpIdx := make(map[uint32]int, nVPs)
-	for i, vp := range vps {
-		vpIdx[vp] = i
-	}
-	for i, vp := range stuckVPs {
-		vpIdx[vp] = len(vps) + i
-	}
-	type feedCell struct {
-		e  routeEntry
-		ok bool
-	}
-	routes := map[netip.Prefix][]feedCell{}
-	var cellArena []feedCell
-	merge := func(pfx netip.Prefix, vp uint32, r routing.VPRoute) {
-		cells := routes[pfx]
-		if cells == nil {
-			if len(cellArena) < nVPs {
-				sz := 4096
-				if nVPs > sz {
-					sz = nVPs
-				}
-				cellArena = make([]feedCell, sz)
-			}
-			cells = cellArena[:nVPs:nVPs]
-			cellArena = cellArena[nVPs:]
-			routes[pfx] = cells
-		}
-		c := &cells[vpIdx[vp]]
-		cand := routeEntry{class: r.Class, cost: r.Cost, path: r.Path}
-		if !c.ok || better(cand, c.e) {
-			c.e, c.ok = cand, true
-		}
-	}
-	moves := routing.BuildMoveSet(ov)
-	eng := routing.NewEngine(g, ov)
-	shifted := hasShifts(ov, vps)
-	for _, u := range g.Groups {
-		prefixes := moves.UnitPrefixes(u)
-		if len(prefixes) == 0 {
-			continue
-		}
-		rs := eng.PathsAt(u, vps)
-		var alts []routing.VPRoute
-		if shifted {
-			alts = eng.AltPathsAt(vps)
-		}
-		for i, r := range rs {
-			if r.Path == nil {
-				continue
-			}
-			for _, pfx := range prefixes {
-				merge(pfx, vps[i], shiftRoute(ov, vps[i], pfx, r, alts, i))
-			}
-		}
-	}
-	if len(stuckVPs) > 0 {
-		stale := routing.NewEngine(g, nil)
-		for _, u := range g.Groups {
-			rs := stale.PathsAt(u, stuckVPs)
-			for i, r := range rs {
-				if r.Path == nil {
-					continue
-				}
-				for _, pfx := range u.Prefixes {
-					merge(pfx, stuckVPs[i], r)
-				}
-			}
-		}
-	}
-
+	t := buildRouteTable(g, in, ov)
 	var feeds []*sanitize.Feed
+	var scratch, ghosts []sanitize.Route
 	for _, c := range in.Collectors {
 		for _, p := range c.Peers {
-			f := &sanitize.Feed{
-				VP:     core.VP{Collector: c.Name, ASN: p.ASN},
-				Time:   ts,
-				Routes: map[netip.Prefix]aspath.Seq{},
-			}
-			idx, tracked := vpIdx[p.ASN]
-			for pfx, perVP := range routes {
-				if !tracked || !perVP[idx].ok {
+			f := &sanitize.Feed{VP: core.VP{Collector: c.Name, ASN: p.ASN}, Time: ts}
+			col := t.cols[p.ASN]
+			scratch = scratch[:0]
+			for pi, pfx := range t.prefixes {
+				path := peerPath(in, p, pfx, t.row(pi)[col].path)
+				if path == nil {
 					continue
 				}
-				r := perVP[idx].e
-				if !p.FullFeed && unitc(in.Seed, 0xfeed, uint64(p.ASN), prefixLabel(pfx)) >= p.PartialShare {
-					continue
-				}
-				path := r.path
-				if p.Artifact == ArtifactPrivateASN && len(path) > 0 {
-					mod := make(aspath.Seq, 0, len(path)+1)
-					mod = append(mod, path[0], 65000)
-					mod = append(mod, path[1:]...)
-					path = mod
-				}
-				f.Routes[pfx] = path
-				if p.Artifact == ArtifactDuplicates && unitc(in.Seed, 0xd0b1, uint64(p.ASN), prefixLabel(pfx)) < 0.15 {
+				scratch = append(scratch, sanitize.Route{Prefix: pfx, Path: path})
+				if duplicated(in, p, pfx) {
 					f.Duplicates++
 				}
 			}
-			if p.GhostShare > 0 {
-				n := int(p.GhostShare * float64(len(routes)) * p.PartialShare)
-				for j := 0; j < n; j++ {
-					pfx := ghostPrefix(p.ASN, j)
-					fakeOrigin := uint32(900000 + pickc(100000, in.Seed, 0x6057, uint64(p.ASN), uint64(j)))
-					f.Routes[pfx] = aspath.Seq{p.ASN, fakeOrigin}
-				}
+			ghosts = ghosts[:0]
+			for j := range ghostCount(p, t.routed) {
+				ghosts = append(ghosts, sanitize.Route{Prefix: ghostPrefix(p.ASN, j), Path: ghostPath(in, p, j)})
 			}
+			f.Routes = mergeGhosts(scratch, ghosts)
 			feeds = append(feeds, f)
 		}
 	}
 	return feeds
+}
+
+// mergeGhosts returns a right-sized copy of the sorted routes with the
+// ghost routes merged in, keeping the result strictly ascending: a ghost
+// that lands on a routed prefix replaces that route.
+func mergeGhosts(routes, ghosts []sanitize.Route) []sanitize.Route {
+	slices.SortFunc(ghosts, func(a, b sanitize.Route) int {
+		return prefixset.ComparePrefixes(a.Prefix, b.Prefix)
+	})
+	out := make([]sanitize.Route, 0, len(routes)+len(ghosts))
+	i, j := 0, 0
+	for i < len(routes) && j < len(ghosts) {
+		switch c := prefixset.ComparePrefixes(routes[i].Prefix, ghosts[j].Prefix); {
+		case c < 0:
+			out = append(out, routes[i])
+			i++
+		case c > 0:
+			out = append(out, ghosts[j])
+			j++
+		default:
+			out = append(out, ghosts[j])
+			i++
+			j++
+		}
+	}
+	out = append(out, routes[i:]...)
+	return append(out, ghosts[j:]...)
 }

@@ -1,10 +1,13 @@
 package collector
 
 import (
+	"net/netip"
 	"testing"
 
+	"repro/internal/aspath"
 	"repro/internal/bgp"
 	"repro/internal/bgpstream"
+	"repro/internal/prefixset"
 	"repro/internal/routing"
 	"repro/internal/sanitize"
 	"repro/internal/topology"
@@ -70,4 +73,112 @@ func TestFastPathEquivalence(t *testing.T) {
 		slowRep.MOASPrefixes != fastRep.MOASPrefixes {
 		t.Errorf("reports differ: slow %+v fast %+v", slowRep, fastRep)
 	}
+}
+
+// TestBuildFeedsSortedRoutes checks the Feed contract BuildFeeds must
+// meet: every feed's routes are strictly ascending by prefix, ghost
+// prefixes, moved prefixes and stuck peers included.
+func TestBuildFeedsSortedRoutes(t *testing.T) {
+	p := topology.DefaultParams(41)
+	p.Scale = 0.008
+	g := topology.Generate(p, topology.EraOf(2019, 3))
+	in := BuildInfra(g, Config{Seed: 11, Artifacts: true})
+	model := routing.ChurnModel{Seed: 3, UnitEventRate: 0.3, VPEventRate: 0.05,
+		TransitFlipShare: 0.4, PrefixMobileShare: 0.01, PrefixBaseMoveRate: 0.01, VPShiftShare: 0.01}
+	ov := model.OverlayAt(g, 12.5, in.FullFeedASNs())
+
+	ghosts := 0
+	for _, f := range BuildFeeds(g, in, ov, EpochOf(g.Era)) {
+		for j := 1; j < len(f.Routes); j++ {
+			if prefixset.ComparePrefixes(f.Routes[j-1].Prefix, f.Routes[j].Prefix) >= 0 {
+				t.Fatalf("feed %v: route %d %v not after %v", f.VP, j, f.Routes[j].Prefix, f.Routes[j-1].Prefix)
+			}
+		}
+		for _, r := range f.Routes {
+			if r.Prefix == ghostPrefix(f.VP.ASN, 0) {
+				ghosts++
+			}
+		}
+	}
+	if ghosts == 0 {
+		t.Fatal("no feed carries a ghost prefix; the check above never saw one")
+	}
+}
+
+// TestGhostCountOverRoutedPrefixes pins a ghost peer's fabricated
+// prefix count to int(GhostShare × routed prefixes × PartialShare),
+// where routed prefixes are those some peer has a route for. Withdrawn
+// units leave prefixes that are announced but routed nowhere, and they
+// must not count.
+func TestGhostCountOverRoutedPrefixes(t *testing.T) {
+	p := topology.DefaultParams(41)
+	p.Scale = 0.008
+	g := topology.Generate(p, topology.EraOf(2012, 1))
+	in := BuildInfra(g, Config{Seed: 11})
+	ov := &routing.Overlay{WithdrawnUnits: map[int]bool{}}
+	announced := map[netip.Prefix]bool{}
+	for i, u := range g.Groups {
+		if i%10 == 0 {
+			ov.WithdrawnUnits[u.ID] = true
+		}
+		for _, pfx := range u.Prefixes {
+			announced[pfx] = true
+		}
+	}
+	ts := EpochOf(g.Era)
+
+	// Count routed prefixes without the route table: when every peer is
+	// a full feed without ghosts, the union of the feeds is exactly the
+	// set of prefixes some peer routes.
+	full := cloneInfra(in, func(p *Peer) { p.FullFeed, p.GhostShare = true, 0 })
+	union := map[netip.Prefix]bool{}
+	for _, f := range BuildFeeds(g, full, ov, ts) {
+		for _, r := range f.Routes {
+			union[r.Prefix] = true
+		}
+	}
+	routed := len(union)
+	if routed == 0 || routed >= len(announced) {
+		t.Fatalf("routed %d of %d announced prefixes: the scenario needs unrouted ones", routed, len(announced))
+	}
+
+	// One peer fabricates a ghost per routed prefix.
+	ghostASN := in.Collectors[0].Peers[0].ASN
+	ghosty := cloneInfra(in, func(p *Peer) {
+		if p.ASN == ghostASN {
+			p.FullFeed, p.PartialShare, p.GhostShare = false, 1, 1
+		}
+	})
+	var feed map[netip.Prefix]aspath.Seq
+	for _, f := range BuildFeeds(g, ghosty, ov, ts) {
+		if f.VP.Collector == ghosty.Collectors[0].Name && f.VP.ASN == ghostASN {
+			feed = routeMap(f.Routes)
+		}
+	}
+	peer := ghosty.Collectors[0].Peers[0]
+	got := 0
+	for feed[ghostPrefix(ghostASN, got)].Equal(ghostPath(ghosty, peer, got)) {
+		got++
+	}
+	if want := int(peer.GhostShare * float64(routed) * peer.PartialShare); got != want {
+		t.Errorf("ghost prefixes = %d, want %d (routed %d, announced %d)", got, want, routed, len(announced))
+	}
+}
+
+// cloneInfra deep-copies in's collectors and peers, applying edit to
+// every peer copy.
+func cloneInfra(in *Infra, edit func(*Peer)) *Infra {
+	out := *in
+	out.Collectors = make([]*Collector, len(in.Collectors))
+	for i, c := range in.Collectors {
+		cc := *c
+		cc.Peers = make([]*Peer, len(c.Peers))
+		for j, p := range c.Peers {
+			pp := *p
+			edit(&pp)
+			cc.Peers[j] = &pp
+		}
+		out.Collectors[i] = &cc
+	}
+	return &out
 }

@@ -3,7 +3,7 @@ package collector
 import (
 	"bytes"
 	"net/netip"
-	"sort"
+	"slices"
 
 	"repro/internal/aspath"
 	"repro/internal/bgp"
@@ -21,57 +21,113 @@ type Snapshot struct {
 	Archives map[string][]byte
 }
 
-// routeEntry is a peer's merged best route for one prefix.
-type routeEntry struct {
-	class routing.Class
-	cost  int
-	path  aspath.Seq
-}
-
 // BuildRIBs computes every peer's routing table under the overlay and
 // dumps per-collector MRT archives. MOAS prefixes (present in several
 // units) are merged per peer by the BGP decision order: class, then
 // cost, then lowest path lexicographically.
 func BuildRIBs(g *topology.Graph, in *Infra, ov *routing.Overlay, ts uint32) *Snapshot {
 	snap := &Snapshot{Era: g.Era, Timestamp: ts, Archives: make(map[string][]byte)}
+	t := buildRouteTable(g, in, ov)
+	for _, c := range in.Collectors {
+		snap.Archives[c.Name] = buildArchive(in, c, t, ts)
+	}
+	return snap
+}
 
-	// Distinct peers; stuck peers route on the pristine (overlay-free)
-	// graph — their feed is stale.
-	peerSet := map[uint32]*Peer{}
+// routeEntry is a peer's merged best route for one prefix; a nil path
+// means the peer has no route. path leads so a cell packs into 32 bytes.
+type routeEntry struct {
+	path  aspath.Seq
+	cost  int32
+	class routing.Class
+}
+
+// routeTable holds every distinct peer's merged best route for every
+// prefix some unit announces: the prefixes in prefixset order and a
+// dense prefix-major cell matrix with one column per peer ASN. Both
+// BuildRIBs and BuildFeeds read their routes from it.
+type routeTable struct {
+	prefixes []netip.Prefix
+	cols     map[uint32]int // peer ASN → column
+	nVPs     int
+	cells    []routeEntry // len(prefixes) × nVPs
+	// routed counts the prefixes at least one peer has a route for;
+	// the rest were indexed but no peer reaches them.
+	routed int
+}
+
+// row returns prefix p's cells, one per column.
+func (t *routeTable) row(p int) []routeEntry {
+	lo := p * t.nVPs
+	return t.cells[lo : lo+t.nVPs : lo+t.nVPs]
+}
+
+// rowOf returns pfx's cells; pfx must be indexed.
+func (t *routeTable) rowOf(pfx netip.Prefix) []routeEntry {
+	p, _ := slices.BinarySearchFunc(t.prefixes, pfx, prefixset.ComparePrefixes)
+	return t.row(p)
+}
+
+// buildRouteTable routes every unit at every distinct peer. Stuck peers
+// route on the pristine (overlay-free) graph — their feed is stale.
+func buildRouteTable(g *topology.Graph, in *Infra, ov *routing.Overlay) *routeTable {
+	seen := map[uint32]bool{}
 	var vps, stuckVPs []uint32
 	for _, cp := range in.AllPeers() {
-		if _, ok := peerSet[cp.Peer.ASN]; ok {
+		if seen[cp.Peer.ASN] {
 			continue
 		}
-		peerSet[cp.Peer.ASN] = cp.Peer
+		seen[cp.Peer.ASN] = true
 		if cp.Peer.Artifact == ArtifactStuck {
 			stuckVPs = append(stuckVPs, cp.Peer.ASN)
 		} else {
 			vps = append(vps, cp.Peer.ASN)
 		}
 	}
-	sort.Slice(vps, func(i, j int) bool { return vps[i] < vps[j] })
-	sort.Slice(stuckVPs, func(i, j int) bool { return stuckVPs[i] < stuckVPs[j] })
-
-	routes := map[netip.Prefix]map[uint32]routeEntry{}
-	merge := func(pfx netip.Prefix, vp uint32, r routing.VPRoute) {
-		m := routes[pfx]
-		if m == nil {
-			m = map[uint32]routeEntry{}
-			routes[pfx] = m
-		}
-		cur, ok := m[vp]
-		cand := routeEntry{class: r.Class, cost: r.Cost, path: r.Path}
-		if !ok || better(cand, cur) {
-			m[vp] = cand
-		}
+	slices.Sort(vps)
+	slices.Sort(stuckVPs)
+	t := &routeTable{cols: make(map[uint32]int, len(seen)), nVPs: len(seen)}
+	for i, vp := range vps {
+		t.cols[vp] = i
+	}
+	for i, vp := range stuckVPs {
+		t.cols[vp] = len(vps) + i
 	}
 
+	// Index every prefix the merge loops below touch, so the cell
+	// matrix is allocated once and each (unit, prefix) pair finds its
+	// row with one search shared by all peers.
 	moves := routing.BuildMoveSet(ov)
+	unitPrefixes := make([][]netip.Prefix, len(g.Groups))
+	n := 0
+	for i, u := range g.Groups {
+		unitPrefixes[i] = moves.UnitPrefixes(u)
+		n += len(unitPrefixes[i])
+		if len(stuckVPs) > 0 {
+			n += len(u.Prefixes)
+		}
+	}
+	all := make([]netip.Prefix, 0, n)
+	for i, u := range g.Groups {
+		all = append(all, unitPrefixes[i]...)
+		if len(stuckVPs) > 0 {
+			all = append(all, u.Prefixes...)
+		}
+	}
+	prefixset.SortPrefixes(all)
+	t.prefixes = slices.Clip(slices.Compact(all))
+	t.cells = make([]routeEntry, len(t.prefixes)*t.nVPs)
+
+	merge := func(c *routeEntry, r routing.VPRoute) {
+		cand := routeEntry{path: r.Path, cost: int32(r.Cost), class: r.Class}
+		if c.path == nil || better(cand, *c) {
+			*c = cand
+		}
+	}
 	eng := routing.NewEngine(g, ov)
 	shifted := hasShifts(ov, vps)
-	for _, u := range g.Groups {
-		prefixes := moves.UnitPrefixes(u)
+	for i, u := range g.Groups {
+		prefixes := unitPrefixes[i]
 		if len(prefixes) == 0 {
 			continue
 		}
@@ -80,12 +136,12 @@ func BuildRIBs(g *topology.Graph, in *Infra, ov *routing.Overlay, ts uint32) *Sn
 		if shifted {
 			alts = eng.AltPathsAt(vps)
 		}
-		for i, r := range rs {
-			if r.Path == nil {
-				continue
-			}
-			for _, pfx := range prefixes {
-				merge(pfx, vps[i], shiftRoute(ov, vps[i], pfx, r, alts, i))
+		for _, pfx := range prefixes {
+			row := t.rowOf(pfx)
+			for v, r := range rs {
+				if r.Path != nil {
+					merge(&row[v], shiftRoute(ov, vps[v], pfx, r, alts, v))
+				}
 			}
 		}
 	}
@@ -94,27 +150,61 @@ func BuildRIBs(g *topology.Graph, in *Infra, ov *routing.Overlay, ts uint32) *Sn
 		stale := routing.NewEngine(g, nil)
 		for _, u := range g.Groups {
 			rs := stale.PathsAt(u, stuckVPs)
-			for i, r := range rs {
-				if r.Path == nil {
-					continue
-				}
-				for _, pfx := range u.Prefixes {
-					merge(pfx, stuckVPs[i], r)
+			for _, pfx := range u.Prefixes {
+				row := t.rowOf(pfx)[len(vps):]
+				for v, r := range rs {
+					if r.Path != nil {
+						merge(&row[v], r)
+					}
 				}
 			}
 		}
 	}
-
-	prefixes := make([]netip.Prefix, 0, len(routes))
-	for p := range routes {
-		prefixes = append(prefixes, p)
+	for p := range t.prefixes {
+		if slices.ContainsFunc(t.row(p), func(c routeEntry) bool { return c.path != nil }) {
+			t.routed++
+		}
 	}
-	prefixset.SortPrefixes(prefixes)
+	return t
+}
 
-	for _, c := range in.Collectors {
-		snap.Archives[c.Name] = buildArchive(in, c, prefixes, routes, ts)
+// peerPath is the path peer p reports for pfx given its merged best
+// route, or nil when p does not carry pfx: a partial feed drops a
+// hash-selected share of prefixes, and a private-ASN peer inserts
+// AS65000 after its own ASN.
+func peerPath(in *Infra, p *Peer, pfx netip.Prefix, path aspath.Seq) aspath.Seq {
+	if path == nil {
+		return nil
 	}
-	return snap
+	if !p.FullFeed && unitc(in.Seed, 0xfeed, uint64(p.ASN), prefixLabel(pfx)) >= p.PartialShare {
+		return nil
+	}
+	if p.Artifact == ArtifactPrivateASN && len(path) > 0 {
+		mod := make(aspath.Seq, 0, len(path)+1)
+		mod = append(mod, path[0], 65000)
+		path = append(mod, path[1:]...)
+	}
+	return path
+}
+
+// duplicated reports whether a duplicates-artifact peer sends pfx twice.
+func duplicated(in *Infra, p *Peer, pfx netip.Prefix) bool {
+	return p.Artifact == ArtifactDuplicates && unitc(in.Seed, 0xd0b1, uint64(p.ASN), prefixLabel(pfx)) < 0.15
+}
+
+// ghostCount is how many ghost prefixes peer p fabricates over a table
+// of routed prefixes.
+func ghostCount(p *Peer, routed int) int {
+	if p.GhostShare <= 0 {
+		return 0
+	}
+	return int(p.GhostShare * float64(routed) * p.PartialShare)
+}
+
+// ghostPath is peer p's fabricated path for its j-th ghost prefix.
+func ghostPath(in *Infra, p *Peer, j int) aspath.Seq {
+	fakeOrigin := uint32(900000 + pickc(100000, in.Seed, 0x6057, uint64(p.ASN), uint64(j)))
+	return aspath.Seq{p.ASN, fakeOrigin}
 }
 
 // hasShifts reports whether any vantage point carries a shift token.
@@ -173,13 +263,15 @@ func better(a, b routeEntry) bool {
 }
 
 // buildArchive writes one collector's TABLE_DUMP_V2 archive.
-func buildArchive(in *Infra, c *Collector, prefixes []netip.Prefix, routes map[netip.Prefix]map[uint32]routeEntry, ts uint32) []byte {
+func buildArchive(in *Infra, c *Collector, t *routeTable, ts uint32) []byte {
 	var buf bytes.Buffer
 	w := mrt.NewWriter(&buf)
 
 	pit := &mrt.PeerIndexTable{CollectorID: c.ID, ViewName: c.Name}
-	for _, p := range c.Peers {
+	cols := make([]int, len(c.Peers))
+	for idx, p := range c.Peers {
 		pit.Peers = append(pit.Peers, mrt.Peer{BGPID: p.Addr, Addr: p.Addr, ASN: p.ASN})
+		cols[idx] = t.cols[p.ASN]
 	}
 	body, err := pit.Marshal()
 	if err != nil {
@@ -201,27 +293,17 @@ func buildArchive(in *Infra, c *Collector, prefixes []netip.Prefix, routes map[n
 		w.WriteRecord(mrt.Record{Timestamp: ts, Type: mrt.TypeTableDumpV2, Subtype: rib.Subtype(), Body: b})
 	}
 
-	for _, pfx := range prefixes {
-		perVP := routes[pfx]
+	for pi, pfx := range t.prefixes {
+		row := t.row(pi)
 		var entries []mrt.RIBEntry
 		for idx, p := range c.Peers {
-			r, ok := perVP[p.ASN]
-			if !ok {
+			path := peerPath(in, p, pfx, row[cols[idx]].path)
+			if path == nil {
 				continue
-			}
-			if !p.FullFeed && unitc(in.Seed, 0xfeed, uint64(p.ASN), prefixLabel(pfx)) >= p.PartialShare {
-				continue
-			}
-			path := r.path
-			if p.Artifact == ArtifactPrivateASN && len(path) > 0 {
-				mod := make(aspath.Seq, 0, len(path)+1)
-				mod = append(mod, path[0], 65000)
-				mod = append(mod, path[1:]...)
-				path = mod
 			}
 			attrs := ribAttrs(path)
 			entries = append(entries, mrt.RIBEntry{PeerIndex: uint16(idx), Originated: ts - 3600, Attrs: attrs})
-			if p.Artifact == ArtifactDuplicates && unitc(in.Seed, 0xd0b1, uint64(p.ASN), prefixLabel(pfx)) < 0.15 {
+			if duplicated(in, p, pfx) {
 				entries = append(entries, mrt.RIBEntry{PeerIndex: uint16(idx), Originated: ts - 3599, Attrs: attrs})
 			}
 		}
@@ -231,15 +313,9 @@ func buildArchive(in *Infra, c *Collector, prefixes []netip.Prefix, routes map[n
 	// Ghost prefixes: fabricated, visible only at this peer — the very
 	// localized announcements the visibility filter removes.
 	for idx, p := range c.Peers {
-		if p.GhostShare <= 0 {
-			continue
-		}
-		n := int(p.GhostShare * float64(len(prefixes)) * p.PartialShare)
-		for j := 0; j < n; j++ {
-			pfx := ghostPrefix(p.ASN, j)
-			fakeOrigin := uint32(900000 + pickc(100000, in.Seed, 0x6057, uint64(p.ASN), uint64(j)))
-			path := aspath.Seq{p.ASN, fakeOrigin}
-			emit(pfx, []mrt.RIBEntry{{PeerIndex: uint16(idx), Originated: ts - 3600, Attrs: ribAttrs(path)}})
+		for j := range ghostCount(p, t.routed) {
+			attrs := ribAttrs(ghostPath(in, p, j))
+			emit(ghostPrefix(p.ASN, j), []mrt.RIBEntry{{PeerIndex: uint16(idx), Originated: ts - 3600, Attrs: attrs}})
 		}
 	}
 

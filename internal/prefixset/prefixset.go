@@ -8,7 +8,7 @@ package prefixset
 import (
 	"fmt"
 	"net/netip"
-	"sort"
+	"slices"
 )
 
 // Admissible reports whether p passes the paper's prefix-length filter:
@@ -162,9 +162,7 @@ func (s *Set) String() string {
 // SortPrefixes orders prefixes by address family (v4 first), then address,
 // then prefix length — a stable, deterministic total order.
 func SortPrefixes(ps []netip.Prefix) {
-	sort.Slice(ps, func(i, j int) bool {
-		return ComparePrefixes(ps[i], ps[j]) < 0
-	})
+	slices.SortFunc(ps, ComparePrefixes)
 }
 
 // ComparePrefixes is the total order used by SortPrefixes.

@@ -3,11 +3,13 @@ package sanitize_test
 import (
 	"errors"
 	"net/netip"
+	"slices"
 	"testing"
 
 	"repro/internal/aspath"
 	"repro/internal/bgpstream"
 	"repro/internal/core"
+	"repro/internal/prefixset"
 	"repro/internal/sanitize"
 )
 
@@ -15,14 +17,27 @@ import (
 // peer's own ASN then a common origin.
 func edgeFeed(coll string, asn uint32, prefixes ...string) *sanitize.Feed {
 	f := &sanitize.Feed{
-		VP:     core.VP{Collector: coll, ASN: asn},
-		Time:   100,
-		Routes: map[netip.Prefix]aspath.Seq{},
+		VP:   core.VP{Collector: coll, ASN: asn},
+		Time: 100,
 	}
 	for _, p := range prefixes {
-		f.Routes[netip.MustParsePrefix(p)] = aspath.Seq{asn, 9}
+		setRoute(f, p, aspath.Seq{asn, 9})
 	}
 	return f
+}
+
+// setRoute sets prefix p's path in f.Routes, keeping the routes
+// strictly ascending: the slice form of f.Routes[p] = path.
+func setRoute(f *sanitize.Feed, p string, path aspath.Seq) {
+	pfx := netip.MustParsePrefix(p)
+	i, found := slices.BinarySearchFunc(f.Routes, pfx, func(r sanitize.Route, pfx netip.Prefix) int {
+		return prefixset.ComparePrefixes(r.Prefix, pfx)
+	})
+	if found {
+		f.Routes[i].Path = path
+		return
+	}
+	f.Routes = slices.Insert(f.Routes, i, sanitize.Route{Prefix: pfx, Path: path})
 }
 
 var edgeWide = []string{"10.0.0.0/24", "10.0.1.0/24", "10.0.2.0/24", "10.0.3.0/24"}
@@ -145,8 +160,8 @@ func TestEmptyFamilyEraIsNotAnError(t *testing.T) {
 func TestPartialQuarantine(t *testing.T) {
 	feeds := edgeFeeds()
 	// A prefix only c1's peers see: it must vanish with the quarantine.
-	feeds[0].Routes[netip.MustParsePrefix("10.9.0.0/24")] = aspath.Seq{1, 9}
-	feeds[1].Routes[netip.MustParsePrefix("10.9.0.0/24")] = aspath.Seq{2, 9}
+	setRoute(feeds[0], "10.9.0.0/24", aspath.Seq{1, 9})
+	setRoute(feeds[1], "10.9.0.0/24", aspath.Seq{2, 9})
 	// Another collector so the two-collector rule can still pass.
 	feeds = append(feeds,
 		edgeFeed("c3", 5, edgeWide...),
@@ -200,5 +215,30 @@ func TestFlapStormRemoval(t *testing.T) {
 	}
 	if _, ok := rep.RemovedPeerASes[3]; ok {
 		t.Error("peer at exactly MaxSessionFlaps removed; threshold must be strict")
+	}
+}
+
+// CleanFeeds must refuse a feed whose routes are out of order or repeat
+// a prefix rather than merge it wrongly.
+func TestCleanFeedsRejectsUnsortedRoutes(t *testing.T) {
+	for name, broken := range map[string]func(f *sanitize.Feed){
+		"unsorted": func(f *sanitize.Feed) {
+			f.Routes[1], f.Routes[2] = f.Routes[2], f.Routes[1]
+		},
+		"duplicate prefix": func(f *sanitize.Feed) {
+			f.Routes[2].Prefix = f.Routes[1].Prefix
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			feeds := edgeFeeds()
+			broken(feeds[2])
+			snap, _, err := sanitize.CleanFeeds(feeds, nil, edgeOpts())
+			if !errors.Is(err, sanitize.ErrUnsortedRoutes) {
+				t.Fatalf("err = %v, want ErrUnsortedRoutes", err)
+			}
+			if snap != nil {
+				t.Error("snapshot returned alongside the error")
+			}
+		})
 	}
 }

@@ -8,10 +8,12 @@
 package sanitize
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
 	"net/netip"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -176,24 +178,92 @@ type Report struct {
 	MOASPrefixes int
 }
 
+// ErrUnsortedRoutes is returned by CleanFeeds for a feed whose Routes
+// are not strictly ascending by prefix: merging it would silently pair
+// the wrong routes.
+var ErrUnsortedRoutes = errors.New("sanitize: feed routes not strictly ascending by prefix")
+
 // Feed is one peer feed's routing table — the unit of the pipeline.
 // Feeds come either from MRT archives (Clean) or directly from the
 // simulator's in-memory routes (the longitudinal fast path).
 type Feed struct {
 	VP   core.VP
 	Time uint32
-	// Routes maps each prefix to its observed AS path.
-	Routes map[netip.Prefix]aspath.Seq
+	// Routes holds one observed AS path per prefix, strictly ascending
+	// by prefixset.ComparePrefixes.
+	Routes []Route
 	// Duplicates counts repeated route entries seen during ingestion.
 	Duplicates int
 	// ASSetDropped counts paths dropped for multi-member AS_SETs.
 	ASSetDropped int
 }
 
+// Route is one prefix's AS path in a feed.
+type Route struct {
+	Prefix netip.Prefix
+	Path   aspath.Seq
+}
+
 // feedKey identifies a feed.
 type feedKey struct {
 	collector string
 	asn       uint32
+}
+
+// ribElem is one RIB element of a feed during ingestion; ord is its
+// arrival order within the feed.
+type ribElem struct {
+	pfx      netip.Prefix
+	ord      uint32
+	id       aspath.ID
+	unusable bool
+}
+
+// ingestFeed collects one feed's RIB elements in arrival order.
+type ingestFeed struct {
+	feed  *Feed
+	elems []ribElem
+}
+
+// finish sorts the feed's elements by prefix, keeping arrival order
+// among equal prefixes, and keeps the first usable path per prefix. A
+// later element for a prefix that already has a path counts as a
+// duplicate; an unusable path (multi-AS-set or confederation) before
+// any usable one counts as AS-set-dropped and leaves the prefix unseen
+// at this feed (§2.4.4), so a later usable path still wins.
+func (in *ingestFeed) finish(table *aspath.Table) *Feed {
+	slices.SortFunc(in.elems, func(a, b ribElem) int {
+		if c := prefixset.ComparePrefixes(a.pfx, b.pfx); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.ord, b.ord)
+	})
+	fd := in.feed
+	fd.Routes = make([]Route, 0, len(in.elems))
+	for _, e := range in.elems {
+		switch {
+		case len(fd.Routes) > 0 && fd.Routes[len(fd.Routes)-1].Prefix == e.pfx:
+			fd.Duplicates++
+		case e.unusable:
+			fd.ASSetDropped++
+		default:
+			// The stored Seq is table-owned: stable for the life of the
+			// table, no per-element copy.
+			//atomlint:owned table-owned Seq: the era's intern table outlives every feed built from it
+			fd.Routes = append(fd.Routes, Route{Prefix: e.pfx, Path: table.Seq(e.id)})
+		}
+	}
+	fd.Routes = slices.Clip(fd.Routes)
+	in.elems = nil
+	return fd
+}
+
+// compareVPs orders vantage points by collector, then peer ASN.
+func compareVPs(a, b core.VP) int {
+	if c := cmp.Compare(a.Collector, b.Collector); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.ASN, b.ASN)
 }
 
 // Clean runs the full pipeline over RIB sources, consulting update-
@@ -203,7 +273,7 @@ func Clean(sources []bgpstream.Source, updateWarnings []bgpstream.Warning, opts 
 	// Pass 1: ingest RIB elements per feed.
 	sp := opts.Span.Child("sanitize.ingest")
 	elems := 0
-	feeds := map[feedKey]*Feed{}
+	feeds := map[feedKey]*ingestFeed{}
 	filter := &bgpstream.Filter{
 		Types:  map[bgpstream.ElemType]bool{bgpstream.ElemRIB: true},
 		V4Only: opts.Family == 4,
@@ -240,47 +310,30 @@ func Clean(sources []bgpstream.Source, updateWarnings []bgpstream.Warning, opts 
 		for i := range batch {
 			e := &batch[i]
 			k := feedKey{collector: e.Collector, asn: e.PeerASN}
-			fd := feeds[k]
-			if fd == nil {
-				fd = &Feed{
-					VP:     core.VP{Collector: e.Collector, ASN: e.PeerASN},
-					Time:   e.Timestamp,
-					Routes: map[netip.Prefix]aspath.Seq{},
-				}
-				feeds[k] = fd
+			in := feeds[k]
+			if in == nil {
+				in = &ingestFeed{feed: &Feed{
+					VP:   core.VP{Collector: e.Collector, ASN: e.PeerASN},
+					Time: e.Timestamp,
+				}}
+				feeds[k] = in
 			}
 			pfx := prefixset.Canonical(e.Prefix)
 			if !pfx.IsValid() {
 				continue
 			}
-			if _, dup := fd.Routes[pfx]; dup {
-				fd.Duplicates++
-				continue
-			}
-			if e.PathUnusable {
-				// Multi-AS-set or confederation: the path is unusable; the
-				// prefix is treated as unseen at this feed (§2.4.4).
-				fd.ASSetDropped++
-				continue
-			}
-			// The stored Seq is table-owned: stable for the life of the
-			// table, no per-element copy.
-			//atomlint:owned table-owned Seq: the era's intern table outlives every feed built from it
-			fd.Routes[pfx] = table.Seq(e.InternedPath)
+			in.elems = append(in.elems, ribElem{
+				pfx: pfx, ord: uint32(len(in.elems)), id: e.InternedPath, unusable: e.PathUnusable,
+			})
 		}
 	}
 	list := make([]*Feed, 0, len(feeds))
-	for _, fd := range feeds {
-		list = append(list, fd)
+	for _, in := range feeds {
+		list = append(list, in.finish(table))
 	}
 	// The map iteration above hands CleanFeeds its feed order; sort by VP
 	// so interning and report assembly see a process-stable sequence.
-	sort.Slice(list, func(i, j int) bool {
-		if list[i].VP.Collector != list[j].VP.Collector {
-			return list[i].VP.Collector < list[j].VP.Collector
-		}
-		return list[i].VP.ASN < list[j].VP.ASN
-	})
+	slices.SortFunc(list, func(a, b *Feed) int { return compareVPs(a.VP, b.VP) })
 	// Merge the RIB stream's own quarantine verdicts (degradation
 	// budgets blown while reading these archives) into the caller's set
 	// before the feed pipeline runs. Copy: opts is the caller's value.
@@ -354,9 +407,14 @@ func CleanFeeds(list []*Feed, updateWarnings []bgpstream.Warning, opts Options) 
 
 	stage := sp.Child("intern")
 
+	// A feed's routes, filtered by family and loops and interned, stay
+	// in parallel prefix-sorted slices; rows gets each route's snapshot
+	// row at admission (-1 when its prefix is not admitted).
 	type feedData struct {
-		stat   FeedStat
-		routes map[netip.Prefix]aspath.ID
+		stat FeedStat
+		pfx  []netip.Prefix
+		ids  []aspath.ID
+		rows []int32
 	}
 	var snapTime uint32
 	for _, f := range list {
@@ -365,11 +423,11 @@ func CleanFeeds(list []*Feed, updateWarnings []bgpstream.Warning, opts Options) 
 		}
 	}
 	// Per-feed interning runs on the worker pool: each worker owns its
-	// feed's routes map and interns into the shared striped table. Path
-	// ID values depend on interleaving, but every consumer treats IDs as
+	// feed's slices and interns into the shared striped table. Path ID
+	// values depend on interleaving, but every consumer treats IDs as
 	// opaque equality tokens, so the snapshot is unchanged.
 	feeds := make([]*feedData, len(list))
-	parallel.ForEach(opts.Workers, len(list), func(i int) error {
+	err := parallel.ForEach(opts.Workers, len(list), func(i int) error {
 		f := list[i]
 		fd := &feedData{
 			stat: FeedStat{
@@ -377,27 +435,35 @@ func CleanFeeds(list []*Feed, updateWarnings []bgpstream.Warning, opts Options) 
 				Duplicates:   f.Duplicates,
 				ASSetDropped: f.ASSetDropped,
 			},
-			routes: make(map[netip.Prefix]aspath.ID, len(f.Routes)),
+			pfx: make([]netip.Prefix, 0, len(f.Routes)),
+			ids: make([]aspath.ID, 0, len(f.Routes)),
 		}
-		for pfx, seq := range f.Routes {
-			if opts.Family == 4 && !pfx.Addr().Is4() {
+		for j, r := range f.Routes {
+			if j > 0 && prefixset.ComparePrefixes(f.Routes[j-1].Prefix, r.Prefix) >= 0 {
+				return fmt.Errorf("%w: feed %v at %v", ErrUnsortedRoutes, f.VP, r.Prefix)
+			}
+			if opts.Family == 4 && !r.Prefix.Addr().Is4() {
 				continue
 			}
-			if opts.Family == 6 && pfx.Addr().Is4() {
+			if opts.Family == 6 && r.Prefix.Addr().Is4() {
 				continue
 			}
-			if seq.HasLoop() {
+			if r.Path.HasLoop() {
 				fd.stat.LoopDropped++
 				continue
 			}
-			if len(seq) > 1 && seq[1:].HasPrivateASN() {
+			if len(r.Path) > 1 && r.Path[1:].HasPrivateASN() {
 				fd.stat.PrivateASN++
 			}
-			fd.routes[pfx] = table.Intern(seq)
+			fd.pfx = append(fd.pfx, r.Prefix)
+			fd.ids = append(fd.ids, table.Intern(r.Path))
 		}
 		feeds[i] = fd
 		return nil
 	})
+	if err != nil {
+		return nil, nil, err
+	}
 	if reg != nil {
 		reg.Counter("sanitize.feeds").Add(int64(len(feeds)))
 		var loops, dups, assets int64
@@ -443,7 +509,7 @@ func CleanFeeds(list []*Feed, updateWarnings []bgpstream.Warning, opts Options) 
 	// Abnormal peers from feed-level shares. Removal is by peer AS
 	// (every feed of that AS goes), matching the paper.
 	for _, fd := range feeds {
-		n := len(fd.routes)
+		n := len(fd.pfx)
 		fd.stat.UniquePrefixes = n
 		if n == 0 {
 			continue
@@ -470,8 +536,8 @@ func CleanFeeds(list []*Feed, updateWarnings []bgpstream.Warning, opts Options) 
 		if _, gone := rep.RemovedPeerASes[fd.stat.VP.ASN]; gone {
 			continue
 		}
-		if len(fd.routes) > max {
-			max = len(fd.routes)
+		if len(fd.pfx) > max {
+			max = len(fd.pfx)
 		}
 	}
 	rep.MaxPrefixCount = max
@@ -485,9 +551,9 @@ func CleanFeeds(list []*Feed, updateWarnings []bgpstream.Warning, opts Options) 
 			}
 			continue
 		}
-		if len(fd.routes) > rep.FullFeedThreshold ||
-			(opts.KeepAllPrefixes && len(fd.routes) > 0) {
-			fd.stat.FullFeed = len(fd.routes) > rep.FullFeedThreshold
+		if len(fd.pfx) > rep.FullFeedThreshold ||
+			(opts.KeepAllPrefixes && len(fd.pfx) > 0) {
+			fd.stat.FullFeed = len(fd.pfx) > rep.FullFeedThreshold
 			if fd.stat.FullFeed {
 				rep.FullFeeds++
 			}
@@ -500,23 +566,11 @@ func CleanFeeds(list []*Feed, updateWarnings []bgpstream.Warning, opts Options) 
 		reg.Counter("sanitize.vps_admitted").Add(int64(len(vpFeeds)))
 	}
 	// Deterministic VP order.
-	sort.Slice(vpFeeds, func(i, j int) bool {
-		a, b := vpFeeds[i].stat.VP, vpFeeds[j].stat.VP
-		if a.Collector != b.Collector {
-			return a.Collector < b.Collector
-		}
-		return a.ASN < b.ASN
-	})
+	slices.SortFunc(vpFeeds, func(a, b *feedData) int { return compareVPs(a.stat.VP, b.stat.VP) })
 	for _, fd := range feeds {
 		rep.Feeds = append(rep.Feeds, fd.stat)
 	}
-	sort.Slice(rep.Feeds, func(i, j int) bool {
-		a, b := rep.Feeds[i].VP, rep.Feeds[j].VP
-		if a.Collector != b.Collector {
-			return a.Collector < b.Collector
-		}
-		return a.ASN < b.ASN
-	})
+	slices.SortFunc(rep.Feeds, func(a, b FeedStat) int { return compareVPs(a.VP, b.VP) })
 
 	stage.SetAttr("max_prefixes", rep.MaxPrefixCount)
 	stage.SetAttr("threshold", rep.FullFeedThreshold)
@@ -537,30 +591,12 @@ func CleanFeeds(list []*Feed, updateWarnings []bgpstream.Warning, opts Options) 
 	stage = sp.Child("admission")
 
 	// Prefix admission: length + visibility thresholds over VP feeds.
-	// The candidate set is the sorted union of feed prefixes; distinct
-	// collector / peer-AS counts then come from two reusable stamp
-	// arrays indexed by dense feed-level IDs, so the whole stage
-	// allocates a handful of flat slices instead of three maps per
-	// prefix.
-	total := 0
-	for _, fd := range vpFeeds {
-		total += len(fd.routes)
-	}
-	cand := make([]netip.Prefix, 0, total)
-	for _, fd := range vpFeeds {
-		for pfx := range fd.routes {
-			cand = append(cand, pfx)
-		}
-	}
-	prefixset.SortPrefixes(cand)
-	uniq := cand[:0]
-	for i, pfx := range cand {
-		if i == 0 || pfx != cand[i-1] {
-			uniq = append(uniq, pfx)
-		}
-	}
-	rep.PrefixesSeen = len(uniq)
-
+	// One k-way cursor sweep over the sorted feeds visits the union of
+	// their prefixes in prefixset order. At each union prefix, the feeds
+	// whose cursor sits on it count distinct collectors and peer ASes by
+	// stamping dense feed-level IDs with the prefix's ordinal (no
+	// clearing between prefixes), then record the prefix's snapshot row
+	// for their route and advance.
 	collID := map[string]int32{}
 	asnID := map[uint32]int32{}
 	feedColl := make([]int32, len(vpFeeds))
@@ -577,47 +613,77 @@ func CleanFeeds(list []*Feed, updateWarnings []bgpstream.Warning, opts Options) 
 			asnID[fd.stat.VP.ASN] = ai
 		}
 		feedColl[i], feedASN[i] = ci, ai
+		fd.rows = make([]int32, len(fd.pfx))
 	}
 	collStamp := make([]int32, len(collID))
 	asnStamp := make([]int32, len(asnID))
 
-	admitted := make([]netip.Prefix, 0, len(uniq))
-	for ci, pfx := range uniq {
+	// admit applies the length filter, then the visibility thresholds
+	// over the feeds carrying pfx.
+	admit := func(pfx netip.Prefix, hits []int, stamp int32) bool {
 		if opts.LengthFilter && !prefixset.Admissible(pfx) {
 			rep.DroppedByLength++
-			continue
+			return false
 		}
-		if !opts.KeepAllPrefixes {
-			// Count distinct collectors and peer ASes seeing pfx by
-			// stamping each dense ID with this prefix's ordinal — no
-			// clearing between prefixes.
-			stamp := int32(ci + 1)
-			nColl, nASN := 0, 0
-			for fi, fd := range vpFeeds {
-				if _, ok := fd.routes[pfx]; !ok {
-					continue
-				}
-				if collStamp[feedColl[fi]] != stamp {
-					collStamp[feedColl[fi]] = stamp
-					nColl++
-				}
-				if asnStamp[feedASN[fi]] != stamp {
-					asnStamp[feedASN[fi]] = stamp
-					nASN++
-				}
+		if opts.KeepAllPrefixes {
+			return true
+		}
+		nColl, nASN := 0, 0
+		for _, fi := range hits {
+			if collStamp[feedColl[fi]] != stamp {
+				collStamp[feedColl[fi]] = stamp
+				nColl++
 			}
-			if nColl < opts.MinCollectors {
-				rep.DroppedByCollector++
-				continue
-			}
-			if nASN < opts.MinPeerASes {
-				rep.DroppedByPeerASes++
-				continue
+			if asnStamp[feedASN[fi]] != stamp {
+				asnStamp[feedASN[fi]] = stamp
+				nASN++
 			}
 		}
-		admitted = append(admitted, pfx)
+		if nColl < opts.MinCollectors {
+			rep.DroppedByCollector++
+			return false
+		}
+		if nASN < opts.MinPeerASes {
+			rep.DroppedByPeerASes++
+			return false
+		}
+		return true
 	}
-	// admitted inherits uniq's sorted order; no re-sort needed.
+
+	cursor := make([]int, len(vpFeeds))
+	hits := make([]int, 0, len(vpFeeds)) // feeds whose cursor is on the union prefix
+	admitted := make([]netip.Prefix, 0, rep.MaxPrefixCount)
+	for stamp := int32(1); ; stamp++ {
+		var pfx netip.Prefix
+		hits = hits[:0]
+		for fi, fd := range vpFeeds {
+			c := cursor[fi]
+			if c == len(fd.pfx) {
+				continue
+			}
+			// Most cursors sit on the union prefix: test equality first.
+			if len(hits) > 0 && fd.pfx[c] == pfx {
+				hits = append(hits, fi)
+			} else if len(hits) == 0 || prefixset.ComparePrefixes(fd.pfx[c], pfx) < 0 {
+				pfx = fd.pfx[c]
+				hits = append(hits[:0], fi)
+			}
+		}
+		if len(hits) == 0 {
+			break
+		}
+		rep.PrefixesSeen++
+		row := int32(-1)
+		if admit(pfx, hits, stamp) {
+			row = int32(len(admitted))
+			admitted = append(admitted, pfx)
+		}
+		for _, fi := range hits {
+			vpFeeds[fi].rows[cursor[fi]] = row
+			cursor[fi]++
+		}
+	}
+	// admitted inherits the sweep's sorted order; no re-sort needed.
 	rep.PrefixesAdmitted = len(admitted)
 	if reg != nil {
 		reg.Counter("sanitize.prefixes_seen").Add(int64(rep.PrefixesSeen))
@@ -638,32 +704,28 @@ func CleanFeeds(list []*Feed, updateWarnings []bgpstream.Warning, opts Options) 
 	}
 	// Share the interning table built during ingestion.
 	snap := core.NewSnapshotWith(snapTime, vps, admitted, table)
-	// Each chunk owns a disjoint range of snapshot rows; only the MOAS
-	// tally is shared, so it accumulates atomically. The tiny origins
-	// scratch is reused across the chunk's prefixes (origin counts per
-	// prefix are small; a linear scan beats a map).
+	for v, fd := range vpFeeds {
+		for c, row := range fd.rows {
+			if row >= 0 {
+				snap.Row(int(row))[v] = fd.ids[c]
+			}
+		}
+	}
+	// MOAS: each chunk scans a disjoint range of rows; only the tally is
+	// shared, so it accumulates atomically. The tiny origins scratch is
+	// reused across the chunk's prefixes (origin counts per prefix are
+	// small; a linear scan beats a map).
 	var moas atomic.Int64
 	parallel.Chunks(opts.Workers, len(admitted), func(lo, hi int) error {
 		origins := make([]uint32, 0, 8)
 		for p := lo; p < hi; p++ {
-			pfx := admitted[p]
-			row := snap.Row(p)
 			origins = origins[:0]
-			for v, fd := range vpFeeds {
-				if id, ok := fd.routes[pfx]; ok {
-					row[v] = id
-					if o, ok := table.Origin(id); ok {
-						known := false
-						for _, seen := range origins {
-							if seen == o {
-								known = true
-								break
-							}
-						}
-						if !known {
-							origins = append(origins, o)
-						}
-					}
+			for _, id := range snap.Row(p) {
+				if id == aspath.Empty {
+					continue
+				}
+				if o, ok := table.Origin(id); ok && !slices.Contains(origins, o) {
+					origins = append(origins, o)
 				}
 			}
 			if len(origins) > 1 {

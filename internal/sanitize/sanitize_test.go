@@ -1,6 +1,7 @@
 package sanitize_test
 
 import (
+	"bytes"
 	"net/netip"
 	"testing"
 
@@ -8,7 +9,7 @@ import (
 	"repro/internal/bgp"
 	"repro/internal/bgpstream"
 	"repro/internal/collector"
-	"repro/internal/core"
+	"repro/internal/mrt"
 	"repro/internal/routing"
 	"repro/internal/sanitize"
 	"repro/internal/topology"
@@ -104,17 +105,7 @@ func TestCleanRemovesGhosts(t *testing.T) {
 // TestVisibilityThresholdsDirect exercises the §2.4.3 filters on a
 // hand-built feed set where ground truth is exact.
 func TestVisibilityThresholdsDirect(t *testing.T) {
-	mk := func(coll string, asn uint32, prefixes ...string) *sanitize.Feed {
-		f := &sanitize.Feed{
-			VP:     core.VP{Collector: coll, ASN: asn},
-			Time:   100,
-			Routes: map[netip.Prefix]aspath.Seq{},
-		}
-		for _, p := range prefixes {
-			f.Routes[netip.MustParsePrefix(p)] = aspath.Seq{asn, 9}
-		}
-		return f
-	}
+	mk := edgeFeed
 	wide := []string{"10.0.0.0/24", "10.0.1.0/24", "10.0.2.0/24", "10.0.3.0/24", "10.0.4.0/24"}
 	feeds := []*sanitize.Feed{
 		mk("c1", 1, wide...),
@@ -124,15 +115,15 @@ func TestVisibilityThresholdsDirect(t *testing.T) {
 	}
 	// A prefix seen at one collector only (2 peers at c1): the collector
 	// rule rejects it first.
-	feeds[0].Routes[netip.MustParsePrefix("10.9.0.0/24")] = aspath.Seq{1, 9}
-	feeds[1].Routes[netip.MustParsePrefix("10.9.0.0/24")] = aspath.Seq{2, 9}
+	setRoute(feeds[0], "10.9.0.0/24", aspath.Seq{1, 9})
+	setRoute(feeds[1], "10.9.0.0/24", aspath.Seq{2, 9})
 	// A prefix seen at two collectors but by only 2 peer ASes: passes
 	// the collector rule, fails the peer-AS rule.
-	feeds[0].Routes[netip.MustParsePrefix("10.10.0.0/24")] = aspath.Seq{1, 9}
-	feeds[2].Routes[netip.MustParsePrefix("10.10.0.0/24")] = aspath.Seq{3, 9}
+	setRoute(feeds[0], "10.10.0.0/24", aspath.Seq{1, 9})
+	setRoute(feeds[2], "10.10.0.0/24", aspath.Seq{3, 9})
 	// A too-specific prefix seen everywhere.
 	for _, f := range feeds {
-		f.Routes[netip.MustParsePrefix("10.8.0.0/25")] = aspath.Seq{f.VP.ASN, 9}
+		setRoute(f, "10.8.0.0/25", aspath.Seq{f.VP.ASN, 9})
 	}
 	opts := sanitize.Defaults()
 	// Keep every feed a vantage point despite the deliberate size skew.
@@ -302,4 +293,90 @@ func TestCleanPathsShareTable(t *testing.T) {
 	if resolved == 0 {
 		t.Fatal("no routes resolved")
 	}
+}
+
+// TestCleanIngestDedupe pins Clean's per-feed dedupe: the first usable
+// path for a prefix wins wherever its records fall in the archive; a
+// later entry for a prefix that already has a path counts as a
+// duplicate, even when its path is unusable; an unusable path seen
+// first counts as AS-set-dropped and does not block a later usable one.
+func TestCleanIngestDedupe(t *testing.T) {
+	const asn = 1
+	seq := func(asns ...uint32) aspath.Path {
+		return aspath.Path{Segments: []aspath.Segment{{Type: aspath.SegSequence, ASNs: asns}}}
+	}
+	unusable := aspath.Path{Segments: []aspath.Segment{
+		{Type: aspath.SegSequence, ASNs: []uint32{asn}},
+		{Type: aspath.SegSet, ASNs: []uint32{7, 8}},
+	}}
+	dupThenUnusable := netip.MustParsePrefix("10.0.0.0/24")
+	unusableThenUsable := netip.MustParsePrefix("10.0.1.0/24")
+	dupThenUsable := netip.MustParsePrefix("10.0.2.0/24")
+	archive := ribArchive(t, asn, []ribRecord{
+		{dupThenUnusable, seq(asn, 9)},
+		{unusableThenUsable, unusable},
+		{dupThenUsable, seq(asn, 9)},
+		{unusableThenUsable, seq(asn, 5, 9)},
+		{dupThenUnusable, unusable},
+		{dupThenUsable, seq(asn, 6, 9)},
+	})
+	opts := sanitize.Afek2002()
+	opts.DuplicateShare = 1 // keep the peer despite its duplicates
+	snap, rep, err := sanitize.Clean([]bgpstream.Source{bgpstream.BytesSource("c1", archive, bgp.Options{})}, nil, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[netip.Prefix]aspath.Seq{
+		dupThenUnusable:    {asn, 9},
+		unusableThenUsable: {asn, 5, 9},
+		dupThenUsable:      {asn, 9},
+	}
+	if len(snap.Prefixes) != len(want) || len(snap.VPs) != 1 {
+		t.Fatalf("snapshot has %d prefixes, %d VPs; want %d, 1", len(snap.Prefixes), len(snap.VPs), len(want))
+	}
+	for p, pfx := range snap.Prefixes {
+		if got := snap.Route(p, 0); !got.Equal(want[pfx]) {
+			t.Errorf("%v: path %v, want %v", pfx, got, want[pfx])
+		}
+	}
+	if st := rep.Feeds[0]; st.Duplicates != 2 || st.ASSetDropped != 1 || st.UniquePrefixes != 3 {
+		t.Errorf("feed stat %+v, want 2 duplicates, 1 AS-set drop, 3 prefixes", st)
+	}
+}
+
+// ribRecord is one single-entry RIB record of a test archive.
+type ribRecord struct {
+	pfx  netip.Prefix
+	path aspath.Path
+}
+
+// ribArchive writes a one-peer TABLE_DUMP_V2 archive holding recs in
+// order.
+func ribArchive(t *testing.T, asn uint32, recs []ribRecord) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	w := mrt.NewWriter(&buf)
+	addr := netip.MustParseAddr("192.0.2.1")
+	pit := &mrt.PeerIndexTable{CollectorID: addr, ViewName: "c1", Peers: []mrt.Peer{{BGPID: addr, Addr: addr, ASN: asn}}}
+	body, err := pit.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.WriteRecord(mrt.Record{Timestamp: 100, Type: mrt.TypeTableDumpV2, Subtype: mrt.SubPeerIndexTable, Body: body})
+	for i, r := range recs {
+		attrs, err := bgp.MarshalAttributes([]bgp.Attr{bgp.Origin(bgp.OriginIGP), bgp.ASPath{Path: r.path}}, bgp.Options{AS4: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rib := &mrt.RIB{Sequence: uint32(i), Prefix: r.pfx, Entries: []mrt.RIBEntry{{Originated: 50, Attrs: attrs}}}
+		b, err := rib.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.WriteRecord(mrt.Record{Timestamp: 100, Type: mrt.TypeTableDumpV2, Subtype: rib.Subtype(), Body: b})
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }

@@ -3,7 +3,7 @@
 # tests, vet and unit tests of the nested bench module (so an exported
 # API change cannot silently break the benchmark), a race-detector smoke of the concurrency-sensitive packages
 # (the obs instruments are lock-free atomics; bgpstream caches counters;
-# collector and routing fan work out to the pool), the fault-injection
+# collector, routing and sanitize fan work out to the pool), the fault-injection
 # harness under -race, the incremental atom-maintenance differential
 # (replay vs batch recompute, incl. faultgen-damaged churn) under -race
 # plus a churn-bench smoke, the atomd daemon-vs-batch differential and
@@ -80,8 +80,8 @@ go test -race -count=1 ./internal/obs/ ./internal/bgpstream/
 echo "== go test -race (worker pool + striped intern table)"
 go test -race -count=1 ./internal/parallel/ ./internal/aspath/
 
-echo "== go test -race (collector + routing engine)"
-go test -race -count=1 ./internal/collector/ ./internal/routing/
+echo "== go test -race (collector + routing engine + sanitize pool fan-out)"
+go test -race -count=1 ./internal/collector/ ./internal/routing/ ./internal/sanitize/
 
 echo "== go test -race (determinism at every worker count)"
 go test -race -count=1 -run 'Determinism' ./internal/core/ ./internal/longitudinal/
@@ -123,6 +123,9 @@ go test -fuzz FuzzIngestFrame -fuzztime 5s -run '^$' ./internal/atomd/
 
 echo "== bench smoke (-benchtime=1x: bench code must compile and run)"
 go test -run xxx -bench . -benchtime 1x -benchmem . ./internal/core/ ./internal/aspath/
+
+echo "== sanitize bench smoke (CleanFeeds over one 2024Q1 snapshot at benchmark scale)"
+go test -run xxx -bench 'BenchmarkCleanFeeds$' -benchtime 1x -benchmem ./internal/sanitize/
 
 echo "== decode bench smoke (zero-copy reader + stream fan-out)"
 go test -run xxx -bench 'BenchmarkBytesReader$|BenchmarkReader$' -benchtime 1x -benchmem ./internal/mrt/
