@@ -230,9 +230,11 @@ func BenchmarkSnapshotBuildFastPath(b *testing.B) {
 
 // BenchmarkRunTrendParallel measures the parallel longitudinal sweep
 // end to end — six independent eras fanned out across the worker pool.
-// workers=1 is the sequential baseline; the speedup at higher counts is
-// bounded by GOMAXPROCS (rerun with `go test -cpu 8` to measure an
-// 8-worker pool against an 8-way scheduler even on a small host).
+// workers=1 is the sequential baseline. The pool is clamped by
+// parallel.EffectiveWorkers to min(GOMAXPROCS, NumCPU), so on a 2-CPU
+// host workers=4 and 8 still run 2 goroutines, and `go test -cpu 8`
+// does not lift the clamp; a bench that must run the full pool calls
+// parallel.ForceParallel(true) first.
 func BenchmarkRunTrendParallel(b *testing.B) {
 	eras := []topology.Era{
 		topology.EraOf(2004, 1), topology.EraOf(2008, 1),

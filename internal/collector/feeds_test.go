@@ -2,6 +2,7 @@ package collector
 
 import (
 	"net/netip"
+	"slices"
 	"testing"
 
 	"repro/internal/aspath"
@@ -181,4 +182,70 @@ func cloneInfra(in *Infra, edit func(*Peer)) *Infra {
 		out.Collectors[i] = &cc
 	}
 	return &out
+}
+
+// TestLazyAltRoutes pins the route table's lazy runner-up routes to an
+// eager reference: AltRouteAt at every VP for every unit, then the shift
+// rule applied per (prefix, VP). VPShiftShare is forced high so a large
+// share of shifted VPs' cells take the runner-up route.
+func TestLazyAltRoutes(t *testing.T) {
+	p := topology.DefaultParams(41)
+	p.Scale = 0.004
+	g := topology.Generate(p, topology.EraOf(2019, 3))
+	in := BuildInfra(g, Config{Seed: 11, Artifacts: true})
+	model := routing.ChurnModel{Seed: 3, UnitEventRate: 0.3, VPEventRate: 2,
+		TransitFlipShare: 0.4, PrefixMobileShare: 0.01, PrefixBaseMoveRate: 0.01, VPShiftShare: 0.5}
+	ov := model.OverlayAt(g, 12.5, in.FullFeedASNs())
+	got := buildRouteTable(g, in, ov)
+
+	seen := map[uint32]bool{}
+	var vps []uint32
+	for _, cp := range in.AllPeers() {
+		if !seen[cp.Peer.ASN] && cp.Peer.Artifact != ArtifactStuck {
+			vps = append(vps, cp.Peer.ASN)
+		}
+		seen[cp.Peer.ASN] = true
+	}
+	slices.Sort(vps)
+	want := &routeTable{prefixes: got.prefixes, nVPs: got.nVPs, cells: make([]routeEntry, len(got.cells))}
+	eng := routing.NewEngine(g, ov)
+	moves := routing.BuildMoveSet(ov)
+	shifted := 0
+	for _, u := range g.Groups {
+		best := eng.PathsAt(u, vps)
+		alts := make([]routing.VPRoute, len(vps))
+		for v, vp := range vps {
+			alts[v], _ = eng.AltRouteAt(vp)
+		}
+		for _, pfx := range moves.UnitPrefixes(u) {
+			row := want.rowOf(pfx)
+			label := prefixLabel(pfx)
+			for v, vp := range vps {
+				r := best[v]
+				if r.Path == nil {
+					continue
+				}
+				if tok := ov.VPShift[vp]; tok != 0 && alts[v].Path != nil &&
+					(unitc(ov.VPSticky[vp], label) < ov.VPShiftShare*0.7 || unitc(tok, label) < ov.VPShiftShare*0.3) {
+					r = alts[v]
+					shifted++
+				}
+				cand := routeEntry{path: r.Path, cost: int32(r.Cost), class: r.Class}
+				if row[v].path == nil || better(cand, row[v]) {
+					row[v] = cand
+				}
+			}
+		}
+	}
+	if shifted < 100 {
+		t.Fatalf("only %d cells took a runner-up route; the shift rule is barely exercised", shifted)
+	}
+	for p, pfx := range got.prefixes {
+		for v, vp := range vps {
+			a, b := got.row(p)[v], want.row(p)[v]
+			if !a.path.Equal(b.path) || a.cost != b.cost || a.class != b.class {
+				t.Fatalf("%v at VP %d: %v/%d/%v, eager %v/%d/%v", pfx, vp, a.path, a.cost, a.class, b.path, b.cost, b.class)
+			}
+		}
+	}
 }

@@ -124,35 +124,49 @@ func buildRouteTable(g *topology.Graph, in *Infra, ov *routing.Overlay) *routeTa
 			*c = cand
 		}
 	}
+	// A VP's runner-up route is computed at most once per unit, and only
+	// when its shift rule selects one of the unit's prefixes.
 	eng := routing.NewEngine(g, ov)
-	shifted := hasShifts(ov, vps)
+	shift := newVPShift(ov, vps)
+	routes := make([]routing.VPRoute, len(vps))
+	alts := make([]routing.VPRoute, len(vps))
+	altDone := make([]bool, len(vps))
 	for i, u := range g.Groups {
 		prefixes := unitPrefixes[i]
 		if len(prefixes) == 0 {
 			continue
 		}
-		rs := eng.PathsAt(u, vps)
-		var alts []routing.VPRoute
-		if shifted {
-			alts = eng.AltPathsAt(vps)
-		}
+		routeAll(eng, u, vps, routes)
+		clear(altDone)
 		for _, pfx := range prefixes {
 			row := t.rowOf(pfx)
-			for v, r := range rs {
-				if r.Path != nil {
-					merge(&row[v], shiftRoute(ov, vps[v], pfx, r, alts, v))
+			label := prefixLabel(pfx)
+			for v, r := range routes {
+				if r.Path == nil {
+					continue
 				}
+				if shift.selects(v, label) {
+					if !altDone[v] {
+						alts[v], _ = eng.AltRouteAt(vps[v])
+						altDone[v] = true
+					}
+					if alts[v].Path != nil {
+						r = alts[v]
+					}
+				}
+				merge(&row[v], r)
 			}
 		}
 	}
 	if len(stuckVPs) > 0 {
 		// Stuck peers serve the pristine world: no overlay, no moves.
 		stale := routing.NewEngine(g, nil)
+		routes := make([]routing.VPRoute, len(stuckVPs))
 		for _, u := range g.Groups {
-			rs := stale.PathsAt(u, stuckVPs)
+			routeAll(stale, u, stuckVPs, routes)
 			for _, pfx := range u.Prefixes {
 				row := t.rowOf(pfx)[len(vps):]
-				for v, r := range rs {
+				for v, r := range routes {
 					if r.Path != nil {
 						merge(&row[v], r)
 					}
@@ -207,38 +221,50 @@ func ghostPath(in *Infra, p *Peer, j int) aspath.Seq {
 	return aspath.Seq{p.ASN, fakeOrigin}
 }
 
-// hasShifts reports whether any vantage point carries a shift token.
-func hasShifts(ov *routing.Overlay, vps []uint32) bool {
-	if ov == nil || ov.VPShiftShare <= 0 {
-		return false
+// routeAll computes u's best route at every VP into out; a VP with no
+// route gets a nil Path.
+func routeAll(eng *routing.Engine, u *topology.PolicyGroup, vps []uint32, out []routing.VPRoute) {
+	eng.ComputeUnit(u)
+	for i, vp := range vps {
+		out[i], _ = eng.RouteAt(vp)
 	}
-	for _, vp := range vps {
-		if ov.VPShift[vp] != 0 {
-			return true
-		}
-	}
-	return false
 }
 
-// shiftRoute applies a VP's per-prefix route shift: a shifted VP reports
-// its runner-up route for a small hash-selected share of prefixes. The
-// set is 70% sticky (stable across the VP's events) and 30% churning
-// (re-drawn each event), so consecutive snapshots differ by a bounded
-// sliver — localized split events without compounding instability.
-func shiftRoute(ov *routing.Overlay, vp uint32, pfx netip.Prefix, best routing.VPRoute, alts []routing.VPRoute, i int) routing.VPRoute {
-	if ov == nil || alts == nil {
-		return best
+// vpShift holds the VPs' route-shift tokens, by column. A shifted VP
+// reports its runner-up route, where it has one, for a small
+// hash-selected share of prefixes. The set is 70% sticky (stable across
+// the VP's events) and 30% churning (re-drawn each event), so
+// consecutive snapshots differ by a bounded sliver — localized split
+// events without compounding instability. A nil *vpShift shifts nothing.
+type vpShift struct {
+	token, sticky []uint64
+	share         float64
+}
+
+// newVPShift reads the overlay's shift tokens for vps, or returns nil
+// when no VP is shifted.
+func newVPShift(ov *routing.Overlay, vps []uint32) *vpShift {
+	if ov == nil || ov.VPShiftShare <= 0 {
+		return nil
 	}
-	token := ov.VPShift[vp]
-	if token == 0 || alts[i].Path == nil {
-		return best
+	s := &vpShift{token: make([]uint64, len(vps)), sticky: make([]uint64, len(vps)), share: ov.VPShiftShare}
+	shifted := false
+	for v, vp := range vps {
+		if s.token[v] = ov.VPShift[vp]; s.token[v] != 0 {
+			s.sticky[v] = ov.VPSticky[vp]
+			shifted = true
+		}
 	}
-	label := prefixLabel(pfx)
-	if unitc(ov.VPSticky[vp], label) < ov.VPShiftShare*0.7 ||
-		unitc(token, label) < ov.VPShiftShare*0.3 {
-		return alts[i]
+	if !shifted {
+		return nil
 	}
-	return best
+	return s
+}
+
+// selects reports whether VP column v shifts the prefix with this label.
+func (s *vpShift) selects(v int, label uint64) bool {
+	return s != nil && s.token[v] != 0 &&
+		(unitc(s.sticky[v], label) < s.share*0.7 || unitc(s.token[v], label) < s.share*0.3)
 }
 
 // better orders candidate routes for MOAS merging.

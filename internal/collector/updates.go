@@ -95,7 +95,7 @@ func BuildUpdates(g *topology.Graph, in *Infra, cfg UpdateConfig) map[string][]b
 			if t < cfg.FromT {
 				t = cfg.FromT
 			}
-			emitVPEvent(g, cfg, add, base, moves, t, vp, peersByASN, k)
+			emitVPEvent(g, cfg, add, eng, base, moves, t, vp, peersByASN, k)
 		}
 	}
 
@@ -158,8 +158,9 @@ func emitDiff(g *topology.Graph, cfg UpdateConfig, add func(float64, *Peer, bool
 }
 
 // emitVPEvent recomputes every unit at one VP around its local event.
+// eng routes over base, whose salt for vp it sets before each pass.
 func emitVPEvent(g *topology.Graph, cfg UpdateConfig, add func(float64, *Peer, bool, []netip.Prefix, aspath.Seq),
-	base *routing.Overlay, moves *routing.MoveSet, t float64, vp uint32, peers map[uint32]*Peer, version int) {
+	eng *routing.Engine, base *routing.Overlay, moves *routing.MoveSet, t float64, vp uint32, peers map[uint32]*Peer, version int) {
 	peer := peers[vp]
 	saltBefore := cfg.Model.VPSaltAt(vp, version-1)
 	saltAfter := cfg.Model.VPSaltAt(vp, version)
@@ -171,17 +172,18 @@ func emitVPEvent(g *topology.Graph, cfg UpdateConfig, add func(float64, *Peer, b
 			base.VPSalt[vp] = s
 		}
 	}
-	single := []uint32{vp}
 	setSalt(saltBefore)
-	engB := routing.NewEngine(g, base)
 	beforePaths := make([]aspath.Seq, len(g.Groups))
 	for _, u := range g.Groups {
-		beforePaths[u.ID] = engB.PathsAt(u, single)[0].Path
+		eng.ComputeUnit(u)
+		r, _ := eng.RouteAt(vp)
+		beforePaths[u.ID] = r.Path
 	}
 	setSalt(saltAfter)
-	engA := routing.NewEngine(g, base)
 	for _, u := range g.Groups {
-		a := engA.PathsAt(u, single)[0].Path
+		eng.ComputeUnit(u)
+		r, _ := eng.RouteAt(vp)
+		a := r.Path
 		if beforePaths[u.ID].Equal(a) {
 			continue
 		}

@@ -160,12 +160,15 @@ func (m ChurnModel) ApplyUnitVersion(g *topology.Graph, ov *Overlay, u *topology
 	}
 }
 
-// clearUnitVersion removes the mutation that version v installed.
+// clearUnitVersion removes the mutation that version v installed. The
+// unit's flip is deleted only if it is still the one v installed.
 func (m ChurnModel) clearUnitVersion(g *topology.Graph, ov *Overlay, u *topology.PolicyGroup, v int) {
 	kind := unitf(m.Seed, 0xc4e6, uint64(u.SigID), uint64(v))
 	if kind < m.TransitFlipShare {
 		if key, ok := m.flipKey(g, u, v); ok {
-			delete(ov.ExportFlip, key)
+			if cur, ok := ov.ExportFlip[u.ID]; ok && cur == key {
+				delete(ov.ExportFlip, u.ID)
+			}
 		}
 		return
 	}
@@ -190,7 +193,7 @@ func (m ChurnModel) flipKey(g *topology.Graph, u *topology.PolicyGroup, v int) (
 		return ExportKey{}, false
 	}
 	n := neighbors[pickn(len(neighbors), m.Seed, 0xc4e8, uint64(u.SigID), uint64(v))]
-	return ExportKey{ASN: tr.ASN, UnitID: u.ID, Neighbor: n}, true
+	return ExportKey{ASN: tr.ASN, Neighbor: n}, true
 }
 
 // OverlayAt materializes the overlay for time t: for every unit with a
@@ -200,7 +203,7 @@ func (m ChurnModel) flipKey(g *topology.Graph, u *topology.PolicyGroup, v int) (
 func (m ChurnModel) OverlayAt(g *topology.Graph, t float64, vps []uint32) *Overlay {
 	ov := &Overlay{
 		AnnounceOverride: make(map[int]map[uint32]topology.AnnouncePolicy),
-		ExportFlip:       make(map[ExportKey]bool),
+		ExportFlip:       make(map[int]ExportKey),
 		VPSalt:           make(map[uint32]uint64),
 		VPShift:          make(map[uint32]uint64),
 		VPSticky:         make(map[uint32]uint64),
@@ -339,7 +342,7 @@ func (m ChurnModel) applyUnitEvent(g *topology.Graph, ov *Overlay, u *topology.P
 		// the origin's providers, so the flip lands on the unit's actual
 		// path region; a flip that touches no selected path is a no-op.
 		if key, ok := m.flipKey(g, u, v); ok {
-			ov.ExportFlip[key] = true
+			ov.ExportFlip[u.ID] = key
 		}
 		return
 	}

@@ -16,6 +16,7 @@ package routing
 
 import (
 	"net/netip"
+	"slices"
 
 	"repro/internal/aspath"
 	"repro/internal/prefixset"
@@ -50,10 +51,10 @@ func (c Class) String() string {
 	}
 }
 
-// ExportKey addresses one transit export decision.
+// ExportKey addresses one transit export decision of a unit: AS ASN's
+// export toward Neighbor.
 type ExportKey struct {
 	ASN      uint32
-	UnitID   int
 	Neighbor uint32
 }
 
@@ -62,8 +63,9 @@ type ExportKey struct {
 type Overlay struct {
 	// AnnounceOverride replaces a unit's origin announce policy.
 	AnnounceOverride map[int]map[uint32]topology.AnnouncePolicy
-	// ExportFlip inverts the transit export decision for a key.
-	ExportFlip map[ExportKey]bool
+	// ExportFlip inverts one transit export decision of a unit, keyed
+	// by unit ID: the churn model installs at most one flip per unit.
+	ExportFlip map[int]ExportKey
 	// VPSalt changes tie-breaking at an AS (a local policy change: the
 	// AS prefers a different equally-good neighbor).
 	VPSalt map[uint32]uint64
@@ -156,9 +158,8 @@ type Engine struct {
 	G  *topology.Graph
 	Ov *Overlay
 
-	idx  map[uint32]int32
 	asns []uint32
-	as   []*topology.AS
+	as   []*topology.AS // G.ASes
 
 	// Per-unit scratch, stamp-versioned to avoid O(n) clears.
 	stamp    []uint32
@@ -203,8 +204,16 @@ type Engine struct {
 	// per ~16Ki hops.
 	emitArena []uint32
 
+	// hash is each node's export hash advanced to the current unit,
+	// staged from G.Hash on first use.
+	hashStamp []uint32
+	hash      []topology.ExportHash
+
 	unit   *topology.PolicyGroup
 	origin int32
+	// flipFrom/flipTo are the positions of the current unit's export
+	// flip, or -1.
+	flipFrom, flipTo int32
 }
 
 // NewEngine builds an engine over g with an optional overlay.
@@ -212,9 +221,8 @@ func NewEngine(g *topology.Graph, ov *Overlay) *Engine {
 	n := len(g.ASes)
 	e := &Engine{
 		G: g, Ov: ov,
-		idx:  make(map[uint32]int32, n),
 		asns: make([]uint32, n),
-		as:   make([]*topology.AS, n),
+		as:   g.ASes,
 
 		stamp:    make([]uint32, n),
 		custCost: make([]int32, n),
@@ -239,11 +247,12 @@ func NewEngine(g *topology.Graph, ov *Overlay) *Engine {
 		custPathMemo:  make([][]uint32, n),
 
 		settledStamp: make([]uint32, n),
+
+		hashStamp: make([]uint32, n),
+		hash:      make([]topology.ExportHash, n),
 	}
 	for i, a := range g.ASes {
-		e.idx[a.ASN] = int32(i)
 		e.asns[i] = a.ASN
-		e.as[i] = a
 	}
 	return e
 }
@@ -258,10 +267,23 @@ func (e *Engine) announce(u *topology.PolicyGroup) map[uint32]topology.AnnounceP
 	return u.Announce
 }
 
-// exports evaluates the transit export decision with overlay flips.
-func (e *Engine) exports(from *topology.AS, u *topology.PolicyGroup, to uint32) (bool, int) {
-	ok, prep := e.G.Exports(from, u, to)
-	if e.Ov != nil && e.Ov.ExportFlip[ExportKey{from.ASN, u.ID, to}] {
+// exports evaluates node from's transit export decision for the current
+// unit toward neighbor to, with the overlay's flip applied. toPeer says
+// to is known to be a peer of from; otherwise selectivity looks it up.
+func (e *Engine) exports(from, to int32, toPeer bool) (ok bool, prep int) {
+	a := e.as[from]
+	ok = true
+	if a.Selectivity > 0 || a.PrependRate > 0 {
+		if e.hashStamp[from] != e.cur {
+			e.hashStamp[from] = e.cur
+			e.hash[from] = e.G.Hash[from].ForUnit(e.unit.ID)
+		}
+		if !toPeer && a.Selectivity > 0 {
+			_, toPeer = slices.BinarySearch(e.G.PeersOf(from), to)
+		}
+		ok, prep = e.hash[from].Exports(a, e.asns[to], toPeer)
+	}
+	if from == e.flipFrom && to == e.flipTo {
 		ok = !ok
 		if ok {
 			prep = 0
@@ -288,25 +310,6 @@ func h64mix(a, b uint64) uint64 {
 	x *= 0xff51afd7ed558ccd
 	x ^= x >> 33
 	return x
-}
-
-// relationship constants for seed classification.
-func isProviderOf(a *topology.AS, asn uint32) bool {
-	for _, p := range a.Providers {
-		if p == asn {
-			return true
-		}
-	}
-	return false
-}
-
-func isPeerOf(a *topology.AS, asn uint32) bool {
-	for _, p := range a.Peers {
-		if p == asn {
-			return true
-		}
-	}
-	return false
 }
 
 // pqItem is a Dijkstra heap entry.
@@ -375,15 +378,20 @@ func (e *Engine) ComputeUnit(u *topology.PolicyGroup) {
 	e.unit = u
 	e.custOrder = e.custOrder[:0]
 	e.pathArena = e.pathArena[:0]
-	oi, ok := e.idx[u.Origin]
-	if !ok {
-		e.origin = -1
+	e.origin, e.flipFrom, e.flipTo = -1, -1, -1
+	oi, ok := e.G.Index[u.Origin]
+	if !ok || e.Ov != nil && e.Ov.WithdrawnUnits[u.ID] {
 		return
 	}
 	e.origin = oi
-	if e.Ov != nil && e.Ov.WithdrawnUnits[u.ID] {
-		e.origin = -1
-		return
+	if e.Ov != nil {
+		if f, ok := e.Ov.ExportFlip[u.ID]; ok {
+			from, ok1 := e.G.Index[f.ASN]
+			to, ok2 := e.G.Index[f.Neighbor]
+			if ok1 && ok2 {
+				e.flipFrom, e.flipTo = from, to
+			}
+		}
 	}
 
 	// Origin's own route.
@@ -398,13 +406,13 @@ func (e *Engine) ComputeUnit(u *topology.PolicyGroup) {
 	origin := e.as[oi]
 	e.q = e.q[:0]
 	for n, pol := range e.announce(u) {
-		ni, ok := e.idx[n]
+		ni, ok := e.G.Index[n]
 		if !ok {
 			continue
 		}
 		cost := int32(1 + pol.Prepend)
 		switch {
-		case isProviderOf(origin, n):
+		case slices.Contains(e.G.ProvidersOf(oi), ni):
 			if e.better(ni, cost, oi, e.custStampOK(ni), e.custCost, e.custPar) {
 				e.stamp[ni] = e.cur
 				e.custCost[ni] = cost
@@ -412,7 +420,7 @@ func (e *Engine) ComputeUnit(u *topology.PolicyGroup) {
 				e.custPrep[ni] = int8(pol.Prepend)
 				e.pushQ(pqItem{cost: cost, key: e.tiebreak(ni, origin.ASN), node: ni})
 			}
-		case isPeerOf(origin, n):
+		case slices.Contains(e.G.PeersOf(oi), ni):
 			if e.peerBetter(ni, cost, oi) {
 				e.peerStamp[ni] = e.cur
 				e.peerCost[ni] = cost
@@ -431,13 +439,11 @@ func (e *Engine) ComputeUnit(u *topology.PolicyGroup) {
 		}
 		e.settledStamp[x] = e.cur
 		e.custOrder = append(e.custOrder, x)
-		ax := e.as[x]
-		for _, pASN := range ax.Providers {
-			pi, ok := e.idx[pASN]
-			if !ok || e.settledStamp[pi] == e.cur {
+		for _, pi := range e.G.ProvidersOf(x) {
+			if e.settledStamp[pi] == e.cur {
 				continue
 			}
-			expOK, prep := e.exports(ax, u, pASN)
+			expOK, prep := e.exports(x, pi, false)
 			if !expOK {
 				continue
 			}
@@ -447,7 +453,7 @@ func (e *Engine) ComputeUnit(u *topology.PolicyGroup) {
 				e.custCost[pi] = cost
 				e.custPar[pi] = x
 				e.custPrep[pi] = int8(prep)
-				e.pushQ(pqItem{cost: cost, key: e.tiebreak(pi, ax.ASN), node: pi})
+				e.pushQ(pqItem{cost: cost, key: e.tiebreak(pi, e.asns[x]), node: pi})
 			}
 		}
 	}
@@ -457,13 +463,8 @@ func (e *Engine) ComputeUnit(u *topology.PolicyGroup) {
 		if x == oi {
 			continue // origin's peer announcements were seeded above
 		}
-		ax := e.as[x]
-		for _, prASN := range ax.Peers {
-			pi, ok := e.idx[prASN]
-			if !ok {
-				continue
-			}
-			expOK, prep := e.exports(ax, u, prASN)
+		for _, pi := range e.G.PeersOf(x) {
+			expOK, prep := e.exports(x, pi, true)
 			if !expOK {
 				continue
 			}
@@ -531,26 +532,20 @@ func (e *Engine) bestAt(x int32) bool {
 	}
 	// Provider-learned: the origin always exports to its customers; a
 	// transit exports its best route to customers subject to policy.
-	ax := e.as[x]
 	haveBest := false
 	var bCost int32
 	var bPar int32
 	var bPrep int8
-	for _, pASN := range ax.Providers {
-		pi, ok := e.idx[pASN]
-		if !ok {
-			continue
-		}
+	for _, pi := range e.G.ProvidersOf(x) {
 		if !e.bestAt(pi) {
 			continue
 		}
-		ap := e.as[pi]
 		var expOK bool
 		var prep int
 		if pi == e.origin {
 			expOK, prep = true, 0 // origin always serves its customers
 		} else {
-			expOK, prep = e.exports(ap, e.unit, ax.ASN)
+			expOK, prep = e.exports(pi, x, false)
 		}
 		if !expOK {
 			continue
@@ -663,7 +658,7 @@ func (e *Engine) pathBest(x int32) []uint32 {
 // for the current unit, with ok=false if the AS has no route. The path
 // includes the AS itself first.
 func (e *Engine) RouteAt(asn uint32) (VPRoute, bool) {
-	x, ok := e.idx[asn]
+	x, ok := e.G.Index[asn]
 	if !ok || e.origin < 0 {
 		return VPRoute{}, false
 	}
@@ -682,7 +677,7 @@ func (e *Engine) RouteAt(asn uint32) (VPRoute, bool) {
 // than the one chosen — the route the AS would fall back to after a
 // local preference change. ok=false if there is no alternative.
 func (e *Engine) AltRouteAt(asn uint32) (VPRoute, bool) {
-	x, ok := e.idx[asn]
+	x, ok := e.G.Index[asn]
 	if !ok || e.origin < 0 || !e.bestAt(x) {
 		return VPRoute{}, false
 	}
@@ -719,10 +714,8 @@ func (e *Engine) AltRouteAt(asn uint32) (VPRoute, bool) {
 	if e.peerStamp[x] == e.cur {
 		consider(cand{kind: ClassPeer, cost: e.peerCost[x], par: e.peerPar[x], prep: e.peerPrep[x]})
 	}
-	ax := e.as[x]
-	for _, pASN := range ax.Providers {
-		pi, ok := e.idx[pASN]
-		if !ok || !e.bestAt(pi) {
+	for _, pi := range e.G.ProvidersOf(x) {
+		if !e.bestAt(pi) {
 			continue
 		}
 		var expOK bool
@@ -730,7 +723,7 @@ func (e *Engine) AltRouteAt(asn uint32) (VPRoute, bool) {
 		if pi == e.origin {
 			expOK, prep = true, 0
 		} else {
-			expOK, prep = e.exports(e.as[pi], e.unit, ax.ASN)
+			expOK, prep = e.exports(pi, x, false)
 		}
 		if !expOK {
 			continue
@@ -771,18 +764,6 @@ func (e *Engine) PathsAt(u *topology.PolicyGroup, vps []uint32) []VPRoute {
 	out := make([]VPRoute, len(vps))
 	for i, vp := range vps {
 		if r, ok := e.RouteAt(vp); ok {
-			out[i] = r
-		}
-	}
-	return out
-}
-
-// AltPathsAt computes runner-up routes for every vantage point for the
-// unit most recently passed to PathsAt/ComputeUnit.
-func (e *Engine) AltPathsAt(vps []uint32) []VPRoute {
-	out := make([]VPRoute, len(vps))
-	for i, vp := range vps {
-		if r, ok := e.AltRouteAt(vp); ok {
 			out[i] = r
 		}
 	}

@@ -1,7 +1,9 @@
 package routing
 
 import (
+	"maps"
 	"net/netip"
+	"reflect"
 	"testing"
 
 	"repro/internal/aspath"
@@ -174,8 +176,8 @@ func TestEngineExportFlip(t *testing.T) {
 	u := group(0, 100, map[uint32]topology.AnnouncePolicy{11: {}, 12: {}}, "10.0.0.0/24")
 	g := testTopology([]*topology.PolicyGroup{u})
 	// Flip 11's export to its provider 1: T1a must now route via 12.
-	ov := &Overlay{ExportFlip: map[ExportKey]bool{
-		{ASN: 11, UnitID: 0, Neighbor: 1}: true,
+	ov := &Overlay{ExportFlip: map[int]ExportKey{
+		0: {ASN: 11, Neighbor: 1},
 	}}
 	e := NewEngine(g, ov)
 	// VP1 under 11 unaffected (customer route at 11).
@@ -438,9 +440,66 @@ func TestApplyUnitVersionMatchesOverlayAt(t *testing.T) {
 	if len(evolved.ExportFlip) != len(target.ExportFlip) {
 		t.Fatalf("flip count %d != %d", len(evolved.ExportFlip), len(target.ExportFlip))
 	}
-	for k := range target.ExportFlip {
-		if !evolved.ExportFlip[k] {
-			t.Fatalf("flip %+v missing after evolution", k)
+	for id, want := range target.ExportFlip {
+		if got, ok := evolved.ExportFlip[id]; !ok || got != want {
+			t.Fatalf("unit %d flip %+v after evolution, want %+v", id, got, want)
+		}
+	}
+}
+
+// TestApplyUnitVersionFlipInvariant walks every unit's policy versions
+// in quarter-day steps with ApplyUnitVersion and checks, after each
+// step, that the overlay's unit mutations equal OverlayAt's at that
+// time. The walk must cover flip→announce→flip and flip→flip version
+// sequences: the unit-keyed flip map has to hold exactly the flip of a
+// unit's current version, dropping the previous one as versions pass.
+func TestApplyUnitVersionFlipInvariant(t *testing.T) {
+	p := topology.DefaultParams(23)
+	p.Scale = 0.004
+	g := topology.Generate(p, topology.EraOf(2019, 1))
+	m := ChurnModel{Seed: 9, UnitEventRate: 1.5, TransitFlipShare: 0.5}
+	kind := func(u *topology.PolicyGroup, v int) byte {
+		if unitf(m.Seed, 0xc4e6, uint64(u.SigID), uint64(v)) >= m.TransitFlipShare {
+			return 'a'
+		}
+		if _, ok := m.flipKey(g, u, v); ok {
+			return 'f'
+		}
+		return '-' // a flip with no transit to land on installs nothing
+	}
+	ov := m.OverlayAt(g, 0, nil)
+	ver := make([]int, len(g.Groups))
+	seqs := map[string]int{}
+	for step := 1; step <= 40; step++ {
+		at := float64(step) / 4
+		for _, u := range g.Groups {
+			for k := ver[u.ID] + 1; k <= m.UnitVersion(u, at); k++ {
+				m.ApplyUnitVersion(g, ov, u, k-1, k)
+				ver[u.ID] = k
+				if k >= 2 && kind(u, k-1) == 'f' && kind(u, k) == 'f' {
+					seqs["flip→flip"]++
+				}
+				if k >= 3 && kind(u, k-2) == 'f' && kind(u, k-1) == 'a' && kind(u, k) == 'f' {
+					seqs["flip→announce→flip"]++
+				}
+			}
+		}
+		want := m.OverlayAt(g, at, nil)
+		if !maps.Equal(ov.ExportFlip, want.ExportFlip) {
+			t.Fatalf("t=%v: flips %v, want %v", at, ov.ExportFlip, want.ExportFlip)
+		}
+		if !reflect.DeepEqual(ov.AnnounceOverride, want.AnnounceOverride) {
+			t.Fatalf("t=%v: announce overrides differ from OverlayAt", at)
+		}
+		for id := range ov.ExportFlip {
+			if u := g.Groups[id]; kind(u, ver[id]) != 'f' {
+				t.Fatalf("t=%v: unit %d holds a flip at version %d, which installs none", at, id, ver[id])
+			}
+		}
+	}
+	for _, s := range []string{"flip→flip", "flip→announce→flip"} {
+		if seqs[s] == 0 {
+			t.Errorf("walk never applied a %s version sequence", s)
 		}
 	}
 }

@@ -25,7 +25,12 @@ func h64(vals ...uint64) uint64 {
 
 // unit returns a uniform float64 in [0,1) addressed by the labels.
 func unit(vals ...uint64) float64 {
-	return float64(h64(vals...)>>11) / float64(1<<53)
+	return toUnit(h64(vals...))
+}
+
+// toUnit maps a hash to a uniform float64 in [0,1).
+func toUnit(h uint64) float64 {
+	return float64(h>>11) / float64(1<<53)
 }
 
 // pick returns a uniform integer in [0,n) addressed by the labels.

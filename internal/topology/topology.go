@@ -1,8 +1,9 @@
 package topology
 
 import (
+	"cmp"
 	"net/netip"
-	"sort"
+	"slices"
 )
 
 // Tier classifies an AS's role in the hierarchy.
@@ -52,7 +53,7 @@ type AS struct {
 	// Selectivity is the probability that this AS, acting as transit,
 	// silently does not export a given routing unit to a given neighbor
 	// (selective export, the paper's §4.3 mechanism for distance-3+
-	// atom splits). Evaluated per (unit, neighbor) by Graph.Exports.
+	// atom splits). Evaluated per (unit, neighbor) by ExportHash.Exports.
 	Selectivity float64
 	// PrependRate is the probability that this AS prepends itself when
 	// exporting a given unit to a given neighbor.
@@ -100,16 +101,38 @@ type Graph struct {
 	Seed   uint64
 	Params Params
 
-	ASes   []*AS // ascending ASN
-	byASN  map[uint32]*AS
+	ASes   []*AS          // ascending ASN
 	Groups []*PolicyGroup // all units, ID-indexed
+
+	// Index maps an ASN to its position in ASes.
+	Index map[uint32]int32
+	// ProvOff/ProvIdx and PeerOff/PeerIdx hold every AS's providers and
+	// peers by position in ASes, in compressed-sparse-row form: the
+	// providers of AS i are ProvIdx[ProvOff[i]:ProvOff[i+1]], in ASN
+	// order, with ASNs outside the graph dropped.
+	ProvOff, ProvIdx []int32
+	PeerOff, PeerIdx []int32
+	// Hash holds every AS's export hash staged past its ASN, by
+	// position (see ExportHash).
+	Hash []ExportHash
 
 	// CliqueASNs lists the Tier-1 mesh.
 	CliqueASNs []uint32
 }
 
 // AS returns the AS with the given ASN, or nil.
-func (g *Graph) AS(asn uint32) *AS { return g.byASN[asn] }
+func (g *Graph) AS(asn uint32) *AS {
+	if i, ok := g.Index[asn]; ok {
+		return g.ASes[i]
+	}
+	return nil
+}
+
+// ProvidersOf returns the positions of AS i's providers.
+func (g *Graph) ProvidersOf(i int32) []int32 { return g.ProvIdx[g.ProvOff[i]:g.ProvOff[i+1]] }
+
+// PeersOf returns the positions of AS i's peers.
+func (g *Graph) PeersOf(i int32) []int32 { return g.PeerIdx[g.PeerOff[i]:g.PeerOff[i+1]] }
 
 // NumASes returns the total AS count (including non-originating core).
 func (g *Graph) NumASes() int { return len(g.ASes) }
@@ -138,8 +161,36 @@ func (g *Graph) TotalPrefixes() (v4, v6 int) {
 	return
 }
 
-// Exports decides whether AS `from` exports unit u to neighbor `to`,
-// and with how many extra prepends of from's own ASN. It implements the
+// Tags of the three transit-export draws.
+const (
+	tagSelect  = 0x5e1ec // selective export toward a peer
+	tagPrepend = 0x93e9d // whether to prepend
+	tagPick    = 0x93e9e // how many extra prepends
+)
+
+// ExportHash is one AS's transit-export hash staged past the labels its
+// draws share: for each of the three draws, the splitmix state after
+// (seed, tag, ASN). ForUnit advances it by a unit ID, after which a draw
+// toward one neighbor costs one mix instead of five.
+type ExportHash struct{ sel, prep, pick uint64 }
+
+func stageExportHash(seed uint64, asn uint32) ExportHash {
+	return ExportHash{
+		sel:  h64(seed, tagSelect, uint64(asn)),
+		prep: h64(seed, tagPrepend, uint64(asn)),
+		pick: h64(seed, tagPick, uint64(asn)),
+	}
+}
+
+// ForUnit advances the staged hash by a unit ID.
+func (h ExportHash) ForUnit(unitID int) ExportHash {
+	u := uint64(unitID)
+	return ExportHash{sel: mix64(h.sel ^ u), prep: mix64(h.prep ^ u), pick: mix64(h.pick ^ u)}
+}
+
+// Exports decides whether AS from, whose staged hash advanced to a unit
+// is h, exports that unit to neighbor `to` (toPeer: to is one of from's
+// peers), and with how many extra prepends of from's own ASN. It is the
 // deterministic transit-policy hash: stable across snapshots unless a
 // churn overlay overrides it.
 //
@@ -149,16 +200,12 @@ func (g *Graph) TotalPrefixes() (v4, v6 int) {
 // selective-export mechanism Kastanakis et al. document. Filtering the
 // peer crossings diversifies upper paths — the paper's distance-3 atom
 // splits — without making prefixes globally invisible.
-func (g *Graph) Exports(from *AS, u *PolicyGroup, to uint32) (ok bool, prepend int) {
-	if from.Selectivity > 0 && isPeerOfAS(from, to) {
-		if unit(g.Seed, 0x5e1ec, uint64(from.ASN), uint64(u.ID), uint64(to)) < from.Selectivity {
-			return false, 0
-		}
+func (h ExportHash) Exports(from *AS, to uint32, toPeer bool) (ok bool, prepend int) {
+	if toPeer && from.Selectivity > 0 && toUnit(mix64(h.sel^uint64(to))) < from.Selectivity {
+		return false, 0
 	}
-	if from.PrependRate > 0 {
-		if unit(g.Seed, 0x93e9d, uint64(from.ASN), uint64(u.ID), uint64(to)) < from.PrependRate {
-			prepend = 1 + pick(2, g.Seed, 0x93e9e, uint64(from.ASN), uint64(u.ID), uint64(to))
-		}
+	if from.PrependRate > 0 && toUnit(mix64(h.prep^uint64(to))) < from.PrependRate {
+		prepend = 1 + int(mix64(h.pick^uint64(to))%2)
 	}
 	return true, prepend
 }
@@ -185,16 +232,6 @@ func NewGraph(era Era, seed uint64, ases []*AS, groups []*PolicyGroup) *Graph {
 	return g
 }
 
-// isPeerOfAS reports whether asn is one of a's peers.
-func isPeerOfAS(a *AS, asn uint32) bool {
-	for _, p := range a.Peers {
-		if p == asn {
-			return true
-		}
-	}
-	return false
-}
-
 // link records a provider-customer relationship on both ends.
 func link(provider, customer *AS) {
 	provider.Customers = append(provider.Customers, customer.ASN)
@@ -207,14 +244,39 @@ func peerLink(a, b *AS) {
 	b.Peers = append(b.Peers, a.ASN)
 }
 
-// finish sorts adjacency lists and indexes the graph.
+// finish sorts adjacency lists and indexes the graph: the ASN index,
+// the position-based adjacency and the staged export hashes.
 func (g *Graph) finish() {
-	sort.Slice(g.ASes, func(i, j int) bool { return g.ASes[i].ASN < g.ASes[j].ASN })
-	g.byASN = make(map[uint32]*AS, len(g.ASes))
-	for _, a := range g.ASes {
-		sort.Slice(a.Providers, func(i, j int) bool { return a.Providers[i] < a.Providers[j] })
-		sort.Slice(a.Peers, func(i, j int) bool { return a.Peers[i] < a.Peers[j] })
-		sort.Slice(a.Customers, func(i, j int) bool { return a.Customers[i] < a.Customers[j] })
-		g.byASN[a.ASN] = a
+	slices.SortFunc(g.ASes, func(a, b *AS) int { return cmp.Compare(a.ASN, b.ASN) })
+	g.Index = make(map[uint32]int32, len(g.ASes))
+	g.Hash = make([]ExportHash, len(g.ASes))
+	for i, a := range g.ASes {
+		slices.Sort(a.Providers)
+		slices.Sort(a.Peers)
+		slices.Sort(a.Customers)
+		g.Index[a.ASN] = int32(i)
+		g.Hash[i] = stageExportHash(g.Seed, a.ASN)
 	}
+	g.ProvOff, g.ProvIdx = g.adjacency(func(a *AS) []uint32 { return a.Providers })
+	g.PeerOff, g.PeerIdx = g.adjacency(func(a *AS) []uint32 { return a.Peers })
+}
+
+// adjacency lays out one neighbor list of every AS by position. A
+// counting pass sizes the index array, so it is allocated once.
+func (g *Graph) adjacency(list func(*AS) []uint32) (off, idx []int32) {
+	n := 0
+	for _, a := range g.ASes {
+		n += len(list(a))
+	}
+	off = make([]int32, len(g.ASes)+1)
+	idx = make([]int32, 0, n)
+	for i, a := range g.ASes {
+		for _, asn := range list(a) {
+			if j, ok := g.Index[asn]; ok {
+				idx = append(idx, j)
+			}
+		}
+		off[i+1] = int32(len(idx))
+	}
+	return off, idx
 }

@@ -127,6 +127,9 @@ go test -run xxx -bench . -benchtime 1x -benchmem . ./internal/core/ ./internal/
 echo "== sanitize bench smoke (CleanFeeds over one 2024Q1 snapshot at benchmark scale)"
 go test -run xxx -bench 'BenchmarkCleanFeeds$' -benchtime 1x -benchmem ./internal/sanitize/
 
+echo "== feed synthesis bench smoke (BuildFeeds over one 2024Q1 snapshot at benchmark scale)"
+go test -run xxx -bench 'BenchmarkBuildFeeds$' -benchtime 1x -benchmem ./internal/collector/
+
 echo "== decode bench smoke (zero-copy reader + stream fan-out)"
 go test -run xxx -bench 'BenchmarkBytesReader$|BenchmarkReader$' -benchtime 1x -benchmem ./internal/mrt/
 go test -run xxx -bench 'BenchmarkStreamDecode' -benchtime 1x -benchmem ./internal/bgpstream/
