@@ -142,7 +142,8 @@ type Warning struct {
 // Reader-backed sources (R set) are single-use.
 type Source struct {
 	Collector string
-	// Data is the archive contents; preferred over R when non-nil.
+	// Data is the archive contents; preferred over R when non-nil. With
+	// R nil too, the source is an empty archive.
 	Data []byte
 	// R streams the archive; consumed by the first Stream that reads it.
 	R io.Reader
@@ -174,9 +175,10 @@ type recordReader interface {
 // bufio layer, no per-record body copy — every Record.Body is a
 // sub-slice of Data. Warm re-streams of the same Source (RunSplits
 // re-reads the same archives per day) therefore cost one small struct,
-// not a buffer.
+// not a buffer. A source with neither Data nor R is an empty archive
+// (bytes.Buffer.Bytes of a collector that got no records).
 func (s *Source) open() recordReader {
-	if s.Data != nil {
+	if s.Data != nil || s.R == nil {
 		return mrt.NewBytesReader(s.Data)
 	}
 	r := mrt.NewReader(s.R)

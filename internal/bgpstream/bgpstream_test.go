@@ -360,3 +360,23 @@ func TestStreamEOFStable(t *testing.T) {
 		t.Error("EOF not sticky")
 	}
 }
+
+// TestEmptyBytesSource: a byte-backed source over a nil archive — what
+// bytes.Buffer.Bytes returns for a collector that got no records — is an
+// empty archive, not a nil reader, at either decode mode.
+func TestEmptyBytesSource(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		s := NewStream(nil, BytesSource("rrc00", nil, bgp.Options{}))
+		s.SetWorkers(workers)
+		elems, err := s.All()
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if len(elems) != 0 || len(s.Warnings()) != 0 {
+			t.Errorf("workers=%d: %d elems, %d warnings; want none", workers, len(elems), len(s.Warnings()))
+		}
+		if _, err := s.Next(); err != io.EOF {
+			t.Errorf("workers=%d: Next after drain = %v, want io.EOF", workers, err)
+		}
+	}
+}

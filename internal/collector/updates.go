@@ -28,6 +28,16 @@ type UpdateConfig struct {
 	// FlapRate is the per-prefix rate (events/day) of single-prefix
 	// noise flaps.
 	FlapRate float64
+	// Peers scopes the archives to these peer ASNs (nil = every peer).
+	// Out-of-scope peers are still routed and their messages still
+	// sorted and packed, so an in-scope peer's records are byte-identical
+	// to its records in the unscoped archive; they are just not encoded.
+	Peers map[uint32]bool
+}
+
+// inScope reports whether a peer's messages reach the archives.
+func (cfg *UpdateConfig) inScope(asn uint32) bool {
+	return cfg.Peers == nil || cfg.Peers[asn]
 }
 
 // message is one pending UPDATE before serialization.
@@ -159,6 +169,8 @@ func emitDiff(g *topology.Graph, cfg UpdateConfig, add func(float64, *Peer, bool
 
 // emitVPEvent recomputes every unit at one VP around its local event.
 // eng routes over base, whose salt for vp it sets before each pass.
+// Leaves the salt at its post-event value: later events see the new
+// preference, at this VP and at every VP routed through it.
 func emitVPEvent(g *topology.Graph, cfg UpdateConfig, add func(float64, *Peer, bool, []netip.Prefix, aspath.Seq),
 	eng *routing.Engine, base *routing.Overlay, moves *routing.MoveSet, t float64, vp uint32, peers map[uint32]*Peer, version int) {
 	peer := peers[vp]
@@ -171,6 +183,13 @@ func emitVPEvent(g *topology.Graph, cfg UpdateConfig, add func(float64, *Peer, b
 		} else {
 			base.VPSalt[vp] = s
 		}
+	}
+	if !cfg.inScope(vp) {
+		// Its messages would be dropped at encode, and their event
+		// times are its own, so they pack with nothing in scope: skip
+		// both sweeps.
+		setSalt(saltAfter)
+		return
 	}
 	setSalt(saltBefore)
 	beforePaths := make([]aspath.Seq, len(g.Groups))
@@ -201,8 +220,6 @@ func emitVPEvent(g *topology.Graph, cfg UpdateConfig, add func(float64, *Peer, b
 			add(t+dt, peer, false, chunk, a)
 		})
 	}
-	// Leave the salt at its post-event value: later unit events at this
-	// VP see the new preference.
 }
 
 // emitRefreshes re-announces whole units with their current paths at
@@ -395,7 +412,9 @@ func chunked(cfg UpdateConfig, unitID int, t float64, prefixes []netip.Prefix, e
 
 // serialize sorts messages, packs them the way routers do, and writes
 // per-collector BGP4MP archives, applying the ADD-PATH artifact at
-// encode time.
+// encode time. The scope filter runs after packing: an out-of-scope
+// message between two of a peer's messages keeps them apart, exactly as
+// in the unscoped archive.
 func serialize(in *Infra, cfg UpdateConfig, msgs []message) map[string][]byte {
 	sort.Slice(msgs, func(i, j int) bool {
 		if msgs[i].t != msgs[j].t {
@@ -421,6 +440,9 @@ func serialize(in *Infra, cfg UpdateConfig, msgs []message) map[string][]byte {
 
 	enc := newMsgEncoder()
 	for _, m := range msgs {
+		if !cfg.inScope(m.peer.ASN) {
+			continue
+		}
 		// rec.Body aliases the encoder's scratch buffer; WriteRecord
 		// copies it into the bufio layer before the next iteration.
 		rec, ok := enc.encode(in, cfg, m)
@@ -502,6 +524,23 @@ func (e *msgEncoder) nextHopAttr(addr netip.Addr) bgp.Attr {
 	a := bgp.NextHop(addr)
 	e.nextHops[addr] = a
 	return a
+}
+
+// WarningPeers returns the peer ASNs whose update encoder can emit a
+// malformed UPDATE — the ADD-PATH artifact peers (see msgEncoder.encode).
+// Every peer-attributed parse warning of an update window comes from
+// one of them, so a window scoped to this set (UpdateConfig.Peers)
+// carries the full window's abnormal-peer signal.
+func (in *Infra) WarningPeers() map[uint32]bool {
+	out := map[uint32]bool{}
+	for _, c := range in.Collectors {
+		for _, p := range c.Peers {
+			if p.Artifact == ArtifactAddPath {
+				out[p.ASN] = true
+			}
+		}
+	}
+	return out
 }
 
 // encode builds the MRT record for one message. The returned record's

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
 	"repro/internal/aspath"
 	"repro/internal/bgp"
@@ -119,9 +120,10 @@ type EraRun struct {
 	Infra *collector.Infra
 	Model routing.ChurnModel
 
-	vps      []uint32
-	warnings []bgpstream.Warning
-	warnOnce bool
+	vps []uint32
+	// warnings builds the abnormal-peer window's parse warnings once
+	// (updateWarnings); concurrent SnapshotAt callers share the result.
+	warnings func() ([]bgpstream.Warning, error)
 
 	// intern is the era's shared AS-path intern table: every snapshot of
 	// the era sanitizes against it, so the second and later snapshots
@@ -173,6 +175,7 @@ func NewEraRun(cfg Config, era topology.Era) *EraRun {
 	}
 	run := &EraRun{Cfg: cfg, Era: era, Graph: g, Infra: in, Model: model, vps: in.FullFeedASNs(),
 		intern: aspath.NewTable()}
+	run.warnings = sync.OnceValues(run.updateWarnings)
 	sp.SetAttr("ases", g.NumASes())
 	sp.SetAttr("collectors", len(in.Collectors))
 	sp.SetAttr("full_feeds", len(run.vps))
@@ -215,7 +218,7 @@ func (r *EraRun) SnapshotAt(t float64) (*core.AtomSet, *sanitize.Report, error) 
 	defer sp.End()
 	ov := r.Model.OverlayAt(r.Graph, t, r.vps)
 	ts := r.timestamp(t)
-	warnings, err := r.updateWarnings()
+	warnings, err := r.warnings()
 	if err != nil {
 		return nil, nil, err
 	}
@@ -233,20 +236,7 @@ func (r *EraRun) SnapshotAt(t float64) (*core.AtomSet, *sanitize.Report, error) 
 	} else {
 		bsp := sp.Child("collector.build_ribs")
 		ribs := collector.BuildRIBs(r.Graph, r.Infra, ov, ts)
-		// Archive order feeds the sanitize pipeline; iterate the map in
-		// sorted-name order so the run is byte-stable across processes.
-		names := make([]string, 0, len(ribs.Archives))
-		for name := range ribs.Archives {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		sources := make([]bgpstream.Source, 0, len(names))
-		totalBytes := 0
-		for _, name := range names {
-			data := ribs.Archives[name]
-			sources = append(sources, bgpstream.BytesSource(name, data, bgp.Options{}))
-			totalBytes += len(data)
-		}
+		sources, totalBytes := sortedSources(ribs.Archives)
 		bsp.SetAttr("archives", len(sources))
 		bsp.SetAttr("bytes", totalBytes)
 		bsp.End()
@@ -258,12 +248,37 @@ func (r *EraRun) SnapshotAt(t float64) (*core.AtomSet, *sanitize.Report, error) 
 	return core.ComputeAtoms(snap, sp, r.Cfg.Workers), rep, nil
 }
 
+// sortedSources wraps archives as byte-backed sources in sorted name
+// order (archive order feeds the decode pipeline, so the run is
+// byte-stable across processes) and totals their bytes.
+func sortedSources(archives map[string][]byte) ([]bgpstream.Source, int) {
+	names := make([]string, 0, len(archives))
+	for name := range archives {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	sources := make([]bgpstream.Source, 0, len(names))
+	total := 0
+	for _, name := range names {
+		sources = append(sources, bgpstream.BytesSource(name, archives[name], bgp.Options{}))
+		total += len(archives[name])
+	}
+	return sources, total
+}
+
 // UpdateSources synthesizes the update window's archives and returns
 // them as byte-backed sources in sorted name order — the deterministic
 // element stream behind Updates, exported so churn replay (replay.Run,
 // RunChurnReplay, the churn benchmark) can drive an AtomIndex with the
 // very same messages the correlation analysis consumes.
 func (r *EraRun) UpdateSources(fromT, toT float64) []bgpstream.Source {
+	sources, _ := r.updateSources(fromT, toT, nil)
+	return sources
+}
+
+// updateSources is UpdateSources scoped to peers (nil = every peer; see
+// collector.UpdateConfig.Peers), with the archives' total bytes.
+func (r *EraRun) updateSources(fromT, toT float64, peers map[uint32]bool) ([]bgpstream.Source, int) {
 	cfg := collector.UpdateConfig{
 		Model:           r.Model,
 		FromT:           fromT,
@@ -271,18 +286,9 @@ func (r *EraRun) UpdateSources(fromT, toT float64) []bgpstream.Source {
 		BaseTime:        r.timestamp(fromT),
 		FullMessageProb: r.Cfg.FullMessageProb.At(r.Era),
 		FlapRate:        r.Cfg.FlapRate.At(r.Era),
+		Peers:           peers,
 	}
-	archives := collector.BuildUpdates(r.Graph, r.Infra, cfg)
-	names := make([]string, 0, len(archives))
-	for name := range archives {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	sources := make([]bgpstream.Source, 0, len(names))
-	for _, name := range names {
-		sources = append(sources, bgpstream.BytesSource(name, archives[name], bgp.Options{}))
-	}
-	return sources
+	return sortedSources(collector.BuildUpdates(r.Graph, r.Infra, cfg))
 }
 
 // updateFilter is the family filter every update consumer shares.
@@ -296,16 +302,17 @@ func (r *EraRun) updateFilter() *bgpstream.Filter {
 // Updates synthesizes the update window starting at day offset t and
 // returns the per-message records.
 func (r *EraRun) Updates(fromT, toT float64) ([]metrics.UpdateRecord, []bgpstream.Warning, error) {
+	return r.updates(fromT, toT, nil)
+}
+
+// updates is Updates scoped to peers (nil = every peer).
+func (r *EraRun) updates(fromT, toT float64, peers map[uint32]bool) ([]metrics.UpdateRecord, []bgpstream.Warning, error) {
 	sp := r.Cfg.Trace.Child("updates")
 	sp.SetAttr("from_t", fromT)
 	sp.SetAttr("to_t", toT)
 	defer sp.End()
 	bsp := sp.Child("collector.build_updates")
-	sources := r.UpdateSources(fromT, toT)
-	totalBytes := 0
-	for _, src := range sources {
-		totalBytes += len(src.Data)
-	}
+	sources, totalBytes := r.updateSources(fromT, toT, peers)
 	bsp.SetAttr("archives", len(sources))
 	bsp.SetAttr("bytes", totalBytes)
 	bsp.End()
@@ -335,23 +342,19 @@ func (r *EraRun) RunChurnReplay(fromT, toT float64) (*core.AtomIndex, replay.Sta
 	return ix, st, err
 }
 
-// updateWarnings lazily computes the standard 4-hour update window's
-// parse warnings — the abnormal-peer signal fed into sanitization.
+// updateWarnings builds the standard 4-hour update window's parse
+// warnings — the abnormal-peer signal fed into sanitization, which
+// counts them per non-zero peer ASN. Only Infra.WarningPeers can be
+// blamed for one, so the window is scoped to them, and an era without
+// such a peer builds nothing. Correlation and replay (Updates,
+// UpdateSources) keep the full window.
 func (r *EraRun) updateWarnings() ([]bgpstream.Warning, error) {
-	if r.warnOnce {
-		return r.warnings, nil
-	}
-	if !r.Cfg.Artifacts {
-		r.warnOnce = true
+	peers := r.Infra.WarningPeers()
+	if len(peers) == 0 {
 		return nil, nil
 	}
-	_, warnings, err := r.Updates(OffsetBase, OffsetBase+UpdateHours)
-	if err != nil {
-		return nil, err
-	}
-	r.warnings = warnings
-	r.warnOnce = true
-	return warnings, nil
+	_, warnings, err := r.updates(OffsetBase, OffsetBase+UpdateHours, peers)
+	return warnings, err
 }
 
 // EraResult is the full per-era analysis (one column of Tables 1–3).
@@ -377,11 +380,6 @@ func RunEra(cfg Config, era topology.Era) (*EraResult, error) {
 	defer sp.End()
 	cfg.Trace = sp // nest every stage under this era
 	r := NewEraRun(cfg, era)
-	// Resolve the lazily cached warnings before workers spawn so the
-	// snapshot builds read an immutable EraRun.
-	if _, err := r.updateWarnings(); err != nil {
-		return nil, fmt.Errorf("longitudinal: base snapshot: %w", err)
-	}
 	offsets := []float64{
 		OffsetBase,
 		OffsetBase + Offset8h,
@@ -550,11 +548,6 @@ func RunSplits(cfg Config, era topology.Era, days int) (*SplitStudy, error) {
 	defer sp.End()
 	cfg.Trace = sp
 	r := NewEraRun(cfg, era)
-	// Resolve the lazily cached warnings before the snapshot fan-out
-	// (see RunEra).
-	if _, err := r.updateWarnings(); err != nil {
-		return nil, err
-	}
 	snaps, err := parallel.Map(cfg.Workers, days+2, func(d int) (*core.AtomSet, error) {
 		s, _, err := r.SnapshotAt(OffsetBase + float64(d))
 		return s, err

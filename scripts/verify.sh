@@ -130,6 +130,9 @@ go test -run xxx -bench 'BenchmarkCleanFeeds$' -benchtime 1x -benchmem ./interna
 echo "== feed synthesis bench smoke (BuildFeeds over one 2024Q1 snapshot at benchmark scale)"
 go test -run xxx -bench 'BenchmarkBuildFeeds$' -benchtime 1x -benchmem ./internal/collector/
 
+echo "== abnormal-peer window bench smoke (2024Q1 update window scoped to ADD-PATH peers)"
+go test -run xxx -bench 'BenchmarkUpdateWarnings$' -benchtime 1x -benchmem ./internal/longitudinal/
+
 echo "== decode bench smoke (zero-copy reader + stream fan-out)"
 go test -run xxx -bench 'BenchmarkBytesReader$|BenchmarkReader$' -benchtime 1x -benchmem ./internal/mrt/
 go test -run xxx -bench 'BenchmarkStreamDecode' -benchtime 1x -benchmem ./internal/bgpstream/
