@@ -286,7 +286,7 @@ func benchFormation(b *testing.B, method metrics.FormationMethod) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		metrics.FormationDistances(atoms, opts)
+		metrics.FormationDistances(atoms, opts, nil)
 	}
 }
 
@@ -308,6 +308,6 @@ func BenchmarkStabilityCompare(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		metrics.CompareStability(s1, s2)
+		metrics.CompareStability(s1, s2, nil)
 	}
 }

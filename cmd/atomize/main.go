@@ -178,7 +178,7 @@ func main() {
 		}
 	}
 	if *formation {
-		res := metrics.FormationDistancesSpan(atoms, metrics.DefaultFormationOptions(), o.Root)
+		res := metrics.FormationDistances(atoms, metrics.DefaultFormationOptions(), o.Root)
 		ftbl := &textplot.Table{Title: "\nFormation distances", Headers: []string{"distance", "atoms", "share"}}
 		for d := 1; d < len(res.AtomsAtDistance); d++ {
 			if res.AtomsAtDistance[d] == 0 {

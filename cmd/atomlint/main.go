@@ -6,16 +6,16 @@
 //
 // Usage:
 //
-//	atomlint [-C dir] [-only analyzer[,analyzer]] [-workers n] [-json] [packages]
+//	atomlint [-C dir] [-only analyzer[,analyzer]] [-json] [packages]
 //
 // Packages are import-path patterns relative to the module
 // ("./...", "./internal/bgp", "repro/internal/mrt/..."); none means the
 // whole module. Exit status: 0 clean, 1 findings, 2 load error.
 //
-// The analyzer×package grid runs on a bounded worker pool (-workers,
-// default one per CPU); findings are byte-identical at any worker
-// count. -json emits the findings as a JSON array for CI artifacts.
-// Under -v the per-analyzer wall time is printed to stderr.
+// Standard-library imports are read from the toolchain's export data,
+// and the analyzers run over the packages in one sequential pass. -json
+// emits the findings as a JSON array for CI artifacts. Under -v the
+// per-analyzer wall time is printed to stderr.
 //
 // The shared observability flags apply (-trace, -v, -listen, -sample,
 // -progress, -trace-out): a lint of a large module can be profiled and
@@ -38,7 +38,6 @@ func main() {
 	dir := flag.String("C", ".", "module root directory")
 	only := flag.String("only", "", "comma-separated analyzer subset (default: all)")
 	list := flag.Bool("list", false, "list analyzers and exit")
-	workers := flag.Int("workers", 0, "concurrent analyzer×package tasks (0 = one per CPU)")
 	jsonOut := flag.Bool("json", false, "emit findings as a JSON array (for CI artifacts)")
 	o := cli.NewObs(tool)
 	flag.Parse()
@@ -69,7 +68,7 @@ func main() {
 		}
 	}
 
-	opts := lintkit.Options{Workers: *workers, JSON: *jsonOut}
+	opts := lintkit.Options{JSON: *jsonOut}
 	if o.Verbose {
 		opts.Timings = os.Stderr
 	}
@@ -78,8 +77,7 @@ func main() {
 	// explicitly: trace/report/trace-out are written before exiting.
 	o.Start()
 	o.Root.SetAttr("analyzers", len(analyzers))
-	o.Root.SetAttr("workers", *workers)
-	code := lintkit.MainOpts(os.Stdout, *dir, flag.Args(), analyzers, opts)
+	code := lintkit.Main(os.Stdout, *dir, flag.Args(), analyzers, opts)
 	o.Root.SetAttr("exit", code)
 	o.Finish()
 	os.Exit(code)

@@ -13,7 +13,7 @@ import (
 	"repro/internal/lintkit"
 )
 
-// The driver's flag surface (-C, -list, -only, -workers, -json) and
+// The driver's flag surface (-C, -list, -only, -json) and
 // exit-code contract are process-level behavior: cli.NewObs binds the
 // shared observability flags onto the default FlagSet, so the binary is
 // exercised end-to-end via os/exec rather than by calling main twice.
@@ -157,18 +157,6 @@ func TestJSONFlag(t *testing.T) {
 	}
 	if len(findings) != 1 || findings[0].Analyzer != "determinism" {
 		t.Errorf("-json findings = %+v, want one determinism finding", findings)
-	}
-}
-
-func TestWorkersByteIdentical(t *testing.T) {
-	dir := findingModule(t)
-	one, _, exit1 := runLint(t, "-C", dir, "-workers", "1")
-	eight, _, exit8 := runLint(t, "-C", dir, "-workers", "8")
-	if exit1 != lintkit.ExitFindings || exit8 != lintkit.ExitFindings {
-		t.Fatalf("exits = %d/%d, want %d", exit1, exit8, lintkit.ExitFindings)
-	}
-	if one != eight {
-		t.Errorf("-workers 1 and -workers 8 stdout differ:\n--- 1:\n%s--- 8:\n%s", one, eight)
 	}
 }
 

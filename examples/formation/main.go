@@ -94,7 +94,7 @@ func main() {
 	} {
 		opts := metrics.DefaultFormationOptions()
 		opts.Method = method
-		res := metrics.FormationDistances(atoms, opts)
+		res := metrics.FormationDistances(atoms, opts, nil)
 		tbl := &textplot.Table{
 			Title:   fmt.Sprintf("\nformation distances, method (%s)", methodName(method)),
 			Headers: []string{"distance", "atoms"},

@@ -30,7 +30,7 @@ func main() {
 	fmt.Printf("collected %d update records (%d parse warnings from damaged feeds)\n",
 		len(records), len(warnings))
 
-	corr := metrics.CorrelateUpdates(atoms, records, 7)
+	corr := metrics.CorrelateUpdates(atoms, records, 7, nil)
 	tbl := &textplot.Table{
 		Title:   "Pr(entity seen in full | >=1 of its prefixes in the update)",
 		Headers: []string{"prefixes k", "atoms", "ASes", "multi-atom ASes", "single-prefix-atom ASes"},

@@ -51,11 +51,12 @@ func rowParam(w http.ResponseWriter, r *http.Request, name string) (int, bool) {
 
 func (srv *Server) handleEpoch(w http.ResponseWriter, r *http.Request) {
 	start := srv.obsStart()
+	v := srv.view.Load()
 	doc := struct {
 		Epoch    uint64 `json:"epoch"`
 		Atoms    int    `json:"atoms"`
 		Prefixes int    `json:"prefixes"`
-	}{srv.Epoch(), srv.AtomCount(), srv.PrefixCount()}
+	}{v.epoch, len(v.part.Counts), len(v.part.ByPrefix)}
 	srv.obsQuery("epoch", start)
 	writeJSON(w, doc)
 }
@@ -70,12 +71,13 @@ func (srv *Server) handleSameAtom(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	start := srv.obsStart()
+	v := srv.view.Load()
 	doc := struct {
 		Epoch uint64 `json:"epoch"`
 		P     int    `json:"p"`
 		Q     int    `json:"q"`
 		Same  bool   `json:"same"`
-	}{srv.Epoch(), p, q, srv.SameAtom(p, q)}
+	}{v.epoch, p, q, v.sameAtom(p, q)}
 	srv.obsQuery("sameatom", start)
 	writeJSON(w, doc)
 }
@@ -86,11 +88,12 @@ func (srv *Server) handleMemberCount(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	start := srv.obsStart()
+	v := srv.view.Load()
 	doc := struct {
 		Epoch uint64 `json:"epoch"`
 		P     int    `json:"p"`
 		Count int    `json:"count"`
-	}{srv.Epoch(), p, srv.MemberCount(p)}
+	}{v.epoch, p, v.memberCount(p)}
 	srv.obsQuery("membercount", start)
 	writeJSON(w, doc)
 }
@@ -102,17 +105,18 @@ func (srv *Server) handlePrefix(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	start := srv.obsStart()
+	v := srv.view.Load()
 	doc := struct {
 		Epoch  uint64 `json:"epoch"`
 		Prefix string `json:"prefix"`
 		Row    int    `json:"row"`
 		Atom   int32  `json:"atom"`
 		Count  int    `json:"count"`
-	}{Epoch: srv.Epoch(), Prefix: pfx.String(), Row: -1, Atom: -1}
+	}{Epoch: v.epoch, Prefix: pfx.String(), Row: -1, Atom: -1}
 	if row, found := srv.mapper.PrefixRow(pfx); found {
 		doc.Row = row
-		doc.Atom = srv.PrefixAtom(row)
-		doc.Count = srv.MemberCount(row)
+		doc.Atom = v.prefixAtom(row)
+		doc.Count = v.memberCount(row)
 	}
 	srv.obsQuery("prefixatom", start)
 	writeJSON(w, doc)

@@ -60,7 +60,8 @@ func (srv *Server) serveQuery(conn net.Conn) {
 	}
 }
 
-// answer appends the reply frame for one query request.
+// answer appends the reply frame for one query request, answered from
+// one view load so the reply's epoch and payload share a generation.
 func (srv *Server) answer(fr Frame, resp []byte) []byte {
 	fail := func(msg string) []byte {
 		return AppendFrameFlags(resp, FrameError, 0, fr.Seq, []byte(msg))
@@ -83,7 +84,7 @@ func (srv *Server) answer(fr Frame, resp []byte) []byte {
 		p := int(binary.BigEndian.Uint32(fr.Payload[:4]))
 		q := int(binary.BigEndian.Uint32(fr.Payload[4:8]))
 		var same byte
-		if srv.SameAtom(p, q) {
+		if v.sameAtom(p, q) {
 			same = 1
 		}
 		payload[8] = same
@@ -95,7 +96,7 @@ func (srv *Server) answer(fr Frame, resp []byte) []byte {
 		}
 		start := srv.obsStart()
 		p := int(binary.BigEndian.Uint32(fr.Payload[:4]))
-		binary.BigEndian.PutUint32(payload[8:12], uint32(srv.MemberCount(p)))
+		binary.BigEndian.PutUint32(payload[8:12], uint32(v.memberCount(p)))
 		srv.obsQuery("membercount", start)
 		return AppendFrame(resp, FrameReply, fr.Seq, payload[:12])
 	case FramePrefixAtom:
@@ -116,8 +117,8 @@ func (srv *Server) answer(fr Frame, resp []byte) []byte {
 		var count uint32
 		if r, found := srv.mapper.PrefixRow(pfx); found {
 			row = int32(r)
-			atom = srv.PrefixAtom(r)
-			count = uint32(srv.MemberCount(r))
+			atom = v.prefixAtom(r)
+			count = uint32(v.memberCount(r))
 		}
 		binary.BigEndian.PutUint32(payload[8:12], uint32(row))
 		binary.BigEndian.PutUint32(payload[12:16], uint32(atom))

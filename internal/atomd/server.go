@@ -27,7 +27,6 @@ import (
 	"time"
 
 	"repro/internal/aspath"
-	"repro/internal/bgpstream"
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/replay"
@@ -58,8 +57,6 @@ type Config struct {
 	// snapshot endpoint). Ingest decode is per-session sequential —
 	// that is what makes a session's element order well-defined.
 	Workers int
-	// Filter narrows ingest element streams, exactly as in replay.
-	Filter *bgpstream.Filter
 	// Metrics receives atomd.* instruments when non-nil.
 	Metrics *obs.Registry
 }

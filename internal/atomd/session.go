@@ -216,7 +216,7 @@ func (srv *Server) decode(pr *io.PipeReader, collector string, src *SourceStats)
 	// The stream borrows the reader; this function owns the pipe's
 	// teardown (the deferred Close and CloseWithError below).
 	var r io.Reader = pr
-	st := bgpstream.NewStream(srv.cfg.Filter, bgpstream.Source{Collector: collector, R: r})
+	st := bgpstream.NewStream(nil, bgpstream.Source{Collector: collector, R: r})
 	st.SetWorkers(1)
 	st.SetIntern(srv.snap.Paths)
 	if srv.cfg.Metrics != nil {

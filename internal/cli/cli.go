@@ -168,7 +168,7 @@ func (o *Obs) Start() {
 	}
 	o.sampler = obs.StartSampler(o.Registry, o.Sample)
 	if o.Listen != "" {
-		srv, err := obs.ServeDebugWith(o.Listen, o.Tool, os.Args[1:], o.Root, o.Registry, o.ExtraMux)
+		srv, err := obs.ServeDebug(o.Listen, o.Tool, os.Args[1:], o.Root, o.Registry, o.ExtraMux)
 		if err != nil {
 			Fatal(o.Tool, err)
 		}

@@ -88,8 +88,8 @@ func AblationFormationSampling(cfg longitudinal.Config, w io.Writer) error {
 	full.MaxAtomsPerOrigin = 0
 	capped := metrics.DefaultFormationOptions()
 
-	rf := metrics.FormationDistances(atoms, full)
-	rc := metrics.FormationDistances(atoms, capped)
+	rf := metrics.FormationDistances(atoms, full, nil)
+	rc := metrics.FormationDistances(atoms, capped, nil)
 	tbl := &textplot.Table{Headers: []string{"distance", "uncapped", "capped (800/origin)"}}
 	for d := 1; d <= 5; d++ {
 		tbl.AddRow(fmt.Sprint(d),

@@ -46,9 +46,9 @@ func Fig1(cfg longitudinal.Config, w io.Writer) error {
 		return err
 	}
 	opts := metrics.DefaultFormationOptions()
-	f3 := metrics.FormationDistances(atoms, opts)
+	f3 := metrics.FormationDistances(atoms, opts, nil)
 	opts.Method = metrics.MethodStripBeforeDistance
-	f2 := metrics.FormationDistances(atoms, opts)
+	f2 := metrics.FormationDistances(atoms, opts, nil)
 	formationCurves(w, "method (iii): atoms from raw paths, distance in unique ASes (adopted)", f3)
 	formationCurves(w, "method (ii): prepending stripped before distance", f2)
 	d1iii := float64(f3.AtomsAtDistance[1]) / float64(max(1, f3.TotalAtoms))
@@ -362,7 +362,7 @@ func Fig15(cfg longitudinal.Config, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	corr := metrics.CorrelateUpdates(atoms, records, 7)
+	corr := metrics.CorrelateUpdates(atoms, records, 7, nil)
 	corrTable(w, fmt.Sprintf("Year 2002 (%d update records, 24h window)", len(records)), corr)
 	note(w, "shape check: atom curve above AS curve, matching Afek et al.'s Fig and the paper's Fig 15")
 	return nil

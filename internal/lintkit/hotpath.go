@@ -38,7 +38,7 @@ var requiredHotpaths = []struct {
 	{"bgpstream", []string{"(*Stream).fill", "(*Stream).NextBatch"}},
 	{"aspath", []string{"(*Table).Intern", "(*Table).Lookup"}},
 	{"core", []string{"(*AtomIndex).ApplyUpdate", "(*AtomIndex).rowHash", "(*AtomIndex).rebucket"}},
-	{"atomd", []string{"(*Server).SameAtom", "(*Server).MemberCount", "(*Server).PrefixAtom"}},
+	{"atomd", []string{"(*view).sameAtom", "(*view).memberCount", "(*view).prefixAtom"}},
 }
 
 func runHotpath(pass *Pass) {

@@ -2,8 +2,8 @@ package lintkit
 
 // The lifecycle analyzer enforces goroutine and resource discipline in
 // the long-running packages — the observability layer, the CLI
-// lifecycle, the worker pool, the streaming decoder, and the future
-// atomd daemon. A daemon that leaks a goroutine, a ticker, or an
+// lifecycle, the worker pool, the streaming decoder, the replay engine,
+// and the atomd daemon. A daemon that leaks a goroutine, a ticker, or an
 // undrained channel fails slowly and unreproducibly; these checks make
 // the teardown story mechanical:
 //
@@ -29,9 +29,8 @@ import (
 )
 
 // lifecyclePkgs scopes the sweep to the packages that own goroutines,
-// timers, or OS resources today, plus the daemon package names atomd
-// will use (and the fixture package lifefix).
-var lifecyclePkgs = []string{"obs", "cli", "parallel", "bgpstream", "replay", "atomd", "daemon", "lifefix"}
+// timers, or OS resources (and the fixture package lifefix).
+var lifecyclePkgs = []string{"obs", "cli", "parallel", "bgpstream", "replay", "atomd", "lifefix"}
 
 // teardownNames are the method names recognized as teardown on both
 // sides: a field whose type offers one is closable, and a method of the

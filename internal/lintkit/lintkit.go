@@ -22,10 +22,7 @@ import (
 	"io"
 	"sort"
 	"strings"
-	"sync/atomic"
 	"time"
-
-	"repro/internal/parallel"
 )
 
 // Diag is one finding.
@@ -126,58 +123,28 @@ func suppressed(d Diag, ignores []ignoreDirective) bool {
 	return false
 }
 
-// RunAnalyzers applies the analyzers to each package sequentially,
-// filters suppressed findings, and returns the rest sorted by position.
-func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) []Diag {
-	diags, _ := runGrid(pkgs, analyzers, 1)
-	return diags
-}
-
-// AnalyzerTiming is one analyzer's wall time summed across its
-// per-package tasks (concurrent tasks overlap, so the sum can exceed
-// the run's wall clock).
-type AnalyzerTiming struct {
-	Name string
-	Wall time.Duration
-}
-
-// runGrid fans the analyzer×package task grid out over a bounded worker
-// pool. Every task reports into its own slot and the merge walks slots
-// in (package, analyzer) order before the final position sort, so the
-// diagnostic stream is byte-identical at any worker count. Directive
-// parsing stays sequential: it is cheap, and its malformed-directive
-// findings must precede the analyzers' in the pre-sort stream.
-func runGrid(pkgs []*Package, analyzers []*Analyzer, workers int) ([]Diag, []AnalyzerTiming) {
-	ignoreDiags := make([][]Diag, len(pkgs))
-	ignores := make([][]ignoreDirective, len(pkgs))
-	for i, pkg := range pkgs {
-		ignores[i] = collectIgnores(pkg, &ignoreDiags[i])
-	}
-
-	slots := make([][]Diag, len(pkgs)*len(analyzers))
-	wall := make([]atomic.Int64, len(analyzers))
-	parallel.ForEach(workers, len(slots), func(t int) error {
-		i, j := t/len(analyzers), t%len(analyzers)
-		start := time.Now()
-		analyzers[j].Run(&Pass{Analyzer: analyzers[j], Pkg: pkgs[i], diags: &slots[t]})
-		wall[j].Add(int64(time.Since(start)))
-		return nil
-	})
-
+// Run applies the analyzers to each package in turn, filters
+// suppressed findings, and returns the rest sorted by position, plus
+// each analyzer's wall time summed across packages (indexed like
+// analyzers). Directive findings precede the analyzers' in the
+// pre-sort stream, so findings sharing a position keep a stable order.
+func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diag, []time.Duration) {
+	wall := make([]time.Duration, len(analyzers))
 	var diags []Diag
-	for i := range pkgs {
-		raw := append([]Diag(nil), ignoreDiags[i]...)
-		for j := range analyzers {
-			raw = append(raw, slots[i*len(analyzers)+j]...)
+	for _, pkg := range pkgs {
+		var raw []Diag
+		ignores := collectIgnores(pkg, &raw)
+		for j, a := range analyzers {
+			start := time.Now()
+			a.Run(&Pass{Analyzer: a, Pkg: pkg, diags: &raw})
+			wall[j] += time.Since(start)
 		}
 		for _, d := range raw {
-			if !suppressed(d, ignores[i]) {
+			if !suppressed(d, ignores) {
 				diags = append(diags, d)
 			}
 		}
 	}
-	// Stable: diagnostics sharing a position keep the deterministic
-	// (package, directive-then-analyzer) merge order above.
 	sort.SliceStable(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]
 		if a.Pos.Filename != b.Pos.Filename {
@@ -191,12 +158,7 @@ func runGrid(pkgs []*Package, analyzers []*Analyzer, workers int) ([]Diag, []Ana
 		}
 		return a.Analyzer < b.Analyzer
 	})
-
-	timings := make([]AnalyzerTiming, len(analyzers))
-	for j, a := range analyzers {
-		timings[j] = AnalyzerTiming{Name: a.Name, Wall: time.Duration(wall[j].Load())}
-	}
-	return diags, timings
+	return diags, wall
 }
 
 // Exit codes returned by Main.
@@ -208,9 +170,6 @@ const (
 
 // Options configures a driver run beyond the analyzer set.
 type Options struct {
-	// Workers bounds the analyzer×package tasks in flight; 0 means one
-	// per CPU, 1 runs inline. Findings are byte-identical at any count.
-	Workers int
 	// JSON emits the findings as a JSON array on w (machine-readable,
 	// for CI artifacts) instead of one text line per finding.
 	JSON bool
@@ -224,12 +183,7 @@ type Options struct {
 // directory prefixes; none means all), run the analyzers, and print
 // findings to w. Returns the process exit code: 0 clean, 1 findings,
 // 2 load error.
-func Main(w io.Writer, dir string, patterns []string, analyzers []*Analyzer) int {
-	return MainOpts(w, dir, patterns, analyzers, Options{Workers: 1})
-}
-
-// MainOpts is Main with explicit Options.
-func MainOpts(w io.Writer, dir string, patterns []string, analyzers []*Analyzer, opts Options) int {
+func Main(w io.Writer, dir string, patterns []string, analyzers []*Analyzer, opts Options) int {
 	loader, err := NewLoader(dir)
 	if err != nil {
 		fmt.Fprintf(w, "atomlint: %v\n", err)
@@ -240,11 +194,10 @@ func MainOpts(w io.Writer, dir string, patterns []string, analyzers []*Analyzer,
 		fmt.Fprintf(w, "atomlint: %v\n", err)
 		return ExitError
 	}
-	pkgs = filterPackages(pkgs, loader.ModPath, patterns)
-	diags, timings := runGrid(pkgs, analyzers, opts.Workers)
+	diags, wall := Run(filterPackages(pkgs, loader.ModPath, patterns), analyzers)
 	if opts.Timings != nil {
-		for _, tm := range timings {
-			fmt.Fprintf(opts.Timings, "atomlint: %-12s %s\n", tm.Name, tm.Wall.Round(time.Millisecond))
+		for j, a := range analyzers {
+			fmt.Fprintf(opts.Timings, "atomlint: %-12s %s\n", a.Name, wall[j].Round(time.Millisecond))
 		}
 	}
 	if opts.JSON {

@@ -4,13 +4,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
-	"sync"
 	"testing"
-
-	"repro/internal/parallel"
 )
 
 // The fixtures under testdata/src mark each expected finding with a
@@ -28,28 +27,21 @@ type wantDiag struct {
 	matched bool
 }
 
-var (
-	fixtureMu    sync.Mutex
-	fixtureCache = map[string]*Package{}
-)
-
 // loadFixtureT loads testdata/src/<dir> type-checked under the given
-// (synthetic) import path, memoized — the GOROOT source importer makes
-// each cold load cost real time.
+// (synthetic) import path.
 func loadFixtureT(t *testing.T, dir, importPath string) *Package {
 	t.Helper()
-	fixtureMu.Lock()
-	defer fixtureMu.Unlock()
-	key := dir + "|" + importPath
-	if p, ok := fixtureCache[key]; ok {
-		return p
-	}
 	pkg, err := LoadFixture(filepath.Join("testdata", "src", dir), importPath)
 	if err != nil {
 		t.Fatalf("load fixture %s as %s: %v", dir, importPath, err)
 	}
-	fixtureCache[key] = pkg
 	return pkg
+}
+
+// runDiags is Run without the timings.
+func runDiags(pkgs []*Package, analyzers []*Analyzer) []Diag {
+	diags, _ := Run(pkgs, analyzers)
+	return diags
 }
 
 func collectWants(pkg *Package) []*wantDiag {
@@ -71,7 +63,7 @@ func checkFixture(t *testing.T, dir, importPath string, analyzers []*Analyzer) {
 	t.Helper()
 	pkg := loadFixtureT(t, dir, importPath)
 	wants := collectWants(pkg)
-	diags := RunAnalyzers([]*Package{pkg}, analyzers)
+	diags := runDiags([]*Package{pkg}, analyzers)
 	for _, d := range diags {
 		claimed := false
 		for _, w := range wants {
@@ -117,7 +109,7 @@ func TestHotpathRequiredFixture(t *testing.T) {
 // table binds names to specific packages, not the whole tree.
 func TestHotpathRequiredScope(t *testing.T) {
 	pkg := loadFixtureT(t, "hotreq", "repro/internal/textplot")
-	if diags := RunAnalyzers([]*Package{pkg}, []*Analyzer{Hotpath}); len(diags) != 0 {
+	if diags := runDiags([]*Package{pkg}, []*Analyzer{Hotpath}); len(diags) != 0 {
 		t.Errorf("hotreq fixture under internal/textplot: %d diagnostic(s), want 0 (first: %s)", len(diags), diags[0])
 	}
 }
@@ -131,6 +123,57 @@ func TestWireSafetyFixture(t *testing.T) {
 
 func TestLocksFixture(t *testing.T) {
 	checkFixture(t, "locks", "repro/internal/lockfix", All)
+}
+
+// vetRe matches one go vet finding line: file:line:col: message.
+var vetRe = regexp.MustCompile(`^(.+\.go):(\d+):\d+: (.+)$`)
+
+// TestVetFlagsLockCopies pins the split with go vet: the locks analyzer
+// checks only Lock/Unlock pairing, so every by-value lock copy shape in
+// testdata/src/lockcopy must be a copylocks finding. The fixture is
+// vetted in a scratch module, and vet's findings must match its want
+// markers exactly.
+func TestVetFlagsLockCopies(t *testing.T) {
+	src, err := os.ReadFile(filepath.Join("testdata", "src", "lockcopy", "lockcopy.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wants []*wantDiag
+	for i, line := range strings.Split(string(src), "\n") {
+		if m := wantRe.FindStringSubmatch(line); m != nil {
+			wants = append(wants, &wantDiag{file: "lockcopy.go", line: i + 1, substr: m[1]})
+		}
+	}
+	dir := t.TempDir()
+	writeTree(t, dir, map[string]string{"go.mod": fixtureGoMod, "lockcopy.go": string(src)})
+	cmd := exec.Command("go", "vet", "-copylocks", ".")
+	cmd.Dir = dir
+	out, err := cmd.CombinedOutput()
+	if _, findings := err.(*exec.ExitError); err != nil && !findings {
+		t.Fatalf("go vet: %v\n%s", err, out)
+	}
+	for _, line := range strings.Split(string(out), "\n") {
+		m := vetRe.FindStringSubmatch(line)
+		if m == nil {
+			continue
+		}
+		n, _ := strconv.Atoi(m[2])
+		claimed := false
+		for _, w := range wants {
+			if !w.matched && w.file == filepath.Base(m[1]) && w.line == n && strings.Contains(m[3], w.substr) {
+				w.matched, claimed = true, true
+				break
+			}
+		}
+		if !claimed {
+			t.Errorf("unexpected vet finding: %s", line)
+		}
+	}
+	for _, w := range wants {
+		if !w.matched {
+			t.Errorf("%s:%d: want vet finding containing %q, got none; vet output:\n%s", w.file, w.line, w.substr, out)
+		}
+	}
 }
 
 func TestAliasingFixture(t *testing.T) {
@@ -154,7 +197,7 @@ func TestLifecycleFixture(t *testing.T) {
 // comment line, which cannot carry a marker comment too.
 func TestAliasingDirectives(t *testing.T) {
 	pkg := loadFixtureT(t, "aliasdir", "repro/internal/aliasfix")
-	diags := RunAnalyzers([]*Package{pkg}, All)
+	diags := runDiags([]*Package{pkg}, All)
 
 	var malformed, escapes int
 	for _, d := range diags {
@@ -192,7 +235,7 @@ func TestAliasingDirectives(t *testing.T) {
 			rest = append(rest, a)
 		}
 	}
-	if diags := RunAnalyzers([]*Package{pkg}, rest); len(diags) != 0 {
+	if diags := runDiags([]*Package{pkg}, rest); len(diags) != 0 {
 		t.Errorf("aliasdir fixture with aliasing disabled: %d diagnostic(s), want 0 (first: %s)", len(diags), diags[0])
 	}
 }
@@ -206,7 +249,7 @@ func TestClockSeamFixture(t *testing.T) {
 // unscoped path it is silent.
 func TestClockSeamScope(t *testing.T) {
 	pkg := loadFixtureT(t, "clockseam", "repro/internal/cli")
-	if diags := RunAnalyzers([]*Package{pkg}, []*Analyzer{Determinism}); len(diags) == 0 {
+	if diags := runDiags([]*Package{pkg}, []*Analyzer{Determinism}); len(diags) == 0 {
 		t.Error("clockseam fixture under internal/cli: no diagnostics, want findings")
 	} else {
 		// The exemption key is "obs.clockNow", so under internal/cli even
@@ -217,7 +260,7 @@ func TestClockSeamScope(t *testing.T) {
 		}
 	}
 	pkg = loadFixtureT(t, "clockseam", "repro/internal/textplot")
-	if diags := RunAnalyzers([]*Package{pkg}, []*Analyzer{Determinism}); len(diags) != 0 {
+	if diags := runDiags([]*Package{pkg}, []*Analyzer{Determinism}); len(diags) != 0 {
 		t.Errorf("clockseam fixture under internal/textplot: %d diagnostic(s), want 0 (first: %s)", len(diags), diags[0])
 	}
 }
@@ -249,7 +292,7 @@ func TestFixtureSilentWithAnalyzerDisabled(t *testing.T) {
 			}
 		}
 		pkg := loadFixtureT(t, tc.dir, tc.path)
-		if diags := RunAnalyzers([]*Package{pkg}, rest); len(diags) != 0 {
+		if diags := runDiags([]*Package{pkg}, rest); len(diags) != 0 {
 			t.Errorf("%s fixture with %s disabled: %d diagnostic(s), want 0 (first: %s)",
 				tc.dir, tc.disabled.Name, len(diags), diags[0])
 		}
@@ -263,19 +306,19 @@ func TestFixtureSilentWithAnalyzerDisabled(t *testing.T) {
 // the determinism fixture relocates to internal/textplot.)
 func TestScopedAnalyzersRespectPackagePaths(t *testing.T) {
 	pkg := loadFixtureT(t, "determinism", "repro/internal/textplot")
-	if diags := RunAnalyzers([]*Package{pkg}, []*Analyzer{Determinism}); len(diags) != 0 {
+	if diags := runDiags([]*Package{pkg}, []*Analyzer{Determinism}); len(diags) != 0 {
 		t.Errorf("determinism fixture under internal/textplot: %d diagnostic(s), want 0 (first: %s)", len(diags), diags[0])
 	}
 	pkg = loadFixtureT(t, "wiresafety", "repro/internal/obs")
-	if diags := RunAnalyzers([]*Package{pkg}, []*Analyzer{WireSafety}); len(diags) != 0 {
+	if diags := runDiags([]*Package{pkg}, []*Analyzer{WireSafety}); len(diags) != 0 {
 		t.Errorf("wiresafety fixture under internal/obs: %d diagnostic(s), want 0 (first: %s)", len(diags), diags[0])
 	}
 	pkg = loadFixtureT(t, "aliasing", "repro/internal/textplot")
-	if diags := RunAnalyzers([]*Package{pkg}, []*Analyzer{Aliasing}); len(diags) != 0 {
+	if diags := runDiags([]*Package{pkg}, []*Analyzer{Aliasing}); len(diags) != 0 {
 		t.Errorf("aliasing fixture under internal/textplot: %d diagnostic(s), want 0 (first: %s)", len(diags), diags[0])
 	}
 	pkg = loadFixtureT(t, "lifecycle", "repro/internal/textplot")
-	if diags := RunAnalyzers([]*Package{pkg}, []*Analyzer{Lifecycle}); len(diags) != 0 {
+	if diags := runDiags([]*Package{pkg}, []*Analyzer{Lifecycle}); len(diags) != 0 {
 		t.Errorf("lifecycle fixture under internal/textplot: %d diagnostic(s), want 0 (first: %s)", len(diags), diags[0])
 	}
 }
@@ -286,7 +329,7 @@ func TestScopedAnalyzersRespectPackagePaths(t *testing.T) {
 // unknown-analyzer directives are themselves findings.
 func TestIgnoreSuppression(t *testing.T) {
 	pkg := loadFixtureT(t, "ignore", "repro/internal/core")
-	diags := RunAnalyzers([]*Package{pkg}, []*Analyzer{Determinism})
+	diags := runDiags([]*Package{pkg}, []*Analyzer{Determinism})
 
 	var det, kit []Diag
 	for _, d := range diags {
@@ -339,7 +382,7 @@ func TestMainExitCleanModule(t *testing.T) {
 		"ok.go":  "package cleanmod\n\n// OK is fine.\nfunc OK() int { return 1 }\n",
 	})
 	var out bytes.Buffer
-	if got := Main(&out, dir, nil, All); got != ExitClean {
+	if got := Main(&out, dir, nil, All, Options{}); got != ExitClean {
 		t.Fatalf("Main = %d, want %d; output:\n%s", got, ExitClean, out.String())
 	}
 	if out.Len() != 0 {
@@ -353,29 +396,40 @@ func TestMainExitFindings(t *testing.T) {
 		"go.mod":                fixtureGoMod,
 		"internal/core/core.go": "package core\n\nimport \"time\"\n\n// Stamp is nondeterministic on purpose.\nfunc Stamp() int64 { return time.Now().Unix() }\n",
 	})
-	var out bytes.Buffer
-	if got := Main(&out, dir, nil, All); got != ExitFindings {
+	var out, timings bytes.Buffer
+	if got := Main(&out, dir, nil, All, Options{Timings: &timings}); got != ExitFindings {
 		t.Fatalf("Main = %d, want %d; output:\n%s", got, ExitFindings, out.String())
 	}
 	if s := out.String(); !strings.Contains(s, "time.Now") || !strings.Contains(s, "finding(s)") {
 		t.Errorf("findings output missing diagnostic or summary:\n%s", s)
 	}
+	// One wall-time line per analyzer, on the timings writer only.
+	if lines := strings.Count(timings.String(), "\n"); lines != len(All) {
+		t.Errorf("timings lines = %d, want %d:\n%s", lines, len(All), timings.String())
+	}
+	for _, a := range All {
+		if !strings.Contains(timings.String(), a.Name) {
+			t.Errorf("timings output missing analyzer %s:\n%s", a.Name, timings.String())
+		}
+		if strings.Contains(out.String(), "atomlint: "+a.Name) {
+			t.Errorf("timing line for %s leaked into findings output:\n%s", a.Name, out.String())
+		}
+	}
 
 	// Pattern filtering: naming the offending package still finds it,
 	// a disjoint pattern filters everything out and exits clean.
 	out.Reset()
-	if got := Main(&out, dir, []string{"./internal/core"}, All); got != ExitFindings {
+	if got := Main(&out, dir, []string{"./internal/core"}, All, Options{}); got != ExitFindings {
 		t.Errorf("Main(./internal/core) = %d, want %d", got, ExitFindings)
 	}
 	out.Reset()
-	if got := Main(&out, dir, []string{"./internal/other/..."}, All); got != ExitClean {
+	if got := Main(&out, dir, []string{"./internal/other/..."}, All, Options{}); got != ExitClean {
 		t.Errorf("Main(./internal/other/...) = %d, want %d; output:\n%s", got, ExitClean, out.String())
 	}
 }
 
 // findingsTree is a small module with deterministic findings spread
-// over three scoped packages — enough tasks to exercise the grid merge.
-// The package names sit in the determinism scope but outside the
+// over three scoped packages. The package names sit in the determinism scope but outside the
 // hotpath/aliasing required tables, so the count is exact.
 func findingsTree(t *testing.T) string {
 	dir := t.TempDir()
@@ -388,43 +442,14 @@ func findingsTree(t *testing.T) string {
 	return dir
 }
 
-// TestMainOptsWorkersDeterministic pins the grid driver's core
-// guarantee: findings output is byte-identical at any worker count.
-func TestMainOptsWorkersDeterministic(t *testing.T) {
-	parallel.ForceParallel(true)
-	defer parallel.ForceParallel(false)
-	dir := findingsTree(t)
-
-	var seq, par, timings bytes.Buffer
-	if got := MainOpts(&seq, dir, nil, All, Options{Workers: 1}); got != ExitFindings {
-		t.Fatalf("MainOpts(workers=1) = %d, want %d; output:\n%s", got, ExitFindings, seq.String())
-	}
-	if got := MainOpts(&par, dir, nil, All, Options{Workers: 8, Timings: &timings}); got != ExitFindings {
-		t.Fatalf("MainOpts(workers=8) = %d, want %d; output:\n%s", got, ExitFindings, par.String())
-	}
-	if !bytes.Equal(seq.Bytes(), par.Bytes()) {
-		t.Errorf("workers=1 and workers=8 output differ:\n--- 1:\n%s--- 8:\n%s", seq.String(), par.String())
-	}
-	// One wall-time line per analyzer, on the timings writer only.
-	lines := strings.Count(timings.String(), "\n")
-	if lines != len(All) {
-		t.Errorf("timings lines = %d, want %d:\n%s", lines, len(All), timings.String())
-	}
-	for _, a := range All {
-		if !strings.Contains(timings.String(), a.Name) {
-			t.Errorf("timings output missing analyzer %s:\n%s", a.Name, timings.String())
-		}
-	}
-}
-
-// TestMainOptsJSON pins the -json contract: a JSON array of findings
+// TestMainJSON pins the -json contract: a JSON array of findings
 // with stable fields, an empty array on a clean tree, and exit codes
 // unchanged.
-func TestMainOptsJSON(t *testing.T) {
+func TestMainJSON(t *testing.T) {
 	dir := findingsTree(t)
 	var out bytes.Buffer
-	if got := MainOpts(&out, dir, nil, All, Options{Workers: 1, JSON: true}); got != ExitFindings {
-		t.Fatalf("MainOpts(json) = %d, want %d; output:\n%s", got, ExitFindings, out.String())
+	if got := Main(&out, dir, nil, All, Options{JSON: true}); got != ExitFindings {
+		t.Fatalf("Main(json) = %d, want %d; output:\n%s", got, ExitFindings, out.String())
 	}
 	var findings []struct {
 		File     string `json:"file"`
@@ -452,8 +477,8 @@ func TestMainOptsJSON(t *testing.T) {
 		"ok.go":  "package cleanmod\n\n// OK is fine.\nfunc OK() int { return 1 }\n",
 	})
 	out.Reset()
-	if got := MainOpts(&out, clean, nil, All, Options{Workers: 1, JSON: true}); got != ExitClean {
-		t.Fatalf("MainOpts(json, clean) = %d, want %d", got, ExitClean)
+	if got := Main(&out, clean, nil, All, Options{JSON: true}); got != ExitClean {
+		t.Fatalf("Main(json, clean) = %d, want %d", got, ExitClean)
 	}
 	if strings.TrimSpace(out.String()) != "[]" {
 		t.Errorf("clean json output = %q, want []", out.String())
@@ -467,7 +492,7 @@ func TestMainExitLoadError(t *testing.T) {
 		"bad.go": "package broken\n\nfunc (\n",
 	})
 	var out bytes.Buffer
-	if got := Main(&out, dir, nil, All); got != ExitError {
+	if got := Main(&out, dir, nil, All, Options{}); got != ExitError {
 		t.Fatalf("Main = %d, want %d; output:\n%s", got, ExitError, out.String())
 	}
 	if !strings.Contains(out.String(), "atomlint:") {
@@ -476,7 +501,7 @@ func TestMainExitLoadError(t *testing.T) {
 
 	// A directory that is not a module at all is also a load error.
 	out.Reset()
-	if got := Main(&out, t.TempDir(), nil, All); got != ExitError {
+	if got := Main(&out, t.TempDir(), nil, All, Options{}); got != ExitError {
 		t.Errorf("Main on non-module dir = %d, want %d", got, ExitError)
 	}
 }

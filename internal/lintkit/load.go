@@ -29,8 +29,10 @@ type Package struct {
 
 // Loader loads and type-checks packages of one module using only the
 // standard library: module-internal imports are resolved against the
-// module directory, everything else is delegated to the GOROOT source
-// importer. Test files are skipped — analyzers gate production code.
+// module directory, everything else is read from the toolchain's
+// compiled export data (go/importer's "gc" importer), so the standard
+// library is never type-checked from source. Test files are skipped —
+// analyzers gate production code.
 type Loader struct {
 	ModPath string
 	ModDir  string
@@ -53,15 +55,19 @@ func NewLoader(dir string) (*Loader, error) {
 	if err != nil {
 		return nil, err
 	}
+	return newLoader(modPath, abs), nil
+}
+
+func newLoader(modPath, dir string) *Loader {
 	fset := token.NewFileSet()
 	return &Loader{
 		ModPath: modPath,
-		ModDir:  abs,
+		ModDir:  dir,
 		fset:    fset,
-		std:     importer.ForCompiler(fset, "source", nil),
+		std:     importer.ForCompiler(fset, "gc", nil),
 		pkgs:    map[string]*Package{},
 		loading: map[string]bool{},
-	}, nil
+	}
 }
 
 // modulePath extracts the module path from a go.mod file.
@@ -80,7 +86,7 @@ func modulePath(gomod string) (string, error) {
 }
 
 // Import implements types.Importer: module-internal paths load from the
-// module tree, everything else from GOROOT source.
+// module tree, everything else from export data.
 func (l *Loader) Import(path string) (*types.Package, error) {
 	if path == l.ModPath || strings.HasPrefix(path, l.ModPath+"/") {
 		pkg, err := l.load(path)
@@ -220,16 +226,7 @@ var errNoGoFiles = errors.New("lintkit: no buildable Go files")
 // which lets testdata packages impersonate scoped paths like
 // "repro/internal/core".
 func LoadFixture(dir, importPath string) (*Package, error) {
-	fset := token.NewFileSet()
-	l := &Loader{
-		ModPath: importPath,
-		ModDir:  dir,
-		fset:    fset,
-		std:     importer.ForCompiler(fset, "source", nil),
-		pkgs:    map[string]*Package{},
-		loading: map[string]bool{},
-	}
-	return l.loadDir(dir, importPath)
+	return newLoader(importPath, dir).loadDir(dir, importPath)
 }
 
 // excludedByBuildTags reports whether a //go:build line above the

@@ -4,45 +4,10 @@ package lockfix
 
 import "sync"
 
-// S is a lock-bearing type: any by-value copy of it is a finding.
+// S pairs a mutex with the counter it guards.
 type S struct {
 	mu sync.Mutex
 	n  int
-}
-
-// Striped mirrors the striped-lock table shape: the lock sits two
-// levels deep, through an array of structs.
-type Striped struct {
-	shards [4]S
-}
-
-func byValueParam(s S) int { // want "parameter passes"
-	return s.n
-}
-
-func (s S) byValueMethod() int { // want "receiver passes"
-	return s.n
-}
-
-func stripedParam(t Striped) int { // want "parameter passes"
-	return t.shards[0].n
-}
-
-func copyAssign(a *S) int {
-	b := *a // want "assignment copies"
-	return b.n
-}
-
-func rangeCopy(ss []S) int {
-	n := 0
-	for _, s := range ss { // want "range copies"
-		n += s.n
-	}
-	return n
-}
-
-func pointerParamOK(s *S) int {
-	return s.n
 }
 
 func lockNoUnlock(s *S) {
@@ -93,5 +58,4 @@ func (r *R) readEarlyReturn(k string, skip bool) int {
 	return v
 }
 
-var _ = []any{byValueParam, S.byValueMethod, stripedParam, copyAssign, rangeCopy, pointerParamOK,
-	lockNoUnlock, lockReturnBetween, unlockBeforeLock, lockDeferOK, (*R).readOK, (*R).readEarlyReturn}
+var _ = []any{lockNoUnlock, lockReturnBetween, unlockBeforeLock, lockDeferOK, (*R).readOK, (*R).readEarlyReturn}

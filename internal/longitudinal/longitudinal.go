@@ -316,7 +316,7 @@ func (r *EraRun) updates(fromT, toT float64, peers map[uint32]bool) ([]metrics.U
 	bsp.SetAttr("archives", len(sources))
 	bsp.SetAttr("bytes", totalBytes)
 	bsp.End()
-	return metrics.CollectRecordsObs(sources, r.updateFilter(), r.Cfg.Workers, r.Cfg.Metrics, sp)
+	return metrics.CollectRecords(sources, r.updateFilter(), r.Cfg.Workers, r.Cfg.Metrics, sp)
 }
 
 // RunChurnReplay builds the era's base snapshot, wraps it in an
@@ -426,15 +426,15 @@ func RunEra(cfg Config, era topology.Era) (*EraResult, error) {
 	parallel.ForEach(cfg.Workers, 5, func(i int) error {
 		switch i {
 		case 0:
-			res.Formation = metrics.FormationDistancesSpan(base, metrics.DefaultFormationOptions(), sp)
+			res.Formation = metrics.FormationDistances(base, metrics.DefaultFormationOptions(), sp)
 		case 1:
-			res.Stab8h = metrics.CompareStabilitySpan(base, snaps[1], sp)
+			res.Stab8h = metrics.CompareStability(base, snaps[1], sp)
 		case 2:
-			res.Stab24h = metrics.CompareStabilitySpan(base, snaps[2], sp)
+			res.Stab24h = metrics.CompareStability(base, snaps[2], sp)
 		case 3:
-			res.Stab1w = metrics.CompareStabilitySpan(base, snaps[3], sp)
+			res.Stab1w = metrics.CompareStability(base, snaps[3], sp)
 		case 4:
-			res.Corr = metrics.CorrelateUpdatesSpan(base, records, cfg.MaxK, sp)
+			res.Corr = metrics.CorrelateUpdates(base, records, cfg.MaxK, sp)
 		}
 		return nil
 	})
@@ -500,9 +500,9 @@ func trendPoint(cfg Config, root *obs.Span, era topology.Era) (TrendPoint, error
 	if err != nil {
 		return TrendPoint{}, err
 	}
-	form := metrics.FormationDistancesSpan(base, metrics.DefaultFormationOptions(), sp)
-	st8 := metrics.CompareStabilitySpan(base, s8, sp)
-	st1w := metrics.CompareStabilitySpan(base, s1w, sp)
+	form := metrics.FormationDistances(base, metrics.DefaultFormationOptions(), sp)
+	st8 := metrics.CompareStability(base, s8, sp)
+	st1w := metrics.CompareStability(base, s1w, sp)
 	tp := TrendPoint{
 		Era:               era,
 		CAM8h:             st8.CAM,
@@ -558,7 +558,7 @@ func RunSplits(cfg Config, era topology.Era, days int) (*SplitStudy, error) {
 	// Each day's detection reads a sliding window of three snapshots;
 	// aggregation stays sequential so events keep day order.
 	dayEvents, err := parallel.Map(cfg.Workers, days, func(d int) ([]metrics.SplitEvent, error) {
-		return metrics.DetectSplitsSpan(snaps[d], snaps[d+1], snaps[d+2], sp), nil
+		return metrics.DetectSplits(snaps[d], snaps[d+1], snaps[d+2], sp), nil
 	})
 	if err != nil {
 		return nil, err

@@ -106,7 +106,7 @@ func TestUpdateCorrelationAtomsBeatASes(t *testing.T) {
 	if len(records) < 50 {
 		t.Fatalf("only %d records", len(records))
 	}
-	corr := metrics.CorrelateUpdates(base, records, 7)
+	corr := metrics.CorrelateUpdates(base, records, 7, nil)
 	atomWins, comparisons := 0, 0
 	for k := 2; k <= 6; k++ {
 		pa, ps := corr.Atom[k].Pr(), corr.AS[k].Pr()

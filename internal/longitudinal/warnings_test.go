@@ -77,7 +77,7 @@ func TestScopedWarningWindow(t *testing.T) {
 			r := NewEraRun(warningConfig(seed), era)
 			peers := r.Infra.WarningPeers()
 			full, _ := r.updateSources(OffsetBase, OffsetBase+UpdateHours, nil)
-			_, fullWarn, err := metrics.CollectRecords(full, r.updateFilter())
+			_, fullWarn, err := metrics.CollectRecords(full, r.updateFilter(), 1, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

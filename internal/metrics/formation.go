@@ -73,15 +73,14 @@ type FormationResult struct {
 	SkippedMOAS  int
 }
 
-// FormationDistances runs the analysis over an atom set.
-func FormationDistances(as *core.AtomSet, opts FormationOptions) *FormationResult {
-	return FormationDistancesSpan(as, opts, nil)
-}
-
-// FormationDistancesSpan is FormationDistances with stage tracing: a
-// non-nil parent receives a child span carrying input/output
-// cardinalities (atoms in, origins and distance-tagged atoms out).
-func FormationDistancesSpan(as *core.AtomSet, opts FormationOptions, parent *obs.Span) *FormationResult {
+// FormationDistances runs the analysis over an atom set. A non-nil
+// parent receives a child span carrying input/output cardinalities
+// (atoms in, origins and distance-tagged atoms out); nil skips tracing
+// entirely.
+func FormationDistances(as *core.AtomSet, opts FormationOptions, parent *obs.Span) *FormationResult {
+	if parent == nil {
+		return formationDistances(as, opts)
+	}
 	sp := parent.Child("metrics.formation_distances")
 	res := formationDistances(as, opts)
 	sp.SetAttr("atoms", len(as.Atoms))

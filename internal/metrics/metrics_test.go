@@ -55,7 +55,7 @@ func TestCorrelateUpdates(t *testing.T) {
 		{Prefixes: []netip.Prefix{pfx(0), pfx(1), pfx(2)}}, // atom A full, B full; AS1 full
 		{Prefixes: []netip.Prefix{pfx(3)}},                 // atom C full; AS2 full
 	}
-	uc := CorrelateUpdates(as, recs, 7)
+	uc := CorrelateUpdates(as, recs, 7, nil)
 	if uc.Atom[2].All != 2 || uc.Atom[2].Partial != 1 {
 		t.Errorf("atom k=2: %+v", uc.Atom[2])
 	}
@@ -91,7 +91,7 @@ func TestCorrelateUpdatesSinglePrefixAtomAS(t *testing.T) {
 		{Prefixes: []netip.Prefix{pfx(0)}},
 		{Prefixes: []netip.Prefix{pfx(0), pfx(1)}},
 	}
-	uc := CorrelateUpdates(as, recs, 7)
+	uc := CorrelateUpdates(as, recs, 7, nil)
 	if uc.ASSinglePrefixAtoms[2].All != 1 || uc.ASSinglePrefixAtoms[2].Partial != 1 {
 		t.Errorf("single-prefix-atom AS: %+v", uc.ASSinglePrefixAtoms[2])
 	}
@@ -110,7 +110,7 @@ func TestFormationDistanceBasics(t *testing.T) {
 		{"100 200 2", "101 200 2"},
 	})
 	as := core.ComputeAtoms(s, nil, 1)
-	res := FormationDistances(as, DefaultFormationOptions())
+	res := FormationDistances(as, DefaultFormationOptions(), nil)
 	if res.TotalAtoms != 3 || res.TotalOrigins != 2 {
 		t.Fatalf("totals: %+v", res)
 	}
@@ -136,7 +136,7 @@ func TestFormationDistancePrependD1(t *testing.T) {
 		{"100 200 1 1"},
 	})
 	as := core.ComputeAtoms(s, nil, 1)
-	res := FormationDistances(as, DefaultFormationOptions())
+	res := FormationDistances(as, DefaultFormationOptions(), nil)
 	if res.AtomsAtDistance[1] != 2 {
 		t.Errorf("distances: %v", res.AtomsAtDistance)
 	}
@@ -149,14 +149,14 @@ func TestFormationDistancePrependD1(t *testing.T) {
 	// indistinguishable and fall back to distance 1.
 	opts := DefaultFormationOptions()
 	opts.Method = MethodStripBeforeDistance
-	res2 := FormationDistances(as, opts)
+	res2 := FormationDistances(as, opts, nil)
 	if res2.AtomsAtDistance[1] != 2 {
 		t.Errorf("method (ii) distances: %v", res2.AtomsAtDistance)
 	}
 
 	// Method (i) merges them into one atom entirely.
 	opts.Method = MethodStripBeforeGrouping
-	res1 := FormationDistances(as, opts)
+	res1 := FormationDistances(as, opts, nil)
 	if res1.TotalAtoms != 1 || res1.D1SingleAtom != 1 {
 		t.Errorf("method (i): %+v", res1)
 	}
@@ -169,7 +169,7 @@ func TestFormationDistanceUniquePeers(t *testing.T) {
 		{"100 201 1", ""},
 	})
 	as := core.ComputeAtoms(s, nil, 1)
-	res := FormationDistances(as, DefaultFormationOptions())
+	res := FormationDistances(as, DefaultFormationOptions(), nil)
 	if res.AtomsAtDistance[1] != 2 {
 		t.Errorf("distances: %v", res.AtomsAtDistance)
 	}
@@ -186,7 +186,7 @@ func TestFormationDistanceTransitSplit(t *testing.T) {
 		{"100 301 200 1"},
 	})
 	as := core.ComputeAtoms(s, nil, 1)
-	res := FormationDistances(as, DefaultFormationOptions())
+	res := FormationDistances(as, DefaultFormationOptions(), nil)
 	if res.AtomsAtDistance[3] != 2 {
 		t.Errorf("distances: %v", res.AtomsAtDistance)
 	}
@@ -198,7 +198,7 @@ func TestFormationMOASExcluded(t *testing.T) {
 		{"100 200 1", "101 200 1"},
 	})
 	as := core.ComputeAtoms(s, nil, 1)
-	res := FormationDistances(as, DefaultFormationOptions())
+	res := FormationDistances(as, DefaultFormationOptions(), nil)
 	if res.SkippedMOAS != 1 {
 		t.Errorf("skipped MOAS = %d", res.SkippedMOAS)
 	}
@@ -217,7 +217,7 @@ func TestFormationSampling(t *testing.T) {
 	as := core.ComputeAtoms(s, nil, 1)
 	opts := DefaultFormationOptions()
 	opts.MaxAtomsPerOrigin = 10
-	res := FormationDistances(as, opts)
+	res := FormationDistances(as, opts, nil)
 	if res.TotalAtoms != 10 {
 		t.Errorf("sampled atoms = %d, want 10", res.TotalAtoms)
 	}
@@ -239,7 +239,7 @@ func TestCompareStability(t *testing.T) {
 		{"100 1"},
 		{"100 1"}, // prefix 2 merged into the big atom
 	}), nil, 1)
-	st := CompareStability(t1, t2)
+	st := CompareStability(t1, t2, nil)
 	// t2 has one atom {0,1,2}; its exact set did not exist at t1 → CAM 0.
 	if st.CAM != 0 || st.MatchedAtoms != 0 || st.TotalAtoms != 1 {
 		t.Errorf("CAM: %+v", st)
@@ -251,7 +251,7 @@ func TestCompareStability(t *testing.T) {
 	}
 
 	// Identity comparison: everything matches.
-	ident := CompareStability(t1, t1)
+	ident := CompareStability(t1, t1, nil)
 	if ident.CAM != 1 || ident.MPM != 1 {
 		t.Errorf("identity: %+v", ident)
 	}
@@ -267,7 +267,7 @@ func TestCompareStabilityGreedyMapping(t *testing.T) {
 	t2 := core.ComputeAtoms(mkSnap(t, 1, [][]string{
 		{"100 1"}, {"100 1"}, {"100 200 1"},
 	}), nil, 1)
-	st := CompareStability(t1, t2)
+	st := CompareStability(t1, t2, nil)
 	if st.CAM != 0 {
 		t.Errorf("CAM = %v", st.CAM)
 	}
@@ -294,7 +294,7 @@ func TestDetectSplits(t *testing.T) {
 		{"100 200 1", "101 200 1"},
 		{"100 200 1", "101 201 1"},
 	})
-	events := DetectSplits(s0, s1, s2)
+	events := DetectSplits(s0, s1, s2, nil)
 	if len(events) != 1 {
 		t.Fatalf("events = %d", len(events))
 	}
@@ -303,7 +303,7 @@ func TestDetectSplits(t *testing.T) {
 	}
 
 	// No split when nothing changes.
-	if got := DetectSplits(s0, s1, s1); len(got) != 0 {
+	if got := DetectSplits(s0, s1, s1, nil); len(got) != 0 {
 		t.Errorf("no-change split events = %d", len(got))
 	}
 
@@ -312,7 +312,7 @@ func TestDetectSplits(t *testing.T) {
 		{"100 200 1", "101 200 1"},
 		{"100 209 1", "101 209 1"},
 	})
-	if got := DetectSplits(s0b, s1, s2); len(got) != 0 {
+	if got := DetectSplits(s0b, s1, s2, nil); len(got) != 0 {
 		t.Errorf("unestablished split events = %d", len(got))
 	}
 }
@@ -332,7 +332,7 @@ func TestDetectSplitsMissingPrefix(t *testing.T) {
 	seq, _ := aspath.ParseSeq("100 200 1")
 	s2snap.SetRoute(0, 0, seq)
 	s2 := core.ComputeAtoms(s2snap, nil, 1)
-	events := DetectSplits(s01, s01, s2)
+	events := DetectSplits(s01, s01, s2, nil)
 	if len(events) != 1 {
 		t.Fatalf("events = %d", len(events))
 	}

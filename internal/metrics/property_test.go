@@ -58,12 +58,12 @@ func TestStabilityProperties(t *testing.T) {
 	r := rand.New(rand.NewSource(31))
 	for iter := 0; iter < 40; iter++ {
 		a := randomAtomSet(r, 2+r.Intn(50), 1+r.Intn(4), byte(iter))
-		ident := CompareStability(a, a)
+		ident := CompareStability(a, a, nil)
 		if ident.CAM != 1 || ident.MPM != 1 {
 			t.Fatalf("iter %d: identity CAM=%v MPM=%v", iter, ident.CAM, ident.MPM)
 		}
 		b := mutate(r, a, 0.1*r.Float64())
-		st := CompareStability(a, b)
+		st := CompareStability(a, b, nil)
 		if st.CAM < 0 || st.CAM > 1 || st.MPM < 0 || st.MPM > 1 {
 			t.Fatalf("iter %d: out of bounds %+v", iter, st)
 		}
@@ -74,7 +74,7 @@ func TestStabilityProperties(t *testing.T) {
 			t.Fatalf("iter %d: matched atoms > total: %+v", iter, st)
 		}
 		frozen := mutate(r, a, 0)
-		if st0 := CompareStability(a, frozen); st0.CAM != 1 || st0.MPM != 1 {
+		if st0 := CompareStability(a, frozen, nil); st0.CAM != 1 || st0.MPM != 1 {
 			t.Fatalf("iter %d: zero churn CAM=%v MPM=%v", iter, st0.CAM, st0.MPM)
 		}
 	}
@@ -88,8 +88,8 @@ func TestStabilityMatchSymmetry(t *testing.T) {
 	for iter := 0; iter < 25; iter++ {
 		a := randomAtomSet(r, 2+r.Intn(40), 1+r.Intn(3), byte(iter))
 		b := mutate(r, a, 0.2)
-		ab := CompareStability(a, b)
-		ba := CompareStability(b, a)
+		ab := CompareStability(a, b, nil)
+		ba := CompareStability(b, a, nil)
 		if ab.MatchedAtoms != ba.MatchedAtoms {
 			t.Fatalf("iter %d: matched atoms asymmetric: %d vs %d",
 				iter, ab.MatchedAtoms, ba.MatchedAtoms)
@@ -104,7 +104,7 @@ func TestFormationProperties(t *testing.T) {
 	r := rand.New(rand.NewSource(53))
 	for iter := 0; iter < 30; iter++ {
 		as := randomAtomSet(r, 2+r.Intn(60), 1+r.Intn(4), byte(iter))
-		res := FormationDistances(as, DefaultFormationOptions())
+		res := FormationDistances(as, DefaultFormationOptions(), nil)
 		sum := 0
 		for d := 1; d < len(res.AtomsAtDistance); d++ {
 			sum += res.AtomsAtDistance[d]
@@ -142,11 +142,11 @@ func TestSplitDetectionProperties(t *testing.T) {
 	r := rand.New(rand.NewSource(71))
 	for iter := 0; iter < 20; iter++ {
 		a := randomAtomSet(r, 2+r.Intn(40), 1+r.Intn(4), byte(iter))
-		if events := DetectSplits(a, a, a); len(events) != 0 {
+		if events := DetectSplits(a, a, a, nil); len(events) != 0 {
 			t.Fatalf("iter %d: identical snapshots produced %d splits", iter, len(events))
 		}
 		b := mutate(r, a, 0.15)
-		for _, e := range DetectSplits(a, a, b) {
+		for _, e := range DetectSplits(a, a, b, nil) {
 			if len(e.Prefixes) < 2 {
 				t.Fatalf("iter %d: split of a %d-prefix atom", iter, len(e.Prefixes))
 			}

@@ -20,14 +20,13 @@ type SplitEvent struct {
 	Observers []core.VP
 }
 
-// DetectSplits finds split events across snapshots t0, t1, t2.
-func DetectSplits(s0, s1, s2 *core.AtomSet) []SplitEvent {
-	return DetectSplitsSpan(s0, s1, s2, nil)
-}
-
-// DetectSplitsSpan is DetectSplits with stage tracing: a non-nil
-// parent receives a child span with atom counts in and events out.
-func DetectSplitsSpan(s0, s1, s2 *core.AtomSet, parent *obs.Span) []SplitEvent {
+// DetectSplits finds split events across snapshots t0, t1, t2. A
+// non-nil parent receives a child span with atom counts in and events
+// out; nil skips tracing entirely.
+func DetectSplits(s0, s1, s2 *core.AtomSet, parent *obs.Span) []SplitEvent {
+	if parent == nil {
+		return detectSplits(s0, s1, s2)
+	}
 	sp := parent.Child("metrics.detect_splits")
 	events := detectSplits(s0, s1, s2)
 	sp.SetAttr("atoms_t1", len(s1.Atoms))

@@ -36,15 +36,13 @@ func atomSig(as *core.AtomSet, id int) string {
 	return string(b)
 }
 
-// CompareStability computes CAM and MPM from snapshot t1 to t2.
-func CompareStability(t1, t2 *core.AtomSet) Stability {
-	return CompareStabilitySpan(t1, t2, nil)
-}
-
-// CompareStabilitySpan is CompareStability with stage tracing: a
+// CompareStability computes CAM and MPM from snapshot t1 to t2. A
 // non-nil parent receives a child span with atom counts and the
-// resulting match ratios.
-func CompareStabilitySpan(t1, t2 *core.AtomSet, parent *obs.Span) Stability {
+// resulting match ratios; nil skips tracing entirely.
+func CompareStability(t1, t2 *core.AtomSet, parent *obs.Span) Stability {
+	if parent == nil {
+		return compareStability(t1, t2)
+	}
 	sp := parent.Child("metrics.compare_stability")
 	st := compareStability(t1, t2)
 	sp.SetAttr("atoms_t1", len(t1.Atoms))

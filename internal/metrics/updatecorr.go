@@ -24,19 +24,17 @@ type UpdateRecord struct {
 }
 
 // CollectRecords drains update sources into per-message prefix sets
-// (announcements and withdrawals together, deduplicated).
-func CollectRecords(sources []bgpstream.Source, filter *bgpstream.Filter) ([]UpdateRecord, []bgpstream.Warning, error) {
-	return CollectRecordsObs(sources, filter, 1, nil, nil)
-}
-
-// CollectRecordsObs is CollectRecords with decode fan-out and
-// telemetry: workers sets the stream's per-source decode parallelism
-// (0 = one per CPU, 1 = sequential; the record sequence is identical
-// at any value); a non-nil reg receives the stream's decode counters
-// plus metrics.update_records and a metrics.update_record_size
-// histogram; a non-nil parent receives a child span with source/record
-// cardinalities.
-func CollectRecordsObs(sources []bgpstream.Source, filter *bgpstream.Filter, workers int, reg *obs.Registry, parent *obs.Span) ([]UpdateRecord, []bgpstream.Warning, error) {
+// (announcements and withdrawals together, deduplicated). workers sets
+// the stream's per-source decode parallelism (0 = one per CPU, 1 =
+// sequential; the record sequence is identical at any value); a non-nil
+// reg receives the stream's decode counters plus metrics.update_records
+// and a metrics.update_record_size histogram; a non-nil parent receives
+// a child span with source/record cardinalities. nil reg and parent
+// skip telemetry entirely.
+func CollectRecords(sources []bgpstream.Source, filter *bgpstream.Filter, workers int, reg *obs.Registry, parent *obs.Span) ([]UpdateRecord, []bgpstream.Warning, error) {
+	if reg == nil && parent == nil {
+		return collectRecords(sources, filter, workers, nil)
+	}
 	sp := parent.Child("metrics.collect_records")
 	out, warnings, err := collectRecords(sources, filter, workers, reg)
 	if reg != nil {
@@ -155,14 +153,13 @@ type UpdateCorrelation struct {
 }
 
 // CorrelateUpdates computes the likelihood of atoms and ASes being seen
-// in full within single update records (§3.3's formula).
-func CorrelateUpdates(as *core.AtomSet, records []UpdateRecord, maxK int) *UpdateCorrelation {
-	return CorrelateUpdatesSpan(as, records, maxK, nil)
-}
-
-// CorrelateUpdatesSpan is CorrelateUpdates with stage tracing: a
-// non-nil parent receives a child span with atom/record counts.
-func CorrelateUpdatesSpan(as *core.AtomSet, records []UpdateRecord, maxK int, parent *obs.Span) *UpdateCorrelation {
+// in full within single update records (§3.3's formula). A non-nil
+// parent receives a child span with atom/record counts; nil skips
+// tracing entirely.
+func CorrelateUpdates(as *core.AtomSet, records []UpdateRecord, maxK int, parent *obs.Span) *UpdateCorrelation {
+	if parent == nil {
+		return correlateUpdates(as, records, maxK)
+	}
 	sp := parent.Child("metrics.correlate_updates")
 	uc := correlateUpdates(as, records, maxK)
 	sp.SetAttr("atoms", len(as.Atoms))

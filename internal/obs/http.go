@@ -33,18 +33,13 @@ type DebugServer struct {
 // ServeDebug binds addr and serves the observability surface in a
 // background goroutine until Close. The tool name and args flow into
 // /healthz and /runreport; root and reg may be nil (endpoints then
-// serve empty-but-valid documents).
-func ServeDebug(addr, tool string, args []string, root *Span, reg *Registry) (*DebugServer, error) {
-	return ServeDebugWith(addr, tool, args, root, reg, nil)
-}
-
-// ServeDebugWith is ServeDebug with a mux-registration hook: when extra
-// is non-nil it runs against the mux before the server starts
-// accepting, so an embedding service (atomd's /atoms endpoints) can
-// mount its own handlers beside the standard surface. Hooked paths must
-// not collide with the built-ins; later registrations panic, exactly as
-// http.ServeMux always does.
-func ServeDebugWith(addr, tool string, args []string, root *Span, reg *Registry, extra func(*http.ServeMux)) (*DebugServer, error) {
+// serve empty-but-valid documents). When extra is non-nil it runs
+// against the mux before the server starts accepting, so an embedding
+// service (atomd's /atoms endpoints) can mount its own handlers beside
+// the standard surface. Hooked paths must not collide with the
+// built-ins; later registrations panic, exactly as http.ServeMux always
+// does.
+func ServeDebug(addr, tool string, args []string, root *Span, reg *Registry, extra func(*http.ServeMux)) (*DebugServer, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err

@@ -12,7 +12,7 @@ import (
 
 func startTestServer(t *testing.T, root *Span, reg *Registry) *DebugServer {
 	t.Helper()
-	d, err := ServeDebug("127.0.0.1:0", "atomtest", []string{"-run", "x"}, root, reg)
+	d, err := ServeDebug("127.0.0.1:0", "atomtest", []string{"-run", "x"}, root, reg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestServeDebugNilSources(t *testing.T) {
 }
 
 func TestServeDebugBadAddr(t *testing.T) {
-	if _, err := ServeDebug("256.0.0.1:99999", "t", nil, nil, nil); err == nil {
+	if _, err := ServeDebug("256.0.0.1:99999", "t", nil, nil, nil, nil); err == nil {
 		t.Error("bad address should fail to listen")
 	}
 	var d *DebugServer
@@ -187,7 +187,7 @@ func TestScrapeUnderLoad(t *testing.T) {
 // endpoint, a test rebinding the port) can rely on "Close returned"
 // meaning "nothing is left running and the port is free".
 func TestCloseJoinsServeGoroutine(t *testing.T) {
-	d, err := ServeDebug("127.0.0.1:0", "atomtest", nil, nil, NewRegistry())
+	d, err := ServeDebug("127.0.0.1:0", "atomtest", nil, nil, NewRegistry(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestCloseJoinsServeGoroutine(t *testing.T) {
 		t.Fatal("Close returned before the Serve goroutine exited")
 	}
 	// The port is released: rebinding the exact address succeeds.
-	d2, err := ServeDebug(d.Addr, "atomtest", nil, nil, NewRegistry())
+	d2, err := ServeDebug(d.Addr, "atomtest", nil, nil, NewRegistry(), nil)
 	if err != nil {
 		t.Fatalf("rebinding %s after Close: %v", d.Addr, err)
 	}

@@ -61,12 +61,12 @@ func (m ChurnModel) RefreshEventTime(u *topology.PolicyGroup, k int) float64 {
 	if rate <= 0 {
 		return math.Inf(1)
 	}
-	phase := unitf(m.Seed, 0xc4fa, uint64(u.SigID))
+	phase := topology.Unit(m.Seed, 0xc4fa, uint64(u.SigID))
 	return (float64(k) - phase) / rate
 }
 
 func (m ChurnModel) refreshRate(sigID int) float64 {
-	u := unitf(m.Seed, 0xc4fb, uint64(sigID))
+	u := topology.Unit(m.Seed, 0xc4fb, uint64(sigID))
 	return m.RefreshRate * 3 * u * u
 }
 
@@ -74,7 +74,7 @@ func (m ChurnModel) refreshRate(sigID int) float64 {
 // the mean). Events are keyed by policy signature, not unit ID: groups
 // configured identically change together.
 func (m ChurnModel) unitRate(sigID int) float64 {
-	u := unitf(m.Seed, 0xc4e1, uint64(sigID))
+	u := topology.Unit(m.Seed, 0xc4e1, uint64(sigID))
 	// Quadratic tilt: mean 1, most units below, a few hot ones.
 	return m.UnitEventRate * 3 * u * u
 }
@@ -83,7 +83,7 @@ func (m ChurnModel) unitRate(sigID int) float64 {
 // for units: rate ∝ u^6 keeps most VPs nearly silent while one or two
 // flap constantly.
 func (m ChurnModel) vpRate(vp uint32) float64 {
-	u := unitf(m.Seed, 0xc4e2, uint64(vp))
+	u := topology.Unit(m.Seed, 0xc4e2, uint64(vp))
 	return m.VPEventRate * 7 * math.Pow(u, 6)
 }
 
@@ -98,7 +98,7 @@ func version(rate, t float64, seed uint64, labels ...uint64) int {
 	var key [4]uint64
 	k := append(key[:0], seed)
 	k = append(k, labels...)
-	phase := unitf(k...)
+	phase := topology.Unit(k...)
 	v := int(rate*t + phase)
 	if v < 0 {
 		return 0
@@ -120,7 +120,7 @@ func (m ChurnModel) UnitEventTime(u *topology.PolicyGroup, k int) float64 {
 	if rate <= 0 {
 		return math.Inf(1)
 	}
-	phase := unitf(m.Seed, 0xc4e3, uint64(u.SigID))
+	phase := topology.Unit(m.Seed, 0xc4e3, uint64(u.SigID))
 	return (float64(k) - phase) / rate
 }
 
@@ -135,7 +135,7 @@ func (m ChurnModel) VPEventTime(vp uint32, k int) float64 {
 	if rate <= 0 {
 		return math.Inf(1)
 	}
-	phase := unitf(m.Seed, 0xc4e4, uint64(vp))
+	phase := topology.Unit(m.Seed, 0xc4e4, uint64(vp))
 	return (float64(k) - phase) / rate
 }
 
@@ -144,7 +144,7 @@ func (m ChurnModel) VPSaltAt(vp uint32, v int) uint64 {
 	if v <= 0 {
 		return 0
 	}
-	return hh(m.Seed, 0xc4e5, uint64(vp), uint64(v))
+	return topology.H64(m.Seed, 0xc4e5, uint64(vp), uint64(v))
 }
 
 // ApplyUnitVersion mutates ov to reflect unit u at policy version v,
@@ -163,7 +163,7 @@ func (m ChurnModel) ApplyUnitVersion(g *topology.Graph, ov *Overlay, u *topology
 // clearUnitVersion removes the mutation that version v installed. The
 // unit's flip is deleted only if it is still the one v installed.
 func (m ChurnModel) clearUnitVersion(g *topology.Graph, ov *Overlay, u *topology.PolicyGroup, v int) {
-	kind := unitf(m.Seed, 0xc4e6, uint64(u.SigID), uint64(v))
+	kind := topology.Unit(m.Seed, 0xc4e6, uint64(u.SigID), uint64(v))
 	if kind < m.TransitFlipShare {
 		if key, ok := m.flipKey(g, u, v); ok {
 			if cur, ok := ov.ExportFlip[u.ID]; ok && cur == key {
@@ -181,7 +181,7 @@ func (m ChurnModel) flipKey(g *topology.Graph, u *topology.PolicyGroup, v int) (
 	if origin == nil || len(origin.Providers) == 0 {
 		return ExportKey{}, false
 	}
-	p := origin.Providers[pickn(len(origin.Providers), m.Seed, 0xc4e7, uint64(u.SigID), uint64(v))]
+	p := origin.Providers[topology.Pick(len(origin.Providers), m.Seed, 0xc4e7, uint64(u.SigID), uint64(v))]
 	tr := g.AS(p)
 	if tr == nil {
 		return ExportKey{}, false
@@ -192,7 +192,7 @@ func (m ChurnModel) flipKey(g *topology.Graph, u *topology.PolicyGroup, v int) (
 	if len(neighbors) == 0 {
 		return ExportKey{}, false
 	}
-	n := neighbors[pickn(len(neighbors), m.Seed, 0xc4e8, uint64(u.SigID), uint64(v))]
+	n := neighbors[topology.Pick(len(neighbors), m.Seed, 0xc4e8, uint64(u.SigID), uint64(v))]
 	return ExportKey{ASN: tr.ASN, Neighbor: n}, true
 }
 
@@ -221,9 +221,9 @@ func (m ChurnModel) OverlayAt(g *topology.Graph, t float64, vps []uint32) *Overl
 		if v == 0 {
 			continue
 		}
-		ov.VPSalt[vp] = hh(m.Seed, 0xc4e5, uint64(vp), uint64(v))
-		ov.VPShift[vp] = hh(m.Seed, 0xc4f5, uint64(vp), uint64(v))
-		ov.VPSticky[vp] = hh(m.Seed, 0xc4f6, uint64(vp))
+		ov.VPSalt[vp] = topology.H64(m.Seed, 0xc4e5, uint64(vp), uint64(v))
+		ov.VPShift[vp] = topology.H64(m.Seed, 0xc4f5, uint64(vp), uint64(v))
+		ov.VPSticky[vp] = topology.H64(m.Seed, 0xc4f6, uint64(vp))
 	}
 	ov.VPShiftShare = m.VPShiftShare
 	m.applyPrefixMoves(g, ov, t)
@@ -243,16 +243,16 @@ func (m ChurnModel) PrefixMoveTime(unitID, prefixIdx, k int) float64 {
 	if rate <= 0 {
 		return math.Inf(1)
 	}
-	phase := unitf(m.Seed, 0xc4f0, uint64(unitID), uint64(prefixIdx))
+	phase := topology.Unit(m.Seed, 0xc4f0, uint64(unitID), uint64(prefixIdx))
 	return (float64(k) - phase) / rate
 }
 
 func (m ChurnModel) prefixMoveRate(unitID, prefixIdx int) float64 {
-	u := unitf(m.Seed, 0xc4f1, uint64(unitID), uint64(prefixIdx))
+	u := topology.Unit(m.Seed, 0xc4f1, uint64(unitID), uint64(prefixIdx))
 	if u < m.PrefixMobileShare {
 		// Mobile: toggles one to three times a day; the spread in rates
 		// decorrelates toggle parity across snapshot offsets.
-		return 1.0 + 2.0*unitf(m.Seed, 0xc4f7, uint64(unitID), uint64(prefixIdx))
+		return 1.0 + 2.0*topology.Unit(m.Seed, 0xc4f7, uint64(unitID), uint64(prefixIdx))
 	}
 	return m.PrefixBaseMoveRate
 }
@@ -285,7 +285,7 @@ func (m ChurnModel) MoveTarget(g *topology.Graph, u *topology.PolicyGroup, prefi
 		}
 	}
 	siblings := similar
-	if len(siblings) == 0 || (len(other) > 0 && unitf(m.Seed, 0xc4f3, uint64(u.ID), uint64(prefixIdx), uint64(v)) < 0.08) {
+	if len(siblings) == 0 || (len(other) > 0 && topology.Unit(m.Seed, 0xc4f3, uint64(u.ID), uint64(prefixIdx), uint64(v)) < 0.08) {
 		siblings = other
 	}
 	if len(siblings) == 0 {
@@ -296,7 +296,7 @@ func (m ChurnModel) MoveTarget(g *topology.Graph, u *topology.PolicyGroup, prefi
 	if v%2 == 0 {
 		return 0, false
 	}
-	return siblings[pickn(len(siblings), m.Seed, 0xc4f2, uint64(u.ID), uint64(prefixIdx), uint64(v))], true
+	return siblings[topology.Pick(len(siblings), m.Seed, 0xc4f2, uint64(u.ID), uint64(prefixIdx), uint64(v))], true
 }
 
 // sameAnnounce reports whether two groups share the exact announce policy.
@@ -335,7 +335,7 @@ func (m ChurnModel) applyPrefixMoves(g *topology.Graph, ov *Overlay, t float64) 
 // overlay at any time with the same version yields the same policy, so
 // policies change exactly when versions do.
 func (m ChurnModel) applyUnitEvent(g *topology.Graph, ov *Overlay, u *topology.PolicyGroup, v int) {
-	kind := unitf(m.Seed, 0xc4e6, uint64(u.SigID), uint64(v))
+	kind := topology.Unit(m.Seed, 0xc4e6, uint64(u.SigID), uint64(v))
 	if kind < m.TransitFlipShare {
 		// Transit flip: invert one transit's export decision for this
 		// unit toward one of its neighbors. The transit is drawn from
@@ -358,23 +358,23 @@ func (m ChurnModel) applyUnitEvent(g *topology.Graph, ov *Overlay, u *topology.P
 	for k, p := range base {
 		na[k] = p
 	}
-	sub := unitf(m.Seed, 0xc4e9, uint64(u.SigID), uint64(v))
+	sub := topology.Unit(m.Seed, 0xc4e9, uint64(u.SigID), uint64(v))
 	switch {
 	case sub < 0.5 && len(na) > 0:
 		// Toggle prepend on one announced neighbor.
 		keys := sortedKeys(na)
-		k := keys[pickn(len(keys), m.Seed, 0xc4ea, uint64(u.SigID), uint64(v))]
+		k := keys[topology.Pick(len(keys), m.Seed, 0xc4ea, uint64(u.SigID), uint64(v))]
 		pol := na[k]
 		if pol.Prepend > 0 {
 			pol.Prepend = 0
 		} else {
-			pol.Prepend = 1 + pickn(2, m.Seed, 0xc4eb, uint64(u.SigID), uint64(v))
+			pol.Prepend = 1 + topology.Pick(2, m.Seed, 0xc4eb, uint64(u.SigID), uint64(v))
 		}
 		na[k] = pol
 	case len(na) > 1:
 		// Drop one announced neighbor (but never the last).
 		keys := sortedKeys(na)
-		k := keys[pickn(len(keys), m.Seed, 0xc4ec, uint64(u.SigID), uint64(v))]
+		k := keys[topology.Pick(len(keys), m.Seed, 0xc4ec, uint64(u.SigID), uint64(v))]
 		delete(na, k)
 	default:
 		// Restore a provider not currently announced.
@@ -395,31 +395,4 @@ func sortedKeys(m map[uint32]topology.AnnouncePolicy) []uint32 {
 	}
 	slices.Sort(out)
 	return out
-}
-
-// Local hash helpers (mirrors topology's label-addressed randomness).
-func hh(vals ...uint64) uint64 {
-	acc := uint64(0x2545f4914f6cdd1d)
-	for _, v := range vals {
-		acc = mixc(acc ^ v)
-	}
-	return acc
-}
-
-func mixc(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-func unitf(vals ...uint64) float64 {
-	return float64(hh(vals...)>>11) / float64(1<<53)
-}
-
-func pickn(n int, vals ...uint64) int {
-	if n <= 0 {
-		return 0
-	}
-	return int(hh(vals...) % uint64(n))
 }

@@ -459,7 +459,7 @@ func TestApplyUnitVersionFlipInvariant(t *testing.T) {
 	g := topology.Generate(p, topology.EraOf(2019, 1))
 	m := ChurnModel{Seed: 9, UnitEventRate: 1.5, TransitFlipShare: 0.5}
 	kind := func(u *topology.PolicyGroup, v int) byte {
-		if unitf(m.Seed, 0xc4e6, uint64(u.SigID), uint64(v)) >= m.TransitFlipShare {
+		if topology.Unit(m.Seed, 0xc4e6, uint64(u.SigID), uint64(v)) >= m.TransitFlipShare {
 			return 'a'
 		}
 		if _, ok := m.flipKey(g, u, v); ok {

@@ -9,13 +9,13 @@ import (
 // draw hashes (seed, tag, ASN, unit ID, neighbor) from scratch.
 func labelExports(g *Graph, from *AS, u *PolicyGroup, to uint32) (ok bool, prepend int) {
 	if from.Selectivity > 0 && slices.Contains(from.Peers, to) {
-		if unit(g.Seed, 0x5e1ec, uint64(from.ASN), uint64(u.ID), uint64(to)) < from.Selectivity {
+		if Unit(g.Seed, 0x5e1ec, uint64(from.ASN), uint64(u.ID), uint64(to)) < from.Selectivity {
 			return false, 0
 		}
 	}
 	if from.PrependRate > 0 {
-		if unit(g.Seed, 0x93e9d, uint64(from.ASN), uint64(u.ID), uint64(to)) < from.PrependRate {
-			prepend = 1 + pick(2, g.Seed, 0x93e9e, uint64(from.ASN), uint64(u.ID), uint64(to))
+		if Unit(g.Seed, 0x93e9d, uint64(from.ASN), uint64(u.ID), uint64(to)) < from.PrependRate {
+			prepend = 1 + Pick(2, g.Seed, 0x93e9e, uint64(from.ASN), uint64(u.ID), uint64(to))
 		}
 	}
 	return true, prepend
@@ -41,13 +41,13 @@ func TestStagedExportHash(t *testing.T) {
 					labels := func(tag uint64) []uint64 {
 						return []uint64{g.Seed, tag, uint64(a.ASN), uint64(u.ID), uint64(to)}
 					}
-					if got, want := toUnit(mix64(h.sel^uint64(to))), unit(labels(0x5e1ec)...); got != want {
+					if got, want := toUnit(Mix64(h.sel^uint64(to))), Unit(labels(0x5e1ec)...); got != want {
 						t.Fatalf("AS %d unit %d to %d: selectivity draw %v, want %v", a.ASN, u.ID, to, got, want)
 					}
-					if got, want := toUnit(mix64(h.prep^uint64(to))), unit(labels(0x93e9d)...); got != want {
+					if got, want := toUnit(Mix64(h.prep^uint64(to))), Unit(labels(0x93e9d)...); got != want {
 						t.Fatalf("AS %d unit %d to %d: prepend draw %v, want %v", a.ASN, u.ID, to, got, want)
 					}
-					if got, want := int(mix64(h.pick^uint64(to))%2), pick(2, labels(0x93e9e)...); got != want {
+					if got, want := int(Mix64(h.pick^uint64(to))%2), Pick(2, labels(0x93e9e)...); got != want {
 						t.Fatalf("AS %d unit %d to %d: pick draw %d, want %d", a.ASN, u.ID, to, got, want)
 					}
 					gotOK, gotPrep := h.Exports(a, to, slices.Contains(a.Peers, to))

@@ -69,7 +69,7 @@ func (b *builder) buildClique() {
 		a := &AS{
 			ASN: uint32(cliqueBaseASN + i), Index: i, Tier: TierClique,
 			HasV6:       true,
-			Selectivity: sel * 0.3 * 2 * unit(b.seed(), 0xc11, uint64(i)),
+			Selectivity: sel * 0.3 * 2 * Unit(b.seed(), 0xc11, uint64(i)),
 			PrependRate: b.p.Curves.TransitPrependRate.At(b.era) * 0.5,
 		}
 		b.clique = append(b.clique, a)
@@ -94,19 +94,19 @@ func (b *builder) buildTransits() {
 	for i := 0; i < n; i++ {
 		a := &AS{
 			ASN: uint32(transitBase + i), Index: i, Tier: TierTransit,
-			HasV6:       unit(b.seed(), 0x76, uint64(i)) < 0.9,
-			Selectivity: sel * 2 * unit(b.seed(), 0x15e1, uint64(i)),
-			PrependRate: prep * 2 * unit(b.seed(), 0x19e9, uint64(i)),
+			HasV6:       Unit(b.seed(), 0x76, uint64(i)) < 0.9,
+			Selectivity: sel * 2 * Unit(b.seed(), 0x15e1, uint64(i)),
+			PrependRate: prep * 2 * Unit(b.seed(), 0x19e9, uint64(i)),
 		}
 		// Providers: 1–2 from the clique for low indices, from earlier
 		// transits otherwise (a deepening hierarchy).
-		nProv := 1 + pick(2, b.seed(), 0x1909, uint64(i))
+		nProv := 1 + Pick(2, b.seed(), 0x1909, uint64(i))
 		for k := 0; k < nProv; k++ {
 			var prov *AS
-			if i < 6 || unit(b.seed(), 0x1915, uint64(i), uint64(k)) < 0.5 {
-				prov = b.clique[pick(cliqueSize, b.seed(), 0x1916, uint64(i), uint64(k))]
+			if i < 6 || Unit(b.seed(), 0x1915, uint64(i), uint64(k)) < 0.5 {
+				prov = b.clique[Pick(cliqueSize, b.seed(), 0x1916, uint64(i), uint64(k))]
 			} else {
-				prov = b.transits[pick(i, b.seed(), 0x1917, uint64(i), uint64(k))]
+				prov = b.transits[Pick(i, b.seed(), 0x1917, uint64(i), uint64(k))]
 			}
 			if !hasNeighbor(a, prov) {
 				link(prov, a)
@@ -119,7 +119,7 @@ func (b *builder) buildTransits() {
 	density := b.p.Curves.PeeringDensity.At(b.era)
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			if unit(b.seed(), 0xbee5, uint64(i), uint64(j)) < density {
+			if Unit(b.seed(), 0xbee5, uint64(i), uint64(j)) < density {
 				if !hasNeighbor(b.transits[i], b.transits[j]) {
 					peerLink(b.transits[i], b.transits[j])
 				}
@@ -174,8 +174,8 @@ func (b *builder) buildOrigins() {
 		if member[i] >= 0 {
 			continue
 		}
-		if unit(b.seed(), 0xc4a1, uint64(i)) < chainProb {
-			length := 2 + pick(5, b.seed(), 0xc4a2, uint64(i)) // 2–6 siblings
+		if Unit(b.seed(), 0xc4a1, uint64(i)) < chainProb {
+			length := 2 + Pick(5, b.seed(), 0xc4a2, uint64(i)) // 2–6 siblings
 			for k := 1; k < length && i+k < n; k++ {
 				member[i+k] = i
 			}
@@ -186,7 +186,7 @@ func (b *builder) buildOrigins() {
 	for i := 0; i < n; i++ {
 		a := &AS{
 			ASN: originASN(i), Index: i,
-			HasV6: unit(b.seed(), 0x0006, uint64(i)) < v6share,
+			HasV6: Unit(b.seed(), 0x0006, uint64(i)) < v6share,
 		}
 		b.origins[i] = a
 		b.g.ASes = append(b.g.ASes, a)
@@ -203,7 +203,7 @@ func (b *builder) buildOrigins() {
 			continue
 		}
 
-		isContent := unit(b.seed(), 0xc0e7, uint64(i)) < contentShare
+		isContent := Unit(b.seed(), 0xc0e7, uint64(i)) < contentShare
 		if isContent {
 			a.Tier = TierContent
 		} else {
@@ -212,15 +212,15 @@ func (b *builder) buildOrigins() {
 
 		// Providers among transits (occasionally the clique directly).
 		nProv := 1
-		if unit(b.seed(), 0x3017, uint64(i)) < multihomed {
+		if Unit(b.seed(), 0x3017, uint64(i)) < multihomed {
 			nProv = 2 + geometric(0.3, 3, b.seed(), 0x3018, uint64(i)) - 1
 		}
 		for k := 0; k < nProv; k++ {
 			var prov *AS
-			if unit(b.seed(), 0x3019, uint64(i), uint64(k)) < 0.06 {
-				prov = b.clique[pick(cliqueSize, b.seed(), 0x301a, uint64(i), uint64(k))]
+			if Unit(b.seed(), 0x3019, uint64(i), uint64(k)) < 0.06 {
+				prov = b.clique[Pick(cliqueSize, b.seed(), 0x301a, uint64(i), uint64(k))]
 			} else {
-				prov = b.transits[pick(len(b.transits), b.seed(), 0x301b, uint64(i), uint64(k))]
+				prov = b.transits[Pick(len(b.transits), b.seed(), 0x301b, uint64(i), uint64(k))]
 			}
 			if !hasNeighbor(a, prov) {
 				link(prov, a)
@@ -229,9 +229,9 @@ func (b *builder) buildOrigins() {
 
 		// Content networks peer widely (IXP fabric).
 		if isContent {
-			nPeer := 2 + pick(7, b.seed(), 0x0eef, uint64(i))
+			nPeer := 2 + Pick(7, b.seed(), 0x0eef, uint64(i))
 			for k := 0; k < nPeer; k++ {
-				t := b.transits[pick(len(b.transits), b.seed(), 0x0ef0, uint64(i), uint64(k))]
+				t := b.transits[Pick(len(b.transits), b.seed(), 0x0ef0, uint64(i), uint64(k))]
 				if !hasNeighbor(a, t) {
 					peerLink(a, t)
 				}
@@ -272,7 +272,7 @@ func v4Prefix(slot uint32, bits int) netip.Prefix {
 
 // prefixLen samples a v4 prefix length in /21–/24 (fragmentation-heavy).
 func prefixLen(seed uint64, asIdx, j int) int {
-	switch r := unit(seed, 0x91e5, uint64(asIdx), uint64(j)); {
+	switch r := Unit(seed, 0x91e5, uint64(asIdx), uint64(j)); {
 	case r < 0.65:
 		return 24
 	case r < 0.80:
@@ -289,7 +289,7 @@ func (b *builder) assignTransitPrefixes() {
 	slot := uint32(transitSlotBase)
 	core := append(append([]*AS(nil), b.clique...), b.transits...)
 	for ci, a := range core {
-		count := 1 + pick(3, b.seed(), 0x7e1, uint64(a.ASN))
+		count := 1 + Pick(3, b.seed(), 0x7e1, uint64(a.ASN))
 		grp := b.newGroup(a, false)
 		for j := 0; j < count; j++ {
 			grp.Prefixes = append(grp.Prefixes, v4Prefix(slot, prefixLen(b.seed(), ci+1<<20, j)))
@@ -311,7 +311,7 @@ func (b *builder) assignTransitPrefixes() {
 // stable means even at small Scale.
 func stratified(seed uint64, salt uint64, i int) float64 {
 	const phi = 0.6180339887498949
-	v := phi*float64(i+1) + unit(seed, salt)
+	v := phi*float64(i+1) + Unit(seed, salt)
 	return v - math.Floor(v)
 }
 
@@ -432,7 +432,7 @@ func (b *builder) assignOriginPrefixes() {
 		for j := 0; j < count; j++ {
 			prefixes[j] = v4Prefix(base+uint32(j*slotStride), prefixLen(b.seed(), i, j))
 		}
-		split := splitBase * 2 * unit(b.seed(), 0x5711, uint64(i))
+		split := splitBase * 2 * Unit(b.seed(), 0x5711, uint64(i))
 		if len(a.Providers) < 2 {
 			// Single-homed origins have little to differentiate: only
 			// prepending distinguishes their announcements.
@@ -460,7 +460,7 @@ func (b *builder) assignOriginPrefixes() {
 					v6prefixes[j] = v6Subnet(uint32(i), uint32(j))
 				}
 			}
-			split6 := v6split * 2 * unit(b.seed(), 0x5716, uint64(i))
+			split6 := v6split * 2 * Unit(b.seed(), 0x5716, uint64(i))
 			if split6 > 0.95 {
 				split6 = 0.95
 			}
@@ -504,15 +504,15 @@ func (b *builder) buildGroups(a *AS, salt int, prefixes []netip.Prefix, v6 bool,
 	grp := b.newGroup(a, v6)
 	b.announceAll(a, grp, 0)
 	// Background prepending on the primary group.
-	if len(a.Providers) > 1 && unit(b.seed(), 0x9a01, uint64(salt)) < 0.10 {
-		target := a.Providers[pick(len(a.Providers), b.seed(), 0x9a02, uint64(salt))]
-		grp.Announce[target] = AnnouncePolicy{Prepend: 1 + pick(3, b.seed(), 0x9a03, uint64(salt))}
+	if len(a.Providers) > 1 && Unit(b.seed(), 0x9a01, uint64(salt)) < 0.10 {
+		target := a.Providers[Pick(len(a.Providers), b.seed(), 0x9a02, uint64(salt))]
+		grp.Announce[target] = AnnouncePolicy{Prepend: 1 + Pick(3, b.seed(), 0x9a03, uint64(salt))}
 	}
 	groups := []*PolicyGroup{grp}
 	grp.Prefixes = append(grp.Prefixes, prefixes[0])
 
 	for j := 1; j < len(prefixes); j++ {
-		if unit(b.seed(), 0x9b01, uint64(salt), uint64(j)) < split {
+		if Unit(b.seed(), 0x9b01, uint64(salt), uint64(j)) < split {
 			ng := b.newGroup(a, v6)
 			b.assignAnnounce(a, ng, groups[len(groups)-1], salt, j, sameShare, prepShare)
 			groups = append(groups, ng)
@@ -520,7 +520,7 @@ func (b *builder) buildGroups(a *AS, salt int, prefixes []netip.Prefix, v6 bool,
 			continue
 		}
 		// Join an existing group, biased toward the first (big atoms).
-		r := unit(b.seed(), 0x9b02, uint64(salt), uint64(j))
+		r := Unit(b.seed(), 0x9b02, uint64(salt), uint64(j))
 		gi := int(float64(len(groups)) * r * r)
 		if gi >= len(groups) {
 			gi = len(groups) - 1
@@ -541,7 +541,7 @@ func (b *builder) buildGroups(a *AS, salt int, prefixes []netip.Prefix, v6 bool,
 // Single-homed origins cannot selectively announce (Kastanakis et al.'s
 // observation), so their "selective" draw becomes a prepend variation.
 func (b *builder) assignAnnounce(a *AS, ng, prev *PolicyGroup, salt, j int, sameShare, prepShare float64) {
-	r := unit(b.seed(), 0x9c01, uint64(salt), uint64(j))
+	r := Unit(b.seed(), 0x9c01, uint64(salt), uint64(j))
 	copyPrev := func() {
 		for n, pol := range prev.Announce {
 			ng.Announce[n] = pol
@@ -551,11 +551,11 @@ func (b *builder) assignAnnounce(a *AS, ng, prev *PolicyGroup, salt, j int, same
 		copyPrev()
 		neighbors := announceKeys(prev)
 		if len(neighbors) > 0 {
-			t := neighbors[pick(len(neighbors), b.seed(), 0x9c02, uint64(salt), uint64(j))]
+			t := neighbors[Pick(len(neighbors), b.seed(), 0x9c02, uint64(salt), uint64(j))]
 			// Vary the prepend count but keep it bounded (real-world
 			// prepending rarely exceeds a handful): cycle within 0..6,
 			// always different from the previous group's value.
-			next := (prev.Announce[t].Prepend + 1 + pick(2, b.seed(), 0x9c03, uint64(salt), uint64(j))) % 7
+			next := (prev.Announce[t].Prepend + 1 + Pick(2, b.seed(), 0x9c03, uint64(salt), uint64(j))) % 7
 			ng.Announce[t] = AnnouncePolicy{Prepend: next}
 		}
 	}
@@ -567,12 +567,12 @@ func (b *builder) assignAnnounce(a *AS, ng, prev *PolicyGroup, salt, j int, same
 	default:
 		// A proper, non-empty subset of providers: exclude one provider
 		// by hash, include the rest with high probability.
-		excluded := pick(len(a.Providers), b.seed(), 0x9c04, uint64(salt), uint64(j))
+		excluded := Pick(len(a.Providers), b.seed(), 0x9c04, uint64(salt), uint64(j))
 		for k, p := range a.Providers {
 			if k == excluded {
 				continue
 			}
-			if len(ng.Announce) == 0 || unit(b.seed(), 0x9c05, uint64(salt), uint64(j), uint64(k)) < 0.8 {
+			if len(ng.Announce) == 0 || Unit(b.seed(), 0x9c05, uint64(salt), uint64(j), uint64(k)) < 0.8 {
 				ng.Announce[p] = AnnouncePolicy{}
 			}
 		}
@@ -583,14 +583,14 @@ func (b *builder) assignAnnounce(a *AS, ng, prev *PolicyGroup, salt, j int, same
 		}
 		// Peers join regionally.
 		for k, p := range a.Peers {
-			if unit(b.seed(), 0x9c06, uint64(salt), uint64(j), uint64(k)) < 0.5 {
+			if Unit(b.seed(), 0x9c06, uint64(salt), uint64(j), uint64(k)) < 0.5 {
 				ng.Announce[p] = AnnouncePolicy{}
 			}
 		}
 		// Occasional prepending on the subset too.
 		for _, n := range announceKeys(ng) {
-			if unit(b.seed(), 0x9c08, uint64(salt), uint64(j), uint64(n)) < 0.08 {
-				ng.Announce[n] = AnnouncePolicy{Prepend: 1 + pick(2, b.seed(), 0x9c09, uint64(salt), uint64(j), uint64(n))}
+			if Unit(b.seed(), 0x9c08, uint64(salt), uint64(j), uint64(n)) < 0.08 {
+				ng.Announce[n] = AnnouncePolicy{Prepend: 1 + Pick(2, b.seed(), 0x9c09, uint64(salt), uint64(j), uint64(n))}
 			}
 		}
 	}
@@ -618,10 +618,10 @@ func (b *builder) moasPass() {
 				continue
 			}
 			for pi, pfx := range grp.Prefixes {
-				if unit(b.seed(), 0x30a5, uint64(grp.ID), uint64(pi)) >= share {
+				if Unit(b.seed(), 0x30a5, uint64(grp.ID), uint64(pi)) >= share {
 					continue
 				}
-				oi := pick(len(b.origins), b.seed(), 0x30a6, uint64(i), uint64(pi))
+				oi := Pick(len(b.origins), b.seed(), 0x30a6, uint64(i), uint64(pi))
 				other := b.origins[oi]
 				if other.ASN == a.ASN || len(other.Groups) == 0 {
 					continue

@@ -176,16 +176,16 @@ type ExportHash struct{ sel, prep, pick uint64 }
 
 func stageExportHash(seed uint64, asn uint32) ExportHash {
 	return ExportHash{
-		sel:  h64(seed, tagSelect, uint64(asn)),
-		prep: h64(seed, tagPrepend, uint64(asn)),
-		pick: h64(seed, tagPick, uint64(asn)),
+		sel:  H64(seed, tagSelect, uint64(asn)),
+		prep: H64(seed, tagPrepend, uint64(asn)),
+		pick: H64(seed, tagPick, uint64(asn)),
 	}
 }
 
 // ForUnit advances the staged hash by a unit ID.
 func (h ExportHash) ForUnit(unitID int) ExportHash {
 	u := uint64(unitID)
-	return ExportHash{sel: mix64(h.sel ^ u), prep: mix64(h.prep ^ u), pick: mix64(h.pick ^ u)}
+	return ExportHash{sel: Mix64(h.sel ^ u), prep: Mix64(h.prep ^ u), pick: Mix64(h.pick ^ u)}
 }
 
 // Exports decides whether AS from, whose staged hash advanced to a unit
@@ -201,11 +201,11 @@ func (h ExportHash) ForUnit(unitID int) ExportHash {
 // peer crossings diversifies upper paths — the paper's distance-3 atom
 // splits — without making prefixes globally invisible.
 func (h ExportHash) Exports(from *AS, to uint32, toPeer bool) (ok bool, prepend int) {
-	if toPeer && from.Selectivity > 0 && toUnit(mix64(h.sel^uint64(to))) < from.Selectivity {
+	if toPeer && from.Selectivity > 0 && toUnit(Mix64(h.sel^uint64(to))) < from.Selectivity {
 		return false, 0
 	}
-	if from.PrependRate > 0 && toUnit(mix64(h.prep^uint64(to))) < from.PrependRate {
-		prepend = 1 + int(mix64(h.pick^uint64(to))%2)
+	if from.PrependRate > 0 && toUnit(Mix64(h.prep^uint64(to))) < from.PrependRate {
+		prepend = 1 + int(Mix64(h.pick^uint64(to))%2)
 	}
 	return true, prepend
 }

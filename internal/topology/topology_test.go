@@ -59,24 +59,24 @@ func TestCurveInterpolation(t *testing.T) {
 }
 
 func TestRNGDeterminism(t *testing.T) {
-	if h64(1, 2, 3) != h64(1, 2, 3) {
-		t.Error("h64 not deterministic")
+	if H64(1, 2, 3) != H64(1, 2, 3) {
+		t.Error("H64 not deterministic")
 	}
-	if h64(1, 2, 3) == h64(1, 2, 4) || h64(1, 2) == h64(2, 1) {
-		t.Error("h64 collisions on trivial inputs")
+	if H64(1, 2, 3) == H64(1, 2, 4) || H64(1, 2) == H64(2, 1) {
+		t.Error("H64 collisions on trivial inputs")
 	}
-	u := unit(42, 7)
+	u := Unit(42, 7)
 	if u < 0 || u >= 1 {
-		t.Errorf("unit = %v", u)
+		t.Errorf("Unit = %v", u)
 	}
-	// pick bounds.
+	// Pick bounds.
 	for i := 0; i < 100; i++ {
-		if v := pick(7, uint64(i)); v < 0 || v >= 7 {
-			t.Fatalf("pick out of range: %d", v)
+		if v := Pick(7, uint64(i)); v < 0 || v >= 7 {
+			t.Fatalf("Pick out of range: %d", v)
 		}
 	}
-	if pick(0, 1) != 0 {
-		t.Error("pick(0) should be 0")
+	if Pick(0, 1) != 0 {
+		t.Error("Pick(0) should be 0")
 	}
 	// geometric bounds and mean sanity.
 	sum := 0

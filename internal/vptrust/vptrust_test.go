@@ -92,7 +92,7 @@ func TestDetectsPlantedFlappyVP(t *testing.T) {
 	}
 	var perDay [][]metrics.SplitEvent
 	for d := 0; d+2 < len(snaps); d++ {
-		perDay = append(perDay, metrics.DetectSplits(snaps[d], snaps[d+1], snaps[d+2]))
+		perDay = append(perDay, metrics.DetectSplits(snaps[d], snaps[d+1], snaps[d+2], nil))
 	}
 	rep := Analyze(perDay)
 	if rep.TotalEvents == 0 {

@@ -54,11 +54,11 @@ go vet ./...
 
 echo "== atomlint ./... (determinism, hotpath, wiresafety, locks, aliasing, lifecycle)"
 lint_start="$(date +%s)"
-go run ./cmd/atomlint -workers 0 ./...
+go run ./cmd/atomlint ./...
 lint_elapsed="$(( $(date +%s) - lint_start ))"
-# Lint wall-time gate: the parallel grid keeps the full-suite sweep
-# (including go run's compile) well under this; a blowout means an
-# analyzer regressed to superlinear work.
+# Lint wall-time gate: with standard-library types read from export
+# data, the sequential sweep (including go run's compile) takes seconds;
+# a blowout means an analyzer regressed to superlinear work.
 if [ "$lint_elapsed" -gt 120 ]; then
 	echo "atomlint took ${lint_elapsed}s, over the 120s wall-time gate"
 	exit 1
@@ -98,7 +98,7 @@ go test -race -count=1 ./internal/replay/
 go test -race -count=1 -run 'TestRunChurnReplayDifferential' ./internal/longitudinal/
 
 echo "== go test -race (atomd: daemon-vs-batch differential, shutdown lifecycle, concurrent queries)"
-go test -race -count=1 -run 'TestDaemon|TestShutdown|TestRestart|TestConcurrent' ./internal/atomd/
+go test -race -count=1 -run 'TestDaemon|TestShutdown|TestRestart|TestConcurrent|TestRepliesShareOneGeneration' ./internal/atomd/
 
 echo "== live observability smoke (atomrepro -listen: scrape /metrics, /healthz, /runreport; promlint)"
 go run scripts/obssmoke.go
