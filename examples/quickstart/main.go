@@ -8,6 +8,7 @@ package main
 import (
 	"fmt"
 
+	"repro/internal/aspath"
 	"repro/internal/collector"
 	"repro/internal/core"
 	"repro/internal/sanitize"
@@ -29,8 +30,11 @@ func main() {
 		len(infra.Collectors), len(infra.FullFeedASNs()))
 
 	// 3. Every peer's routing table (the fast in-memory path; BuildRIBs
-	// produces the identical data as RFC 6396 MRT archives).
-	feeds := collector.BuildFeeds(graph, infra, nil, collector.EpochOf(graph.Era))
+	// produces the identical data as RFC 6396 MRT archives), as one
+	// prefix × peer matrix of AS paths interned into one table.
+	feeds := collector.BuildFeeds(graph, infra, nil, collector.EpochOf(graph.Era), aspath.NewTable())
+	fmt.Printf("feeds: %d peers × %d prefixes, %d distinct AS paths\n",
+		len(feeds.Feeds), len(feeds.Prefixes), feeds.Paths.Len()-1)
 
 	// 4. The paper's sanitization: full-feed inference, abnormal-peer
 	// removal, prefix-length and visibility filters.

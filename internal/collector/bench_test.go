@@ -3,18 +3,21 @@ package collector_test
 import (
 	"testing"
 
+	"repro/internal/aspath"
 	"repro/internal/collector"
 	"repro/internal/longitudinal"
 	"repro/internal/sanitize"
 	"repro/internal/topology"
 )
 
-var feedsSink []*sanitize.Feed
+var feedsSink *sanitize.FeedSet
 
 // BenchmarkBuildFeeds times the fast path's feed synthesis alone: route
 // every unit at every vantage point through the routing engine, fill the
-// route table, and cut the per-peer feeds, for one 2024Q1 snapshot at
-// the benchmark's 0.004 scale with the era's artifacts and churn overlay.
+// route table, and lay out the feed set, for one 2024Q1 snapshot at the
+// benchmark's 0.004 scale with the era's artifacts and churn overlay.
+// Each iteration interns into a fresh table, as an era's first snapshot
+// does.
 func BenchmarkBuildFeeds(b *testing.B) {
 	cfg := longitudinal.DefaultConfig(7)
 	cfg.Scale = 0.004
@@ -24,6 +27,6 @@ func BenchmarkBuildFeeds(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		feedsSink = collector.BuildFeeds(r.Graph, r.Infra, ov, ts)
+		feedsSink = collector.BuildFeeds(r.Graph, r.Infra, ov, ts, aspath.NewTable())
 	}
 }

@@ -2,11 +2,13 @@ package collector
 
 import (
 	"net/netip"
+	"slices"
 	"testing"
 
 	"repro/internal/aspath"
 	"repro/internal/bgp"
 	"repro/internal/bgpstream"
+	"repro/internal/core"
 	"repro/internal/routing"
 	"repro/internal/sanitize"
 	"repro/internal/topology"
@@ -32,8 +34,8 @@ func TestUpdatesTransformRIBs(t *testing.T) {
 	const t1, t2 = 10.0, 11.0
 	ts := EpochOf(g.Era)
 
-	feeds1 := BuildFeeds(g, in, model.OverlayAt(g, t1, vps), ts)
-	feeds2 := BuildFeeds(g, in, model.OverlayAt(g, t2, vps), ts+86400)
+	feeds1 := BuildFeeds(g, in, model.OverlayAt(g, t1, vps), ts, aspath.NewTable())
+	feeds2 := BuildFeeds(g, in, model.OverlayAt(g, t2, vps), ts+86400, aspath.NewTable())
 
 	updates := BuildUpdates(g, in, UpdateConfig{
 		Model: model, FromT: t1, ToT: t2, BaseTime: ts,
@@ -57,17 +59,8 @@ func TestUpdatesTransformRIBs(t *testing.T) {
 	if peer == nil {
 		t.Skip("no clean full feed")
 	}
-	var table1, table2 map[netip.Prefix]aspath.Seq
-	for _, f := range feeds1 {
-		if f.VP.Collector == coll.Name && f.VP.ASN == peer.ASN {
-			table1 = routeMap(f.Routes)
-		}
-	}
-	for _, f := range feeds2 {
-		if f.VP.Collector == coll.Name && f.VP.ASN == peer.ASN {
-			table2 = routeMap(f.Routes)
-		}
-	}
+	vp := core.VP{Collector: coll.Name, ASN: peer.ASN}
+	table1, table2 := routeMap(feeds1, vp), routeMap(feeds2, vp)
 	if table1 == nil || table2 == nil {
 		t.Fatal("peer feed missing")
 	}
@@ -132,11 +125,18 @@ func TestUpdatesTransformRIBs(t *testing.T) {
 	}
 }
 
-// routeMap indexes a feed's sorted routes by prefix.
-func routeMap(routes []sanitize.Route) map[netip.Prefix]aspath.Seq {
-	m := make(map[netip.Prefix]aspath.Seq, len(routes))
-	for _, r := range routes {
-		m[r.Prefix] = r.Path
+// routeMap indexes vp's routes in fs by prefix; nil when fs has no
+// feed for vp.
+func routeMap(fs *sanitize.FeedSet, vp core.VP) map[netip.Prefix]aspath.Seq {
+	f := slices.IndexFunc(fs.Feeds, func(fi sanitize.FeedInfo) bool { return fi.VP == vp })
+	if f < 0 {
+		return nil
+	}
+	m := map[netip.Prefix]aspath.Seq{}
+	for p, pfx := range fs.Prefixes {
+		if id := fs.Row(p)[f]; id != aspath.Empty {
+			m[pfx] = fs.Paths.Seq(id)
+		}
 	}
 	return m
 }

@@ -3,6 +3,7 @@ package collector
 import (
 	"slices"
 
+	"repro/internal/aspath"
 	"repro/internal/core"
 	"repro/internal/prefixset"
 	"repro/internal/routing"
@@ -17,64 +18,80 @@ import (
 // insertion, duplicate counting, and stale stuck feeds are all applied
 // identically (the same hash decisions), so sanitize.CleanFeeds yields
 // the same snapshot either way. TestFastPathEquivalence holds the two
-// paths together.
+// paths together. Every path is interned into table: once per (unit,
+// VP) route, once per rewritten private-ASN path, once per ghost.
 //
 // The ADD-PATH artifact has no feed-level representation (it is a wire
 // encoding defect); its detection signal travels via update-stream
 // warnings in both paths.
-func BuildFeeds(g *topology.Graph, in *Infra, ov *routing.Overlay, ts uint32) []*sanitize.Feed {
-	t := buildRouteTable(g, in, ov)
-	var feeds []*sanitize.Feed
-	var scratch, ghosts []sanitize.Route
+func BuildFeeds(g *topology.Graph, in *Infra, ov *routing.Overlay, ts uint32, table *aspath.Table) *sanitize.FeedSet {
+	t := buildRouteTable(g, in, ov, table)
+	var peers []*Peer
+	var feeds []sanitize.FeedInfo
 	for _, c := range in.Collectors {
 		for _, p := range c.Peers {
-			f := &sanitize.Feed{VP: core.VP{Collector: c.Name, ASN: p.ASN}, Time: ts}
-			col := t.cols[p.ASN]
-			scratch = scratch[:0]
-			for pi, pfx := range t.prefixes {
-				path := peerPath(in, p, pfx, t.row(pi)[col].path)
-				if path == nil {
-					continue
-				}
-				scratch = append(scratch, sanitize.Route{Prefix: pfx, Path: path})
-				if duplicated(in, p, pfx) {
-					f.Duplicates++
-				}
-			}
-			ghosts = ghosts[:0]
-			for j := range ghostCount(p, t.routed) {
-				ghosts = append(ghosts, sanitize.Route{Prefix: ghostPrefix(p.ASN, j), Path: ghostPath(in, p, j)})
-			}
-			f.Routes = mergeGhosts(scratch, ghosts)
-			feeds = append(feeds, f)
+			peers = append(peers, p)
+			feeds = append(feeds, sanitize.FeedInfo{VP: core.VP{Collector: c.Name, ASN: p.ASN}})
 		}
 	}
-	return feeds
-}
 
-// mergeGhosts returns a right-sized copy of the sorted routes with the
-// ghost routes merged in, keeping the result strictly ascending: a ghost
-// that lands on a routed prefix replaces that route.
-func mergeGhosts(routes, ghosts []sanitize.Route) []sanitize.Route {
-	slices.SortFunc(ghosts, func(a, b sanitize.Route) int {
-		return prefixset.ComparePrefixes(a.Prefix, b.Prefix)
-	})
-	out := make([]sanitize.Route, 0, len(routes)+len(ghosts))
-	i, j := 0, 0
-	for i < len(routes) && j < len(ghosts) {
-		switch c := prefixset.ComparePrefixes(routes[i].Prefix, ghosts[j].Prefix); {
-		case c < 0:
-			out = append(out, routes[i])
-			i++
-		case c > 0:
-			out = append(out, ghosts[j])
-			j++
-		default:
-			out = append(out, ghosts[j])
-			i++
-			j++
+	// Ghost prefixes: fabricated, visible only at their peer. They join
+	// the route table's prefixes in the feed set's prefix union (the
+	// clip makes the first append copy), and a ghost that lands on a
+	// routed prefix replaces that route.
+	union := slices.Clip(t.prefixes)
+	for _, p := range peers {
+		for j := range ghostCount(p, t.routed) {
+			union = append(union, ghostPrefix(p.ASN, j))
 		}
 	}
-	out = append(out, routes[i:]...)
-	return append(out, ghosts[j:]...)
+	if len(union) > len(t.prefixes) {
+		prefixset.SortPrefixes(union)
+		union = slices.Clip(slices.Compact(union))
+	}
+
+	fs := sanitize.NewFeedSet(ts, table, union, feeds)
+	cols := make([]int, len(peers))
+	for f, p := range peers {
+		cols[f] = t.cols[p.ASN]
+	}
+	// A private-ASN peer's rewrite depends on the path alone, so each
+	// distinct path is rewritten and interned once.
+	private := map[aspath.ID]aspath.ID{}
+	var buf aspath.Seq
+	ti := 0
+	for r, pfx := range fs.Prefixes {
+		if ti == len(t.prefixes) || t.prefixes[ti] != pfx {
+			continue // a ghost-only row
+		}
+		src, dst := t.row(ti), fs.Row(r)
+		ti++
+		label := prefixLabel(pfx)
+		for f, p := range peers {
+			id := src[cols[f]].id
+			if id == aspath.Empty || !carries(in, p, label) {
+				continue
+			}
+			if p.Artifact == ArtifactPrivateASN {
+				pid, ok := private[id]
+				if !ok {
+					buf = withPrivateASN(buf[:0], table.Seq(id))
+					pid = table.Intern(buf)
+					private[id] = pid
+				}
+				id = pid
+			}
+			dst[f] = id
+			if duplicated(in, p, label) {
+				fs.Feeds[f].Duplicates++
+			}
+		}
+	}
+	for f, p := range peers {
+		for j := range ghostCount(p, t.routed) {
+			r, _ := slices.BinarySearchFunc(fs.Prefixes, ghostPrefix(p.ASN, j), prefixset.ComparePrefixes)
+			fs.Row(r)[f] = table.Intern(ghostPath(in, p, j))
+		}
+	}
+	return fs
 }

@@ -8,6 +8,7 @@ import (
 	"repro/internal/aspath"
 	"repro/internal/bgp"
 	"repro/internal/bgpstream"
+	"repro/internal/core"
 	"repro/internal/prefixset"
 	"repro/internal/routing"
 	"repro/internal/sanitize"
@@ -39,7 +40,7 @@ func TestFastPathEquivalence(t *testing.T) {
 	}
 
 	// Fast path: in-memory feeds.
-	feeds := BuildFeeds(g, in, ov, ts)
+	feeds := BuildFeeds(g, in, ov, ts, aspath.NewTable())
 	fast, fastRep, err := sanitize.CleanFeeds(feeds, nil, sanitize.Defaults())
 	if err != nil {
 		t.Fatal(err)
@@ -76,9 +77,10 @@ func TestFastPathEquivalence(t *testing.T) {
 	}
 }
 
-// TestBuildFeedsSortedRoutes checks the Feed contract BuildFeeds must
-// meet: every feed's routes are strictly ascending by prefix, ghost
-// prefixes, moved prefixes and stuck peers included.
+// TestBuildFeedsSortedRoutes checks the FeedSet contract BuildFeeds
+// must meet: the prefix union is strictly ascending, ghost prefixes,
+// moved prefixes and stuck peers included, and every path ID is in the
+// set's table.
 func TestBuildFeedsSortedRoutes(t *testing.T) {
 	p := topology.DefaultParams(41)
 	p.Scale = 0.008
@@ -88,15 +90,19 @@ func TestBuildFeedsSortedRoutes(t *testing.T) {
 		TransitFlipShare: 0.4, PrefixMobileShare: 0.01, PrefixBaseMoveRate: 0.01, VPShiftShare: 0.01}
 	ov := model.OverlayAt(g, 12.5, in.FullFeedASNs())
 
-	ghosts := 0
-	for _, f := range BuildFeeds(g, in, ov, EpochOf(g.Era)) {
-		for j := 1; j < len(f.Routes); j++ {
-			if prefixset.ComparePrefixes(f.Routes[j-1].Prefix, f.Routes[j].Prefix) >= 0 {
-				t.Fatalf("feed %v: route %d %v not after %v", f.VP, j, f.Routes[j].Prefix, f.Routes[j-1].Prefix)
-			}
+	fs := BuildFeeds(g, in, ov, EpochOf(g.Era), aspath.NewTable())
+	for p := 1; p < len(fs.Prefixes); p++ {
+		if prefixset.ComparePrefixes(fs.Prefixes[p-1], fs.Prefixes[p]) >= 0 {
+			t.Fatalf("prefix %d %v not after %v", p, fs.Prefixes[p], fs.Prefixes[p-1])
 		}
-		for _, r := range f.Routes {
-			if r.Prefix == ghostPrefix(f.VP.ASN, 0) {
+	}
+	ghosts := 0
+	for p, pfx := range fs.Prefixes {
+		for f, id := range fs.Row(p) {
+			if int(id) >= fs.Paths.Len() {
+				t.Fatalf("%v at %v: ID %d outside the table (%d paths)", pfx, fs.Feeds[f].VP, id, fs.Paths.Len())
+			}
+			if id != aspath.Empty && pfx == ghostPrefix(fs.Feeds[f].VP.ASN, 0) {
 				ghosts++
 			}
 		}
@@ -132,13 +138,13 @@ func TestGhostCountOverRoutedPrefixes(t *testing.T) {
 	// a full feed without ghosts, the union of the feeds is exactly the
 	// set of prefixes some peer routes.
 	full := cloneInfra(in, func(p *Peer) { p.FullFeed, p.GhostShare = true, 0 })
-	union := map[netip.Prefix]bool{}
-	for _, f := range BuildFeeds(g, full, ov, ts) {
-		for _, r := range f.Routes {
-			union[r.Prefix] = true
+	fs := BuildFeeds(g, full, ov, ts, aspath.NewTable())
+	routed := 0
+	for p := range fs.Prefixes {
+		if slices.ContainsFunc(fs.Row(p), func(id aspath.ID) bool { return id != aspath.Empty }) {
+			routed++
 		}
 	}
-	routed := len(union)
 	if routed == 0 || routed >= len(announced) {
 		t.Fatalf("routed %d of %d announced prefixes: the scenario needs unrouted ones", routed, len(announced))
 	}
@@ -150,12 +156,7 @@ func TestGhostCountOverRoutedPrefixes(t *testing.T) {
 			p.FullFeed, p.PartialShare, p.GhostShare = false, 1, 1
 		}
 	})
-	var feed map[netip.Prefix]aspath.Seq
-	for _, f := range BuildFeeds(g, ghosty, ov, ts) {
-		if f.VP.Collector == ghosty.Collectors[0].Name && f.VP.ASN == ghostASN {
-			feed = routeMap(f.Routes)
-		}
-	}
+	feed := routeMap(BuildFeeds(g, ghosty, ov, ts, aspath.NewTable()), core.VP{Collector: ghosty.Collectors[0].Name, ASN: ghostASN})
 	peer := ghosty.Collectors[0].Peers[0]
 	got := 0
 	for feed[ghostPrefix(ghostASN, got)].Equal(ghostPath(ghosty, peer, got)) {
@@ -196,7 +197,7 @@ func TestLazyAltRoutes(t *testing.T) {
 	model := routing.ChurnModel{Seed: 3, UnitEventRate: 0.3, VPEventRate: 2,
 		TransitFlipShare: 0.4, PrefixMobileShare: 0.01, PrefixBaseMoveRate: 0.01, VPShiftShare: 0.5}
 	ov := model.OverlayAt(g, 12.5, in.FullFeedASNs())
-	got := buildRouteTable(g, in, ov)
+	got := buildRouteTable(g, in, ov, aspath.NewTable())
 
 	seen := map[uint32]bool{}
 	var vps []uint32
@@ -207,7 +208,7 @@ func TestLazyAltRoutes(t *testing.T) {
 		seen[cp.Peer.ASN] = true
 	}
 	slices.Sort(vps)
-	want := &routeTable{prefixes: got.prefixes, nVPs: got.nVPs, cells: make([]routeEntry, len(got.cells))}
+	want := &routeTable{paths: got.paths, prefixes: got.prefixes, nVPs: got.nVPs, cells: make([]routeEntry, len(got.cells))}
 	eng := routing.NewEngine(g, ov)
 	moves := routing.BuildMoveSet(ov)
 	shifted := 0
@@ -226,12 +227,12 @@ func TestLazyAltRoutes(t *testing.T) {
 					continue
 				}
 				if tok := ov.VPShift[vp]; tok != 0 && alts[v].Path != nil &&
-					(unitc(ov.VPSticky[vp], label) < ov.VPShiftShare*0.7 || unitc(tok, label) < ov.VPShiftShare*0.3) {
+					(topology.ChainUnit(ov.VPSticky[vp], label) < ov.VPShiftShare*0.7 || topology.ChainUnit(tok, label) < ov.VPShiftShare*0.3) {
 					r = alts[v]
 					shifted++
 				}
-				cand := routeEntry{path: r.Path, cost: int32(r.Cost), class: r.Class}
-				if row[v].path == nil || better(cand, row[v]) {
+				cand := want.entry(r)
+				if row[v].id == aspath.Empty || want.better(cand, row[v]) {
 					row[v] = cand
 				}
 			}
@@ -243,8 +244,9 @@ func TestLazyAltRoutes(t *testing.T) {
 	for p, pfx := range got.prefixes {
 		for v, vp := range vps {
 			a, b := got.row(p)[v], want.row(p)[v]
-			if !a.path.Equal(b.path) || a.cost != b.cost || a.class != b.class {
-				t.Fatalf("%v at VP %d: %v/%d/%v, eager %v/%d/%v", pfx, vp, a.path, a.cost, a.class, b.path, b.cost, b.class)
+			if a != b {
+				t.Fatalf("%v at VP %d: %v/%d/%v, eager %v/%d/%v", pfx, vp,
+					got.paths.Seq(a.id), a.cost, a.class, got.paths.Seq(b.id), b.cost, b.class)
 			}
 		}
 	}

@@ -185,10 +185,10 @@ func BuildInfra(g *topology.Graph, cfg Config) *Infra {
 	}
 
 	assign := func(idx int, p *Peer) {
-		primary := pickc(nColl, cfg.Seed, 0xa110, uint64(p.ASN))
+		primary := topology.ChainPick(nColl, cfg.Seed, 0xa110, uint64(p.ASN))
 		in.Collectors[primary].Peers = append(in.Collectors[primary].Peers, p)
-		if nColl > 1 && unitc(cfg.Seed, 0xa111, uint64(p.ASN)) < 0.3 {
-			secondary := (primary + 1 + pickc(nColl-1, cfg.Seed, 0xa112, uint64(p.ASN))) % nColl
+		if nColl > 1 && topology.ChainUnit(cfg.Seed, 0xa111, uint64(p.ASN)) < 0.3 {
+			secondary := (primary + 1 + topology.ChainPick(nColl-1, cfg.Seed, 0xa112, uint64(p.ASN))) % nColl
 			in.Collectors[secondary].Peers = append(in.Collectors[secondary].Peers, p)
 		}
 		_ = idx
@@ -206,7 +206,7 @@ func BuildInfra(g *topology.Graph, cfg Config) *Infra {
 		asn := candidates[nFull+k]
 		p := &Peer{
 			ASN: asn, Addr: peerAddr(asn),
-			PartialShare: 0.03 + 0.5*unitc(cfg.Seed, 0xa113, uint64(asn)),
+			PartialShare: 0.03 + 0.5*topology.ChainUnit(cfg.Seed, 0xa113, uint64(asn)),
 			GhostShare:   0.01,
 		}
 		assign(nFull+k, p)
@@ -224,7 +224,7 @@ func BuildInfra(g *topology.Graph, cfg Config) *Infra {
 
 // artifactFor assigns defects to a small, era-gated set of peers.
 func artifactFor(seed uint64, asn uint32, era topology.Era) Artifact {
-	r := unitc(seed, 0xa114, uint64(asn))
+	r := topology.ChainUnit(seed, 0xa114, uint64(asn))
 	switch {
 	case era >= topology.EraOf(2020, 1) && r < 0.03:
 		return ArtifactAddPath
@@ -252,14 +252,14 @@ func peerCandidates(g *topology.Graph, seed uint64) []uint32 {
 		case topology.TierContent:
 			content = append(content, a.ASN)
 		default:
-			if unitc(seed, 0xa115, uint64(a.ASN)) < 0.05 {
+			if topology.ChainUnit(seed, 0xa115, uint64(a.ASN)) < 0.05 {
 				stubs = append(stubs, a.ASN)
 			}
 		}
 	}
 	shuffle := func(s []uint32, salt uint64) {
 		sort.Slice(s, func(i, j int) bool {
-			return hhc(seed, salt, uint64(s[i])) < hhc(seed, salt, uint64(s[j]))
+			return topology.Chain64(seed, salt, uint64(s[i])) < topology.Chain64(seed, salt, uint64(s[j]))
 		})
 	}
 	shuffle(core, 0xa116)
@@ -283,27 +283,4 @@ func EpochOf(era topology.Era) uint32 {
 	// 90 days per quarter from a 2002Q1 base.
 	base := int64(1009843200) // 2002-01-01
 	return uint32(base + (int64(era)+8)*90*86400 + 14*86400 + 8*3600)
-}
-
-// Local label-addressed hash helpers.
-func hhc(vals ...uint64) uint64 {
-	acc := uint64(0x2545f4914f6cdd1d)
-	for _, v := range vals {
-		v += 0x9e3779b97f4a7c15
-		v = (v ^ acc ^ (v >> 30)) * 0xbf58476d1ce4e5b9
-		v = (v ^ (v >> 27)) * 0x94d049bb133111eb
-		acc = v ^ (v >> 31)
-	}
-	return acc
-}
-
-func unitc(vals ...uint64) float64 {
-	return float64(hhc(vals...)>>11) / float64(1<<53)
-}
-
-func pickc(n int, vals ...uint64) int {
-	if n <= 0 {
-		return 0
-	}
-	return int(hhc(vals...) % uint64(n))
 }

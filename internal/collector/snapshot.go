@@ -2,6 +2,7 @@ package collector
 
 import (
 	"bytes"
+	"math"
 	"net/netip"
 	"slices"
 
@@ -27,18 +28,21 @@ type Snapshot struct {
 // cost, then lowest path lexicographically.
 func BuildRIBs(g *topology.Graph, in *Infra, ov *routing.Overlay, ts uint32) *Snapshot {
 	snap := &Snapshot{Era: g.Era, Timestamp: ts, Archives: make(map[string][]byte)}
-	t := buildRouteTable(g, in, ov)
+	t := buildRouteTable(g, in, ov, aspath.NewTable())
 	for _, c := range in.Collectors {
 		snap.Archives[c.Name] = buildArchive(in, c, t, ts)
 	}
 	return snap
 }
 
-// routeEntry is a peer's merged best route for one prefix; a nil path
-// means the peer has no route. path leads so a cell packs into 32 bytes.
+// routeEntry is a peer's merged best route for one prefix, its path
+// interned in the route table's paths; aspath.Empty means the peer has
+// no route. A cell is 8 bytes and holds no pointer, so the garbage
+// collector never scans the matrix. Route costs are hop counts plus
+// prepends, far below the int16 range.
 type routeEntry struct {
-	path  aspath.Seq
-	cost  int32
+	id    aspath.ID
+	cost  int16
 	class routing.Class
 }
 
@@ -47,6 +51,7 @@ type routeEntry struct {
 // dense prefix-major cell matrix with one column per peer ASN. Both
 // BuildRIBs and BuildFeeds read their routes from it.
 type routeTable struct {
+	paths    *aspath.Table
 	prefixes []netip.Prefix
 	cols     map[uint32]int // peer ASN → column
 	nVPs     int
@@ -68,9 +73,11 @@ func (t *routeTable) rowOf(pfx netip.Prefix) []routeEntry {
 	return t.row(p)
 }
 
-// buildRouteTable routes every unit at every distinct peer. Stuck peers
-// route on the pristine (overlay-free) graph — their feed is stale.
-func buildRouteTable(g *topology.Graph, in *Infra, ov *routing.Overlay) *routeTable {
+// buildRouteTable routes every unit at every distinct peer, interning
+// each unit's route at each peer into paths once, however many prefixes
+// the unit has. Stuck peers route on the pristine (overlay-free) graph —
+// their feed is stale.
+func buildRouteTable(g *topology.Graph, in *Infra, ov *routing.Overlay, paths *aspath.Table) *routeTable {
 	seen := map[uint32]bool{}
 	var vps, stuckVPs []uint32
 	for _, cp := range in.AllPeers() {
@@ -86,7 +93,7 @@ func buildRouteTable(g *topology.Graph, in *Infra, ov *routing.Overlay) *routeTa
 	}
 	slices.Sort(vps)
 	slices.Sort(stuckVPs)
-	t := &routeTable{cols: make(map[uint32]int, len(seen)), nVPs: len(seen)}
+	t := &routeTable{paths: paths, cols: make(map[uint32]int, len(seen)), nVPs: len(seen)}
 	for i, vp := range vps {
 		t.cols[vp] = i
 	}
@@ -118,9 +125,8 @@ func buildRouteTable(g *topology.Graph, in *Infra, ov *routing.Overlay) *routeTa
 	t.prefixes = slices.Clip(slices.Compact(all))
 	t.cells = make([]routeEntry, len(t.prefixes)*t.nVPs)
 
-	merge := func(c *routeEntry, r routing.VPRoute) {
-		cand := routeEntry{path: r.Path, cost: int32(r.Cost), class: r.Class}
-		if c.path == nil || better(cand, *c) {
+	merge := func(c *routeEntry, cand routeEntry) {
+		if c.id == aspath.Empty || t.better(cand, *c) {
 			*c = cand
 		}
 	}
@@ -128,82 +134,95 @@ func buildRouteTable(g *topology.Graph, in *Infra, ov *routing.Overlay) *routeTa
 	// when its shift rule selects one of the unit's prefixes.
 	eng := routing.NewEngine(g, ov)
 	shift := newVPShift(ov, vps)
-	routes := make([]routing.VPRoute, len(vps))
-	alts := make([]routing.VPRoute, len(vps))
+	best := make([]routeEntry, len(vps))
+	alts := make([]routeEntry, len(vps))
 	altDone := make([]bool, len(vps))
 	for i, u := range g.Groups {
 		prefixes := unitPrefixes[i]
 		if len(prefixes) == 0 {
 			continue
 		}
-		routeAll(eng, u, vps, routes)
+		t.routeUnit(eng, u, vps, best)
 		clear(altDone)
 		for _, pfx := range prefixes {
 			row := t.rowOf(pfx)
 			label := prefixLabel(pfx)
-			for v, r := range routes {
-				if r.Path == nil {
+			for v, e := range best {
+				if e.id == aspath.Empty {
 					continue
 				}
 				if shift.selects(v, label) {
 					if !altDone[v] {
-						alts[v], _ = eng.AltRouteAt(vps[v])
+						alt, _ := eng.AltRouteAt(vps[v])
+						alts[v] = t.entry(alt)
 						altDone[v] = true
 					}
-					if alts[v].Path != nil {
-						r = alts[v]
+					if alts[v].id != aspath.Empty {
+						e = alts[v]
 					}
 				}
-				merge(&row[v], r)
+				merge(&row[v], e)
 			}
 		}
 	}
 	if len(stuckVPs) > 0 {
 		// Stuck peers serve the pristine world: no overlay, no moves.
 		stale := routing.NewEngine(g, nil)
-		routes := make([]routing.VPRoute, len(stuckVPs))
+		best := make([]routeEntry, len(stuckVPs))
 		for _, u := range g.Groups {
-			routeAll(stale, u, stuckVPs, routes)
+			t.routeUnit(stale, u, stuckVPs, best)
 			for _, pfx := range u.Prefixes {
 				row := t.rowOf(pfx)[len(vps):]
-				for v, r := range routes {
-					if r.Path != nil {
-						merge(&row[v], r)
+				for v, e := range best {
+					if e.id != aspath.Empty {
+						merge(&row[v], e)
 					}
 				}
 			}
 		}
 	}
 	for p := range t.prefixes {
-		if slices.ContainsFunc(t.row(p), func(c routeEntry) bool { return c.path != nil }) {
+		if slices.ContainsFunc(t.row(p), func(c routeEntry) bool { return c.id != aspath.Empty }) {
 			t.routed++
 		}
 	}
 	return t
 }
 
-// peerPath is the path peer p reports for pfx given its merged best
-// route, or nil when p does not carry pfx: a partial feed drops a
-// hash-selected share of prefixes, and a private-ASN peer inserts
-// AS65000 after its own ASN.
-func peerPath(in *Infra, p *Peer, pfx netip.Prefix, path aspath.Seq) aspath.Seq {
-	if path == nil {
-		return nil
-	}
-	if !p.FullFeed && unitc(in.Seed, 0xfeed, uint64(p.ASN), prefixLabel(pfx)) >= p.PartialShare {
-		return nil
-	}
-	if p.Artifact == ArtifactPrivateASN && len(path) > 0 {
-		mod := make(aspath.Seq, 0, len(path)+1)
-		mod = append(mod, path[0], 65000)
-		path = append(mod, path[1:]...)
-	}
-	return path
+// entry interns r's path into a route-table cell; a route without a
+// path becomes the empty cell.
+func (t *routeTable) entry(r routing.VPRoute) routeEntry {
+	return routeEntry{id: t.paths.Intern(r.Path), cost: int16(min(r.Cost, math.MaxInt16)), class: r.Class}
 }
 
-// duplicated reports whether a duplicates-artifact peer sends pfx twice.
-func duplicated(in *Infra, p *Peer, pfx netip.Prefix) bool {
-	return p.Artifact == ArtifactDuplicates && unitc(in.Seed, 0xd0b1, uint64(p.ASN), prefixLabel(pfx)) < 0.15
+// routeUnit computes u's best route at every VP into out, interning
+// each path once; a VP with no route gets the empty cell.
+func (t *routeTable) routeUnit(eng *routing.Engine, u *topology.PolicyGroup, vps []uint32, out []routeEntry) {
+	eng.ComputeUnit(u)
+	for v, vp := range vps {
+		r, _ := eng.RouteAt(vp)
+		out[v] = t.entry(r)
+	}
+}
+
+// carries reports whether peer p exports the prefix with this label: a
+// partial feed drops a hash-selected share of prefixes.
+func carries(in *Infra, p *Peer, label uint64) bool {
+	return p.FullFeed || topology.ChainUnit(in.Seed, 0xfeed, uint64(p.ASN), label) < p.PartialShare
+}
+
+// withPrivateASN appends to dst the path a private-ASN peer reports for
+// path: AS65000 inserted after the peer's own ASN. It depends on the
+// path alone.
+func withPrivateASN(dst, path aspath.Seq) aspath.Seq {
+	dst = append(dst, path[0], 65000)
+	return append(dst, path[1:]...)
+}
+
+// duplicated reports whether a duplicates-artifact peer sends the
+// prefix with this label twice.
+func duplicated(in *Infra, p *Peer, label uint64) bool {
+	return p.Artifact == ArtifactDuplicates && topology.ChainUnit(in.Seed, 0xd0b1, uint64(p.ASN), label) < 0.15
 }
 
 // ghostCount is how many ghost prefixes peer p fabricates over a table
@@ -217,17 +236,8 @@ func ghostCount(p *Peer, routed int) int {
 
 // ghostPath is peer p's fabricated path for its j-th ghost prefix.
 func ghostPath(in *Infra, p *Peer, j int) aspath.Seq {
-	fakeOrigin := uint32(900000 + pickc(100000, in.Seed, 0x6057, uint64(p.ASN), uint64(j)))
+	fakeOrigin := uint32(900000 + topology.ChainPick(100000, in.Seed, 0x6057, uint64(p.ASN), uint64(j)))
 	return aspath.Seq{p.ASN, fakeOrigin}
-}
-
-// routeAll computes u's best route at every VP into out; a VP with no
-// route gets a nil Path.
-func routeAll(eng *routing.Engine, u *topology.PolicyGroup, vps []uint32, out []routing.VPRoute) {
-	eng.ComputeUnit(u)
-	for i, vp := range vps {
-		out[i], _ = eng.RouteAt(vp)
-	}
 }
 
 // vpShift holds the VPs' route-shift tokens, by column. A shifted VP
@@ -264,28 +274,19 @@ func newVPShift(ov *routing.Overlay, vps []uint32) *vpShift {
 // selects reports whether VP column v shifts the prefix with this label.
 func (s *vpShift) selects(v int, label uint64) bool {
 	return s != nil && s.token[v] != 0 &&
-		(unitc(s.sticky[v], label) < s.share*0.7 || unitc(s.token[v], label) < s.share*0.3)
+		(topology.ChainUnit(s.sticky[v], label) < s.share*0.7 || topology.ChainUnit(s.token[v], label) < s.share*0.3)
 }
 
-// better orders candidate routes for MOAS merging.
-func better(a, b routeEntry) bool {
+// better orders candidate routes for MOAS merging: class, then cost,
+// then the lexicographically lower path for a total order.
+func (t *routeTable) better(a, b routeEntry) bool {
 	if a.class != b.class {
 		return a.class > b.class
 	}
 	if a.cost != b.cost {
 		return a.cost < b.cost
 	}
-	// Lexicographic path comparison for a total order.
-	n := len(a.path)
-	if len(b.path) < n {
-		n = len(b.path)
-	}
-	for i := 0; i < n; i++ {
-		if a.path[i] != b.path[i] {
-			return a.path[i] < b.path[i]
-		}
-	}
-	return len(a.path) < len(b.path)
+	return slices.Compare(t.paths.Seq(a.id), t.paths.Seq(b.id)) < 0
 }
 
 // buildArchive writes one collector's TABLE_DUMP_V2 archive.
@@ -321,15 +322,20 @@ func buildArchive(in *Infra, c *Collector, t *routeTable, ts uint32) []byte {
 
 	for pi, pfx := range t.prefixes {
 		row := t.row(pi)
+		label := prefixLabel(pfx)
 		var entries []mrt.RIBEntry
 		for idx, p := range c.Peers {
-			path := peerPath(in, p, pfx, row[cols[idx]].path)
-			if path == nil {
+			id := row[cols[idx]].id
+			if id == aspath.Empty || !carries(in, p, label) {
 				continue
+			}
+			path := t.paths.Seq(id)
+			if p.Artifact == ArtifactPrivateASN {
+				path = withPrivateASN(nil, path)
 			}
 			attrs := ribAttrs(path)
 			entries = append(entries, mrt.RIBEntry{PeerIndex: uint16(idx), Originated: ts - 3600, Attrs: attrs})
-			if duplicated(in, p, pfx) {
+			if duplicated(in, p, label) {
 				entries = append(entries, mrt.RIBEntry{PeerIndex: uint16(idx), Originated: ts - 3599, Attrs: attrs})
 			}
 		}

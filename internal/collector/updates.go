@@ -303,7 +303,7 @@ func emitMoves(g *topology.Graph, cfg UpdateConfig, add func(float64, *Peer, boo
 						continue
 					}
 					peer := peers[vp]
-					if !peer.FullFeed && unitc(g.Seed, 0xfeed, uint64(peer.ASN), prefixLabel(pfx)) >= peer.PartialShare {
+					if !peer.FullFeed && topology.ChainUnit(g.Seed, 0xfeed, uint64(peer.ASN), prefixLabel(pfx)) >= peer.PartialShare {
 						continue
 					}
 					if newPaths[i].Path == nil {
@@ -325,7 +325,7 @@ func emitFlaps(g *topology.Graph, cfg UpdateConfig, add func(float64, *Peer, boo
 	}
 	for _, u := range g.Groups {
 		for pi, pfx := range u.Prefixes {
-			rate := cfg.FlapRate * 3 * unitc(uint64(u.ID), 0xf1a0, uint64(pi))
+			rate := cfg.FlapRate * 3 * topology.ChainUnit(uint64(u.ID), 0xf1a0, uint64(pi))
 			v1 := flapVersion(rate, cfg.FromT, uint64(u.ID), uint64(pi))
 			v2 := flapVersion(rate, cfg.ToT, uint64(u.ID), uint64(pi))
 			if v2 == v1 {
@@ -333,14 +333,14 @@ func emitFlaps(g *topology.Graph, cfg UpdateConfig, add func(float64, *Peer, boo
 			}
 			var routes []routing.VPRoute
 			for k := v1 + 1; k <= v2; k++ {
-				t := cfg.FromT + (cfg.ToT-cfg.FromT)*unitc(uint64(u.ID), 0xf1a1, uint64(pi), uint64(k))
+				t := cfg.FromT + (cfg.ToT-cfg.FromT)*topology.ChainUnit(uint64(u.ID), 0xf1a1, uint64(pi), uint64(k))
 				// One or two peers observe the flap.
-				n := 1 + pickc(2, uint64(u.ID), 0xf1a2, uint64(pi), uint64(k))
+				n := 1 + topology.ChainPick(2, uint64(u.ID), 0xf1a2, uint64(pi), uint64(k))
 				if routes == nil {
 					routes = eng.PathsAt(u, vps)
 				}
 				for j := 0; j < n; j++ {
-					vi := pickc(len(vps), uint64(u.ID), 0xf1a3, uint64(pi), uint64(k), uint64(j))
+					vi := topology.ChainPick(len(vps), uint64(u.ID), 0xf1a3, uint64(pi), uint64(k), uint64(j))
 					r := routes[vi]
 					if r.Path == nil {
 						continue
@@ -358,7 +358,7 @@ func flapVersion(rate, t float64, labels ...uint64) int {
 	if rate <= 0 || t <= 0 {
 		return 0
 	}
-	phase := unitc(append(labels, 0xf1a4)...)
+	phase := topology.ChainUnit(append(labels, 0xf1a4)...)
 	v := int(rate*t + phase)
 	if v < 0 {
 		v = 0
@@ -373,7 +373,7 @@ func peerPrefixes(g *topology.Graph, cfg UpdateConfig, peer *Peer, prefixes []ne
 	}
 	var out []netip.Prefix
 	for _, pfx := range prefixes {
-		if unitc(g.Seed, 0xfeed, uint64(peer.ASN), prefixLabel(pfx)) < peer.PartialShare {
+		if topology.ChainUnit(g.Seed, 0xfeed, uint64(peer.ASN), prefixLabel(pfx)) < peer.PartialShare {
 			out = append(out, pfx)
 		}
 	}
@@ -385,12 +385,12 @@ func peerPrefixes(g *topology.Graph, cfg UpdateConfig, peer *Peer, prefixes []ne
 // (and always split above the message size budget).
 func chunked(cfg UpdateConfig, unitID int, t float64, prefixes []netip.Prefix, emit func([]netip.Prefix, float64)) {
 	const maxPerMsg = 200
-	full := unitc(uint64(unitID), 0xc4c4, uint64(t*86400)) < cfg.FullMessageProb
+	full := topology.ChainUnit(uint64(unitID), 0xc4c4, uint64(t*86400)) < cfg.FullMessageProb
 	if full && len(prefixes) <= maxPerMsg {
 		emit(prefixes, 0)
 		return
 	}
-	parts := 2 + pickc(2, uint64(unitID), 0xc4c5, uint64(t*86400))
+	parts := 2 + topology.ChainPick(2, uint64(unitID), 0xc4c5, uint64(t*86400))
 	if len(prefixes) <= 1 {
 		emit(prefixes, 0)
 		return
@@ -559,7 +559,7 @@ func (e *msgEncoder) encode(in *Infra, cfg UpdateConfig, m message) (mrt.Record,
 		// phantom prefixes (§A8.3.1). Occasionally the collector writes
 		// an outright unknown subtype.
 		opts.AddPath = true
-		if unitc(in.Seed, 0xadd2, uint64(m.peer.ASN), uint64(ts)) < 0.1 {
+		if topology.ChainUnit(in.Seed, 0xadd2, uint64(m.peer.ASN), uint64(ts)) < 0.1 {
 			subtype = 77
 		}
 	}

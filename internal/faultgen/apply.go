@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	"repro/internal/mrt"
+	"repro/internal/topology"
 )
 
 // Apply executes a schedule against the clean archives and returns the
@@ -61,11 +62,11 @@ func applyOne(seed uint64, f Fault, clean, work []byte) ([]byte, error) {
 	case ClassBitFlip:
 		body := rs.bodyLen()
 		for i := 0; i < flipCount(seed, f); i++ {
-			pos := rs.off + 12 + pickf(body, mutKey(seed, f, uint64(10+i))...)
+			pos := rs.off + 12 + topology.ChainPick(body, mutKey(seed, f, uint64(10+i))...)
 			if pos >= len(work) {
 				continue
 			}
-			bit := pickf(8, mutKey(seed, f, uint64(20+i))...)
+			bit := topology.ChainPick(8, mutKey(seed, f, uint64(20+i))...)
 			work[pos] ^= 1 << bit
 		}
 		return work, nil

@@ -25,6 +25,7 @@ import (
 	"strings"
 
 	"repro/internal/mrt"
+	"repro/internal/topology"
 )
 
 // Class is one fault taxonomy entry.
@@ -243,28 +244,10 @@ func indexRecords(data []byte) []recSpan {
 	return out
 }
 
-// hhf is the deterministic hash RNG behind every planning draw — the
-// same splitmix-style finalizer the collector simulator uses, so a
-// (seed, labels...) tuple maps to one fixed uint64 with no shared
-// state.
-func hhf(vals ...uint64) uint64 {
-	acc := uint64(0x2545f4914f6cdd1d)
-	for _, v := range vals {
-		v += 0x9e3779b97f4a7c15
-		v = (v ^ acc ^ (v >> 30)) * 0xbf58476d1ce4e5b9
-		v = (v ^ (v >> 27)) * 0x94d049bb133111eb
-		acc = v ^ (v >> 31)
-	}
-	return acc
-}
-
-func pickf(n int, vals ...uint64) int {
-	if n <= 0 {
-		return 0
-	}
-	return int(hhf(vals...) % uint64(n))
-}
-
+// nameHash is FNV-1a over a collector name: the name's label in the
+// planning draws, which are topology.Chain64 draws — the same hash the
+// collector simulator uses, so a (seed, labels...) tuple maps to one
+// fixed uint64 with no shared state.
 func nameHash(s string) uint64 {
 	h := uint64(1469598103934665603)
 	for i := 0; i < len(s); i++ {
@@ -363,7 +346,7 @@ func Plan(cfg Config, archives map[string][]byte) (*Schedule, error) {
 func planOne(seed uint64, class Class, draw uint64, name string, recs []recSpan) (Fault, bool) {
 	nh := nameHash(name)
 	pick := func(n int, which uint64) int {
-		return pickf(n, seed, nh, uint64(class), draw, which)
+		return topology.ChainPick(n, seed, nh, uint64(class), draw, which)
 	}
 	n := len(recs)
 	f := Fault{Class: class, Archive: name, Span: 1}
@@ -416,7 +399,7 @@ func planOne(seed uint64, class Class, draw uint64, name string, recs []recSpan)
 		}
 		start := pick(len(elig), 1)
 		f.Record = elig[start]
-		run := 1 + pickf(min(4, len(elig)-start), mutKey(seed, f, 2)...)
+		run := 1 + topology.ChainPick(min(4, len(elig)-start), mutKey(seed, f, 2)...)
 		f.Span = elig[start+run-1] - f.Record + 1
 		f.Detail = fmt.Sprintf("%d records rewritten to ADD-PATH subtypes", run)
 	default:
@@ -432,25 +415,25 @@ func planOne(seed uint64, class Class, draw uint64, name string, recs []recSpan)
 func truncateAt(seed uint64, f Fault, recs []recSpan) int {
 	rs := recs[f.Record]
 	if body := rs.bodyLen(); body > 0 {
-		return rs.off + 12 + pickf(body, mutKey(seed, f, 2)...)
+		return rs.off + 12 + topology.ChainPick(body, mutKey(seed, f, 2)...)
 	}
-	return rs.off + 1 + pickf(11, mutKey(seed, f, 2)...)
+	return rs.off + 1 + topology.ChainPick(11, mutKey(seed, f, 2)...)
 }
 
 func lieLength(seed uint64, f Fault, recs []recSpan) int {
 	actual := recs[f.Record].bodyLen()
-	if pickf(2, mutKey(seed, f, 2)...) == 0 && actual >= 8 {
-		return actual - (1 + pickf(min(actual-1, 16), mutKey(seed, f, 3)...))
+	if topology.ChainPick(2, mutKey(seed, f, 2)...) == 0 && actual >= 8 {
+		return actual - (1 + topology.ChainPick(min(actual-1, 16), mutKey(seed, f, 3)...))
 	}
-	return actual + 1 + pickf(64, mutKey(seed, f, 3)...)
+	return actual + 1 + topology.ChainPick(64, mutKey(seed, f, 3)...)
 }
 
 func flipCount(seed uint64, f Fault) int {
-	return 1 + pickf(3, mutKey(seed, f, 2)...)
+	return 1 + topology.ChainPick(3, mutKey(seed, f, 2)...)
 }
 
 func stormSize(seed uint64, f Fault) int {
-	return 16 + pickf(17, mutKey(seed, f, 2)...)
+	return 16 + topology.ChainPick(17, mutKey(seed, f, 2)...)
 }
 
 func eligible(recs []recSpan, ok func(recSpan) bool) []int {

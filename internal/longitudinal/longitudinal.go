@@ -229,8 +229,8 @@ func (r *EraRun) SnapshotAt(t float64) (*core.AtomSet, *sanitize.Report, error) 
 	var rep *sanitize.Report
 	if r.Cfg.FastPath {
 		bsp := sp.Child("collector.build_feeds")
-		feeds := collector.BuildFeeds(r.Graph, r.Infra, ov, ts)
-		bsp.SetAttr("feeds", len(feeds))
+		feeds := collector.BuildFeeds(r.Graph, r.Infra, ov, ts, opts.Intern)
+		bsp.SetAttr("feeds", len(feeds.Feeds))
 		bsp.End()
 		snap, rep, err = sanitize.CleanFeeds(feeds, warnings, opts)
 	} else {

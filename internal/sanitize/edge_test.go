@@ -13,37 +13,52 @@ import (
 	"repro/internal/sanitize"
 )
 
+// handFeed is one hand-made feed: a vantage point and its routes.
+type handFeed struct {
+	VP     core.VP
+	routes map[netip.Prefix]aspath.Seq
+}
+
 // edgeFeed builds one hand-made feed: every prefix routed through the
 // peer's own ASN then a common origin.
-func edgeFeed(coll string, asn uint32, prefixes ...string) *sanitize.Feed {
-	f := &sanitize.Feed{
-		VP:   core.VP{Collector: coll, ASN: asn},
-		Time: 100,
-	}
+func edgeFeed(coll string, asn uint32, prefixes ...string) *handFeed {
+	f := &handFeed{VP: core.VP{Collector: coll, ASN: asn}, routes: map[netip.Prefix]aspath.Seq{}}
 	for _, p := range prefixes {
 		setRoute(f, p, aspath.Seq{asn, 9})
 	}
 	return f
 }
 
-// setRoute sets prefix p's path in f.Routes, keeping the routes
-// strictly ascending: the slice form of f.Routes[p] = path.
-func setRoute(f *sanitize.Feed, p string, path aspath.Seq) {
-	pfx := netip.MustParsePrefix(p)
-	i, found := slices.BinarySearchFunc(f.Routes, pfx, func(r sanitize.Route, pfx netip.Prefix) int {
-		return prefixset.ComparePrefixes(r.Prefix, pfx)
-	})
-	if found {
-		f.Routes[i].Path = path
-		return
+// setRoute sets prefix p's path in f.
+func setRoute(f *handFeed, p string, path aspath.Seq) {
+	f.routes[netip.MustParsePrefix(p)] = path
+}
+
+// feedSet lays hand-made feeds out as a FeedSet over a fresh table,
+// feeds in the given order.
+func feedSet(feeds []*handFeed) *sanitize.FeedSet {
+	var prefixes []netip.Prefix
+	infos := make([]sanitize.FeedInfo, len(feeds))
+	for i, f := range feeds {
+		infos[i].VP = f.VP
+		for pfx := range f.routes {
+			prefixes = append(prefixes, pfx)
+		}
 	}
-	f.Routes = slices.Insert(f.Routes, i, sanitize.Route{Prefix: pfx, Path: path})
+	prefixset.SortPrefixes(prefixes)
+	fs := sanitize.NewFeedSet(100, aspath.NewTable(), slices.Compact(prefixes), infos)
+	for p, pfx := range fs.Prefixes {
+		for i, f := range feeds {
+			fs.Row(p)[i] = fs.Paths.Intern(f.routes[pfx])
+		}
+	}
+	return fs
 }
 
 var edgeWide = []string{"10.0.0.0/24", "10.0.1.0/24", "10.0.2.0/24", "10.0.3.0/24"}
 
-func edgeFeeds() []*sanitize.Feed {
-	return []*sanitize.Feed{
+func edgeFeeds() []*handFeed {
+	return []*handFeed{
 		edgeFeed("c1", 1, edgeWide...),
 		edgeFeed("c1", 2, edgeWide...),
 		edgeFeed("c2", 3, edgeWide...),
@@ -61,8 +76,8 @@ func edgeOpts() sanitize.Options {
 // though the visibility thresholds reject everything it carries: one
 // collector can never satisfy the two-collector rule.
 func TestSinglePeerFeed(t *testing.T) {
-	feeds := []*sanitize.Feed{edgeFeed("c1", 1, edgeWide...)}
-	snap, rep, err := sanitize.CleanFeeds(feeds, nil, edgeOpts())
+	feeds := []*handFeed{edgeFeed("c1", 1, edgeWide...)}
+	snap, rep, err := sanitize.CleanFeeds(feedSet(feeds), nil, edgeOpts())
 	if err != nil {
 		t.Fatalf("single-peer feed errored: %v", err)
 	}
@@ -89,7 +104,7 @@ func TestPeerInRIBAbsentFromUpdates(t *testing.T) {
 	}
 	opts := edgeOpts()
 	opts.SessionFlaps = map[uint32]int{99: 50}
-	snap, rep, err := sanitize.CleanFeeds(feeds, warnings, opts)
+	snap, rep, err := sanitize.CleanFeeds(feedSet(feeds), warnings, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +128,7 @@ func TestPeerInRIBAbsentFromUpdates(t *testing.T) {
 func TestAllFeedsQuarantinedErrors(t *testing.T) {
 	opts := edgeOpts()
 	opts.QuarantinedCollectors = map[string]bool{"c1": true, "c2": true}
-	snap, rep, err := sanitize.CleanFeeds(edgeFeeds(), nil, opts)
+	snap, rep, err := sanitize.CleanFeeds(feedSet(edgeFeeds()), nil, opts)
 	if !errors.Is(err, sanitize.ErrAllFeedsRemoved) {
 		t.Fatalf("err = %v, want ErrAllFeedsRemoved", err)
 	}
@@ -133,7 +148,7 @@ func TestAllFeedsQuarantinedErrors(t *testing.T) {
 func TestAllPeersRemovedErrors(t *testing.T) {
 	opts := edgeOpts()
 	opts.SessionFlaps = map[uint32]int{1: 99, 2: 99, 3: 99, 4: 99}
-	_, _, err := sanitize.CleanFeeds(edgeFeeds(), nil, opts)
+	_, _, err := sanitize.CleanFeeds(feedSet(edgeFeeds()), nil, opts)
 	if !errors.Is(err, sanitize.ErrAllFeedsRemoved) {
 		t.Fatalf("err = %v, want ErrAllFeedsRemoved", err)
 	}
@@ -145,7 +160,7 @@ func TestAllPeersRemovedErrors(t *testing.T) {
 func TestEmptyFamilyEraIsNotAnError(t *testing.T) {
 	opts := edgeOpts()
 	opts.Family = 6 // feeds are v4-only
-	snap, _, err := sanitize.CleanFeeds(edgeFeeds(), nil, opts)
+	snap, _, err := sanitize.CleanFeeds(feedSet(edgeFeeds()), nil, opts)
 	if err != nil {
 		t.Fatalf("legitimately empty era errored: %v", err)
 	}
@@ -169,7 +184,7 @@ func TestPartialQuarantine(t *testing.T) {
 	)
 	opts := edgeOpts()
 	opts.QuarantinedCollectors = map[string]bool{"c1": true}
-	snap, rep, err := sanitize.CleanFeeds(feeds, nil, opts)
+	snap, rep, err := sanitize.CleanFeeds(feedSet(feeds), nil, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +210,7 @@ func TestPartialQuarantine(t *testing.T) {
 func TestFlapStormRemoval(t *testing.T) {
 	opts := edgeOpts()
 	opts.SessionFlaps = map[uint32]int{3: opts.MaxSessionFlaps + 1}
-	snap, rep, err := sanitize.CleanFeeds(edgeFeeds(), nil, opts)
+	snap, rep, err := sanitize.CleanFeeds(feedSet(edgeFeeds()), nil, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +224,7 @@ func TestFlapStormRemoval(t *testing.T) {
 	}
 	// Exactly at the threshold is tolerated.
 	opts.SessionFlaps = map[uint32]int{3: opts.MaxSessionFlaps}
-	_, rep, err = sanitize.CleanFeeds(edgeFeeds(), nil, opts)
+	_, rep, err = sanitize.CleanFeeds(feedSet(edgeFeeds()), nil, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,21 +233,21 @@ func TestFlapStormRemoval(t *testing.T) {
 	}
 }
 
-// CleanFeeds must refuse a feed whose routes are out of order or repeat
-// a prefix rather than merge it wrongly.
+// CleanFeeds must refuse a feed set whose prefixes are out of order or
+// repeat a prefix rather than pair routes wrongly.
 func TestCleanFeedsRejectsUnsortedRoutes(t *testing.T) {
-	for name, broken := range map[string]func(f *sanitize.Feed){
-		"unsorted": func(f *sanitize.Feed) {
-			f.Routes[1], f.Routes[2] = f.Routes[2], f.Routes[1]
+	for name, broken := range map[string]func(fs *sanitize.FeedSet){
+		"unsorted": func(fs *sanitize.FeedSet) {
+			fs.Prefixes[1], fs.Prefixes[2] = fs.Prefixes[2], fs.Prefixes[1]
 		},
-		"duplicate prefix": func(f *sanitize.Feed) {
-			f.Routes[2].Prefix = f.Routes[1].Prefix
+		"duplicate prefix": func(fs *sanitize.FeedSet) {
+			fs.Prefixes[2] = fs.Prefixes[1]
 		},
 	} {
 		t.Run(name, func(t *testing.T) {
-			feeds := edgeFeeds()
-			broken(feeds[2])
-			snap, _, err := sanitize.CleanFeeds(feeds, nil, edgeOpts())
+			fs := feedSet(edgeFeeds())
+			broken(fs)
+			snap, _, err := sanitize.CleanFeeds(fs, nil, edgeOpts())
 			if !errors.Is(err, sanitize.ErrUnsortedRoutes) {
 				t.Fatalf("err = %v, want ErrUnsortedRoutes", err)
 			}

@@ -15,7 +15,6 @@ import (
 	"net/netip"
 	"slices"
 	"sort"
-	"sync/atomic"
 
 	"repro/internal/aspath"
 	"repro/internal/bgpstream"
@@ -73,18 +72,18 @@ type Options struct {
 	// full-feed inference runs within the family's own table sizes.
 	Family int
 	// Workers bounds the worker pool for the parallel pipeline stages
-	// (per-source MRT decode fan-out, per-feed path interning, snapshot
-	// assembly): 0 = one worker per CPU, 1 = fully sequential. Output is
-	// identical at any value.
+	// (per-source MRT decode fan-out): 0 = one worker per CPU, 1 = fully
+	// sequential. Output is identical at any value.
 	Workers int
-	// Intern, when non-nil, is the AS-path intern table the pipeline
-	// uses instead of building a fresh one. Sharing one table across the
-	// snapshots of an era (longitudinal does this) means the second and
-	// later snapshots intern almost entirely on the allocation-free hit
-	// path. IDs are only meaningful within one table, so callers must
-	// scope a shared table to consumers that never compare IDs across
-	// unrelated snapshots — the repo-wide invariant since PR2 is that
-	// outputs depend on ID equality only.
+	// Intern, when non-nil, is the AS-path intern table Clean decodes
+	// into instead of building a fresh one; CleanFeeds reads its feed
+	// set's own table. Sharing one table across the snapshots of an era
+	// (longitudinal does this) means the second and later snapshots
+	// intern almost entirely on the allocation-free hit path. IDs are
+	// only meaningful within one table, so callers must scope a shared
+	// table to consumers that never compare IDs across unrelated
+	// snapshots — the repo-wide invariant since PR2 is that outputs
+	// depend on ID equality only.
 	Intern *aspath.Table
 
 	// Span, when non-nil, receives child spans for each pipeline stage
@@ -178,30 +177,51 @@ type Report struct {
 	MOASPrefixes int
 }
 
-// ErrUnsortedRoutes is returned by CleanFeeds for a feed whose Routes
-// are not strictly ascending by prefix: merging it would silently pair
-// the wrong routes.
-var ErrUnsortedRoutes = errors.New("sanitize: feed routes not strictly ascending by prefix")
+// ErrUnsortedRoutes is returned by CleanFeeds for a FeedSet whose
+// Prefixes are not strictly ascending: its rows would pair wrong routes.
+var ErrUnsortedRoutes = errors.New("sanitize: feed set prefixes not strictly ascending")
 
-// Feed is one peer feed's routing table — the unit of the pipeline.
-// Feeds come either from MRT archives (Clean) or directly from the
-// simulator's in-memory routes (the longitudinal fast path).
-type Feed struct {
-	VP   core.VP
-	Time uint32
-	// Routes holds one observed AS path per prefix, strictly ascending
-	// by prefixset.ComparePrefixes.
-	Routes []Route
+// FeedSet is one snapshot's peer feeds — the unit of the pipeline, built
+// by the wire path (Clean) and the simulator's fast path
+// (collector.BuildFeeds) alike. Routes live in one pointer-free
+// len(Prefixes) × len(Feeds) matrix of path IDs in Paths, prefix-major
+// like core.Snapshot; aspath.Empty means the feed has no route there.
+type FeedSet struct {
+	Time  uint32
+	Paths *aspath.Table
+	// Prefixes is the union of every feed's prefixes, strictly
+	// ascending by prefixset.ComparePrefixes.
+	Prefixes []netip.Prefix
+	Feeds    []FeedInfo
+	// cells is the flat (prefix × feed) matrix: prefix p's route at feed
+	// f lives at cells[p*len(Feeds)+f].
+	cells []aspath.ID
+}
+
+// FeedInfo is one feed's identity and ingest-time counts.
+type FeedInfo struct {
+	VP core.VP
 	// Duplicates counts repeated route entries seen during ingestion.
 	Duplicates int
 	// ASSetDropped counts paths dropped for multi-member AS_SETs.
 	ASSetDropped int
 }
 
-// Route is one prefix's AS path in a feed.
-type Route struct {
-	Prefix netip.Prefix
-	Path   aspath.Seq
+// NewFeedSet returns a feed set over the given prefixes and feeds with
+// every route empty; fill it through Row. The prefixes and feeds fix
+// the matrix shape, so neither slice may change length afterwards.
+func NewFeedSet(time uint32, paths *aspath.Table, prefixes []netip.Prefix, feeds []FeedInfo) *FeedSet {
+	cells := make([]aspath.ID, len(prefixes)*len(feeds))
+	return &FeedSet{Time: time, Paths: paths, Prefixes: prefixes, Feeds: feeds, cells: cells}
+}
+
+// Row returns prefix p's route at every feed, indexed like Feeds — a
+// view into the matrix, so writes fill the set.
+//
+//atomlint:borrowed view into the feed set's flat route matrix; valid while the set lives
+func (fs *FeedSet) Row(p int) []aspath.ID {
+	lo, hi := p*len(fs.Feeds), (p+1)*len(fs.Feeds)
+	return fs.cells[lo:hi:hi]
 }
 
 // feedKey identifies a feed.
@@ -210,52 +230,55 @@ type feedKey struct {
 	asn       uint32
 }
 
-// ribElem is one RIB element of a feed during ingestion; ord is its
-// arrival order within the feed.
+// ribElem is one RIB element of a feed during ingestion: its prefix,
+// numbered by first arrival in the stream, and its interned path.
 type ribElem struct {
-	pfx      netip.Prefix
-	ord      uint32
+	pfx      int32
 	id       aspath.ID
 	unusable bool
 }
 
 // ingestFeed collects one feed's RIB elements in arrival order.
 type ingestFeed struct {
-	feed  *Feed
+	info  FeedInfo
+	time  uint32
 	elems []ribElem
 }
 
-// finish sorts the feed's elements by prefix, keeping arrival order
-// among equal prefixes, and keeps the first usable path per prefix. A
+// feedSetOf lays ingested feeds out as one FeedSet. The prefixes,
+// numbered by first arrival, are sorted once; then each feed's elements
+// replay in arrival order, keeping the first usable path per prefix. A
 // later element for a prefix that already has a path counts as a
 // duplicate; an unusable path (multi-AS-set or confederation) before
 // any usable one counts as AS-set-dropped and leaves the prefix unseen
 // at this feed (§2.4.4), so a later usable path still wins.
-func (in *ingestFeed) finish(table *aspath.Table) *Feed {
-	slices.SortFunc(in.elems, func(a, b ribElem) int {
-		if c := prefixset.ComparePrefixes(a.pfx, b.pfx); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.ord, b.ord)
-	})
-	fd := in.feed
-	fd.Routes = make([]Route, 0, len(in.elems))
-	for _, e := range in.elems {
-		switch {
-		case len(fd.Routes) > 0 && fd.Routes[len(fd.Routes)-1].Prefix == e.pfx:
-			fd.Duplicates++
-		case e.unusable:
-			fd.ASSetDropped++
-		default:
-			// The stored Seq is table-owned: stable for the life of the
-			// table, no per-element copy.
-			//atomlint:owned table-owned Seq: the era's intern table outlives every feed built from it
-			fd.Routes = append(fd.Routes, Route{Prefix: e.pfx, Path: table.Seq(e.id)})
-		}
+func feedSetOf(list []*ingestFeed, prefixes []netip.Prefix, arrival map[netip.Prefix]int32, time uint32, paths *aspath.Table) *FeedSet {
+	sorted := slices.Clone(prefixes)
+	prefixset.SortPrefixes(sorted)
+	rowOf := make([]int32, len(prefixes)) // arrival number → row
+	for r, pfx := range sorted {
+		rowOf[arrival[pfx]] = int32(r)
 	}
-	fd.Routes = slices.Clip(fd.Routes)
-	in.elems = nil
-	return fd
+	feeds := make([]FeedInfo, len(list))
+	for fi, in := range list {
+		feeds[fi] = in.info
+	}
+	fs := NewFeedSet(time, paths, sorted, feeds)
+	for fi, in := range list {
+		f := &fs.Feeds[fi]
+		for _, e := range in.elems {
+			switch cell := &fs.Row(int(rowOf[e.pfx]))[fi]; {
+			case *cell != aspath.Empty:
+				f.Duplicates++
+			case e.unusable:
+				f.ASSetDropped++
+			default:
+				*cell = e.id
+			}
+		}
+		in.elems = nil
+	}
+	return fs
 }
 
 // compareVPs orders vantage points by collector, then peer ASN.
@@ -274,6 +297,8 @@ func Clean(sources []bgpstream.Source, updateWarnings []bgpstream.Warning, opts 
 	sp := opts.Span.Child("sanitize.ingest")
 	elems := 0
 	feeds := map[feedKey]*ingestFeed{}
+	var prefixes []netip.Prefix
+	arrival := map[netip.Prefix]int32{} // prefix → its number in prefixes
 	filter := &bgpstream.Filter{
 		Types:  map[bgpstream.ElemType]bool{bgpstream.ElemRIB: true},
 		V4Only: opts.Family == 4,
@@ -283,7 +308,7 @@ func Clean(sources []bgpstream.Source, updateWarnings []bgpstream.Warning, opts 
 	stream.SetMetrics(opts.Metrics)
 	stream.SetWorkers(opts.Workers)
 	// The stream's decode workers flatten and intern every RIB path into
-	// the pipeline's table, so ingest below just resolves IDs — and any
+	// the pipeline's table, so ingest below just carries IDs — and any
 	// snapshot sharing this table (opts.Intern) hits the table warm.
 	table := opts.Intern
 	if table == nil {
@@ -312,28 +337,32 @@ func Clean(sources []bgpstream.Source, updateWarnings []bgpstream.Warning, opts 
 			k := feedKey{collector: e.Collector, asn: e.PeerASN}
 			in := feeds[k]
 			if in == nil {
-				in = &ingestFeed{feed: &Feed{
-					VP:   core.VP{Collector: e.Collector, ASN: e.PeerASN},
-					Time: e.Timestamp,
-				}}
+				in = &ingestFeed{
+					info: FeedInfo{VP: core.VP{Collector: e.Collector, ASN: e.PeerASN}},
+					time: e.Timestamp,
+				}
 				feeds[k] = in
 			}
 			pfx := prefixset.Canonical(e.Prefix)
 			if !pfx.IsValid() {
 				continue
 			}
-			in.elems = append(in.elems, ribElem{
-				pfx: pfx, ord: uint32(len(in.elems)), id: e.InternedPath, unusable: e.PathUnusable,
-			})
+			n, ok := arrival[pfx]
+			if !ok {
+				n = int32(len(prefixes))
+				arrival[pfx] = n
+				prefixes = append(prefixes, pfx)
+			}
+			in.elems = append(in.elems, ribElem{pfx: n, id: e.InternedPath, unusable: e.PathUnusable})
 		}
 	}
-	list := make([]*Feed, 0, len(feeds))
+	list := make([]*ingestFeed, 0, len(feeds))
 	for _, in := range feeds {
-		list = append(list, in.finish(table))
+		list = append(list, in)
 	}
-	// The map iteration above hands CleanFeeds its feed order; sort by VP
-	// so interning and report assembly see a process-stable sequence.
-	slices.SortFunc(list, func(a, b *Feed) int { return compareVPs(a.VP, b.VP) })
+	// The map iteration above hands out feeds in random order; sort by
+	// VP so the feed set is process-stable.
+	slices.SortFunc(list, func(a, b *ingestFeed) int { return compareVPs(a.info.VP, b.info.VP) })
 	// Merge the RIB stream's own quarantine verdicts (degradation
 	// budgets blown while reading these archives) into the caller's set
 	// before the feed pipeline runs. Copy: opts is the caller's value.
@@ -347,49 +376,61 @@ func Clean(sources []bgpstream.Source, updateWarnings []bgpstream.Warning, opts 
 		}
 		opts.QuarantinedCollectors = merged
 	}
+	// The snapshot is stamped with the first surviving feed's time.
+	var snapTime uint32
+	for _, in := range list {
+		if snapTime == 0 && !opts.QuarantinedCollectors[in.info.VP.Collector] {
+			snapTime = in.time
+		}
+	}
+	fs := feedSetOf(list, prefixes, arrival, snapTime, table)
 	sp.SetAttr("sources", len(sources))
 	sp.SetAttr("rib_elems", elems)
 	sp.SetAttr("feeds", len(list))
 	sp.SetAttr("decode_workers", parallel.Workers(opts.Workers))
 	sp.SetAttr("decode_bytes", int(stream.DecodedBytes()))
 	sp.End()
-	opts.Intern = table
-	return CleanFeeds(list, updateWarnings, opts)
+	return CleanFeeds(fs, updateWarnings, opts)
 }
 
-// CleanFeeds runs the pipeline over already-ingested feeds.
-func CleanFeeds(list []*Feed, updateWarnings []bgpstream.Warning, opts Options) (*core.Snapshot, *Report, error) {
+// Per-path filter verdict bits, memoized by path ID in CleanFeeds.
+const pathChecked, pathLoop, pathPrivate uint8 = 1, 2, 4
+
+// CleanFeeds runs the pipeline over an already-built feed set. It reads
+// fs and interns nothing: the snapshot shares fs.Paths.
+func CleanFeeds(fs *FeedSet, updateWarnings []bgpstream.Warning, opts Options) (*core.Snapshot, *Report, error) {
+	for p := 1; p < len(fs.Prefixes); p++ {
+		if prefixset.ComparePrefixes(fs.Prefixes[p-1], fs.Prefixes[p]) >= 0 {
+			return nil, nil, fmt.Errorf("%w: %v after %v", ErrUnsortedRoutes, fs.Prefixes[p], fs.Prefixes[p-1])
+		}
+	}
 	sp := opts.Span.Child("sanitize.clean_feeds")
 	defer sp.End()
 	reg := opts.Metrics
 	rep := &Report{RemovedPeerASes: map[uint32]RemovalReason{}}
-	// Remember whether any input feed carried routes: the
-	// all-feeds-removed gate below distinguishes "filters ate real data"
-	// (an error) from "there was nothing to see" (a legal empty era).
-	hadData := false
-	for _, f := range list {
-		if len(f.Routes) > 0 {
-			hadData = true
-			break
-		}
-	}
+	// Remember whether any feed carried routes: the all-feeds-removed
+	// gate below distinguishes "filters ate real data" (an error) from
+	// "there was nothing to see" (a legal empty era).
+	hadData := slices.ContainsFunc(fs.cells, func(id aspath.ID) bool { return id != aspath.Empty })
 	// Quarantine: feeds from collectors whose sources blew their
 	// degradation budget are excluded wholesale before any other stage —
 	// the same mechanism as abnormal-peer removal, one level up. Their
-	// stats appear nowhere else in the report.
-	if len(opts.QuarantinedCollectors) > 0 {
-		kept := make([]*Feed, 0, len(list))
-		for _, f := range list {
-			if opts.QuarantinedCollectors[f.VP.Collector] {
-				rep.QuarantinedFeeds++
-				if reg != nil {
-					reg.Counter("sanitize.vp_dropped", "vp", f.VP.String(), "cause", "quarantined").Inc()
-				}
-				continue
+	// stats appear nowhere else in the report. live holds the rest, as
+	// columns of fs.
+	live := make([]int, 0, len(fs.Feeds))
+	stats := make([]FeedStat, len(fs.Feeds))
+	for fi, f := range fs.Feeds {
+		if opts.QuarantinedCollectors[f.VP.Collector] {
+			rep.QuarantinedFeeds++
+			if reg != nil {
+				reg.Counter("sanitize.vp_dropped", "vp", f.VP.String(), "cause", "quarantined").Inc()
 			}
-			kept = append(kept, f)
+			continue
 		}
-		list = kept
+		live = append(live, fi)
+		stats[fi] = FeedStat{VP: f.VP, Duplicates: f.Duplicates, ASSetDropped: f.ASSetDropped}
+	}
+	if len(opts.QuarantinedCollectors) > 0 {
 		names := make([]string, 0, len(opts.QuarantinedCollectors))
 		for name := range opts.QuarantinedCollectors {
 			names = append(names, name)
@@ -400,84 +441,68 @@ func CleanFeeds(list []*Feed, updateWarnings []bgpstream.Warning, opts Options) 
 			reg.Counter("sanitize.quarantined_feeds").Add(int64(rep.QuarantinedFeeds))
 		}
 	}
-	table := opts.Intern
-	if table == nil {
-		table = aspath.NewTable()
-	}
 
 	stage := sp.Child("intern")
 
-	// A feed's routes, filtered by family and loops and interned, stay
-	// in parallel prefix-sorted slices; rows gets each route's snapshot
-	// row at admission (-1 when its prefix is not admitted).
-	type feedData struct {
-		stat FeedStat
-		pfx  []netip.Prefix
-		ids  []aspath.ID
-		rows []int32
+	// One pass over the rows of the requested family counts each live
+	// feed's unique prefixes, loop drops and private-ASN paths. The loop
+	// and private-ASN checks run once per path ID, memoized in verdict;
+	// a route is kept when its prefix is in the family and its path has
+	// no loop.
+	inFamily := func(pfx netip.Prefix) bool {
+		return opts.Family == 0 || pfx.Addr().Is4() == (opts.Family == 4)
 	}
-	var snapTime uint32
-	for _, f := range list {
-		if snapTime == 0 {
-			snapTime = f.Time
-		}
+	verdict := make([]uint8, fs.Paths.Len())
+	kept := func(id aspath.ID) bool {
+		return id != aspath.Empty && verdict[id]&pathLoop == 0
 	}
-	// Per-feed interning runs on the worker pool: each worker owns its
-	// feed's slices and interns into the shared striped table. Path ID
-	// values depend on interleaving, but every consumer treats IDs as
-	// opaque equality tokens, so the snapshot is unchanged.
-	feeds := make([]*feedData, len(list))
-	err := parallel.ForEach(opts.Workers, len(list), func(i int) error {
-		f := list[i]
-		fd := &feedData{
-			stat: FeedStat{
-				VP:           f.VP,
-				Duplicates:   f.Duplicates,
-				ASSetDropped: f.ASSetDropped,
-			},
-			pfx: make([]netip.Prefix, 0, len(f.Routes)),
-			ids: make([]aspath.ID, 0, len(f.Routes)),
+	for p, pfx := range fs.Prefixes {
+		if !inFamily(pfx) {
+			continue
 		}
-		for j, r := range f.Routes {
-			if j > 0 && prefixset.ComparePrefixes(f.Routes[j-1].Prefix, r.Prefix) >= 0 {
-				return fmt.Errorf("%w: feed %v at %v", ErrUnsortedRoutes, f.VP, r.Prefix)
-			}
-			if opts.Family == 4 && !r.Prefix.Addr().Is4() {
+		row := fs.Row(p)
+		for _, fi := range live {
+			id := row[fi]
+			if id == aspath.Empty {
 				continue
 			}
-			if opts.Family == 6 && r.Prefix.Addr().Is4() {
+			v := verdict[id]
+			if v == 0 {
+				path := fs.Paths.Seq(id)
+				v = pathChecked
+				if path.HasLoop() {
+					v |= pathLoop
+				}
+				if len(path) > 1 && path[1:].HasPrivateASN() {
+					v |= pathPrivate
+				}
+				verdict[id] = v
+			}
+			st := &stats[fi]
+			if v&pathLoop != 0 {
+				st.LoopDropped++
 				continue
 			}
-			if r.Path.HasLoop() {
-				fd.stat.LoopDropped++
-				continue
+			st.UniquePrefixes++
+			if v&pathPrivate != 0 {
+				st.PrivateASN++
 			}
-			if len(r.Path) > 1 && r.Path[1:].HasPrivateASN() {
-				fd.stat.PrivateASN++
-			}
-			fd.pfx = append(fd.pfx, r.Prefix)
-			fd.ids = append(fd.ids, table.Intern(r.Path))
 		}
-		feeds[i] = fd
-		return nil
-	})
-	if err != nil {
-		return nil, nil, err
 	}
 	if reg != nil {
-		reg.Counter("sanitize.feeds").Add(int64(len(feeds)))
+		reg.Counter("sanitize.feeds").Add(int64(len(live)))
 		var loops, dups, assets int64
-		for _, fd := range feeds {
-			loops += int64(fd.stat.LoopDropped)
-			dups += int64(fd.stat.Duplicates)
-			assets += int64(fd.stat.ASSetDropped)
+		for _, fi := range live {
+			loops += int64(stats[fi].LoopDropped)
+			dups += int64(stats[fi].Duplicates)
+			assets += int64(stats[fi].ASSetDropped)
 		}
 		reg.Counter("sanitize.routes_dropped", "cause", "loop").Add(loops)
 		reg.Counter("sanitize.routes_dropped", "cause", "duplicate").Add(dups)
 		reg.Counter("sanitize.routes_dropped", "cause", "as-set").Add(assets)
 	}
-	stage.SetAttr("feeds", len(feeds))
-	stage.SetAttr("paths_interned", table.Len())
+	stage.SetAttr("feeds", len(live))
+	stage.SetAttr("paths", fs.Paths.Len())
 	stage.End()
 	stage = sp.Child("abnormal_peers")
 
@@ -508,17 +533,17 @@ func CleanFeeds(list []*Feed, updateWarnings []bgpstream.Warning, opts Options) 
 
 	// Abnormal peers from feed-level shares. Removal is by peer AS
 	// (every feed of that AS goes), matching the paper.
-	for _, fd := range feeds {
-		n := len(fd.pfx)
-		fd.stat.UniquePrefixes = n
+	for _, fi := range live {
+		st := &stats[fi]
+		n := st.UniquePrefixes
 		if n == 0 {
 			continue
 		}
-		if float64(fd.stat.PrivateASN)/float64(n) > opts.PrivateASNShare {
-			rep.RemovedPeerASes[fd.stat.VP.ASN] = RemovedPrivateASN
+		if float64(st.PrivateASN)/float64(n) > opts.PrivateASNShare {
+			rep.RemovedPeerASes[st.VP.ASN] = RemovedPrivateASN
 		}
-		if float64(fd.stat.Duplicates)/float64(n+fd.stat.Duplicates) > opts.DuplicateShare {
-			rep.RemovedPeerASes[fd.stat.VP.ASN] = RemovedDuplicates
+		if float64(st.Duplicates)/float64(n+st.Duplicates) > opts.DuplicateShare {
+			rep.RemovedPeerASes[st.VP.ASN] = RemovedDuplicates
 		}
 	}
 	if reg != nil {
@@ -531,44 +556,41 @@ func CleanFeeds(list []*Feed, updateWarnings []bgpstream.Warning, opts Options) 
 	stage = sp.Child("full_feed")
 
 	// Full-feed inference over surviving feeds.
-	max := 0
-	for _, fd := range feeds {
-		if _, gone := rep.RemovedPeerASes[fd.stat.VP.ASN]; gone {
-			continue
-		}
-		if len(fd.pfx) > max {
-			max = len(fd.pfx)
+	for _, fi := range live {
+		if _, gone := rep.RemovedPeerASes[stats[fi].VP.ASN]; !gone {
+			rep.MaxPrefixCount = max(rep.MaxPrefixCount, stats[fi].UniquePrefixes)
 		}
 	}
-	rep.MaxPrefixCount = max
-	rep.FullFeedThreshold = int(opts.FullFeedFraction * float64(max))
+	rep.FullFeedThreshold = int(opts.FullFeedFraction * float64(rep.MaxPrefixCount))
 
-	var vpFeeds []*feedData
-	for _, fd := range feeds {
-		if _, gone := rep.RemovedPeerASes[fd.stat.VP.ASN]; gone {
+	// vpFeeds holds the columns of fs that become snapshot VPs.
+	var vpFeeds []int
+	for _, fi := range live {
+		st := &stats[fi]
+		if _, gone := rep.RemovedPeerASes[st.VP.ASN]; gone {
 			if reg != nil {
-				reg.Counter("sanitize.vp_dropped", "vp", fd.stat.VP.String(), "cause", "abnormal-peer").Inc()
+				reg.Counter("sanitize.vp_dropped", "vp", st.VP.String(), "cause", "abnormal-peer").Inc()
 			}
 			continue
 		}
-		if len(fd.pfx) > rep.FullFeedThreshold ||
-			(opts.KeepAllPrefixes && len(fd.pfx) > 0) {
-			fd.stat.FullFeed = len(fd.pfx) > rep.FullFeedThreshold
-			if fd.stat.FullFeed {
+		if st.UniquePrefixes > rep.FullFeedThreshold ||
+			(opts.KeepAllPrefixes && st.UniquePrefixes > 0) {
+			st.FullFeed = st.UniquePrefixes > rep.FullFeedThreshold
+			if st.FullFeed {
 				rep.FullFeeds++
 			}
-			vpFeeds = append(vpFeeds, fd)
+			vpFeeds = append(vpFeeds, fi)
 		} else if reg != nil {
-			reg.Counter("sanitize.vp_dropped", "vp", fd.stat.VP.String(), "cause", "below-threshold").Inc()
+			reg.Counter("sanitize.vp_dropped", "vp", st.VP.String(), "cause", "below-threshold").Inc()
 		}
 	}
 	if reg != nil {
 		reg.Counter("sanitize.vps_admitted").Add(int64(len(vpFeeds)))
 	}
 	// Deterministic VP order.
-	slices.SortFunc(vpFeeds, func(a, b *feedData) int { return compareVPs(a.stat.VP, b.stat.VP) })
-	for _, fd := range feeds {
-		rep.Feeds = append(rep.Feeds, fd.stat)
+	slices.SortFunc(vpFeeds, func(a, b int) int { return compareVPs(stats[a].VP, stats[b].VP) })
+	for _, fi := range live {
+		rep.Feeds = append(rep.Feeds, stats[fi])
 	}
 	slices.SortFunc(rep.Feeds, func(a, b FeedStat) int { return compareVPs(a.VP, b.VP) })
 
@@ -591,35 +613,33 @@ func CleanFeeds(list []*Feed, updateWarnings []bgpstream.Warning, opts Options) 
 	stage = sp.Child("admission")
 
 	// Prefix admission: length + visibility thresholds over VP feeds.
-	// One k-way cursor sweep over the sorted feeds visits the union of
-	// their prefixes in prefixset order. At each union prefix, the feeds
-	// whose cursor sits on it count distinct collectors and peer ASes by
-	// stamping dense feed-level IDs with the prefix's ordinal (no
-	// clearing between prefixes), then record the prefix's snapshot row
-	// for their route and advance.
+	// Each row of the family is seen when some VP feed keeps a route
+	// there; those feeds count distinct collectors and peer ASes by
+	// stamping dense feed-level IDs with the row's ordinal (no clearing
+	// between rows).
 	collID := map[string]int32{}
 	asnID := map[uint32]int32{}
 	feedColl := make([]int32, len(vpFeeds))
 	feedASN := make([]int32, len(vpFeeds))
-	for i, fd := range vpFeeds {
-		ci, ok := collID[fd.stat.VP.Collector]
+	for v, fi := range vpFeeds {
+		vp := stats[fi].VP
+		ci, ok := collID[vp.Collector]
 		if !ok {
 			ci = int32(len(collID))
-			collID[fd.stat.VP.Collector] = ci
+			collID[vp.Collector] = ci
 		}
-		ai, ok := asnID[fd.stat.VP.ASN]
+		ai, ok := asnID[vp.ASN]
 		if !ok {
 			ai = int32(len(asnID))
-			asnID[fd.stat.VP.ASN] = ai
+			asnID[vp.ASN] = ai
 		}
-		feedColl[i], feedASN[i] = ci, ai
-		fd.rows = make([]int32, len(fd.pfx))
+		feedColl[v], feedASN[v] = ci, ai
 	}
 	collStamp := make([]int32, len(collID))
 	asnStamp := make([]int32, len(asnID))
 
 	// admit applies the length filter, then the visibility thresholds
-	// over the feeds carrying pfx.
+	// over the VP feeds (indices into vpFeeds) carrying pfx.
 	admit := func(pfx netip.Prefix, hits []int, stamp int32) bool {
 		if opts.LengthFilter && !prefixset.Admissible(pfx) {
 			rep.DroppedByLength++
@@ -629,13 +649,13 @@ func CleanFeeds(list []*Feed, updateWarnings []bgpstream.Warning, opts Options) 
 			return true
 		}
 		nColl, nASN := 0, 0
-		for _, fi := range hits {
-			if collStamp[feedColl[fi]] != stamp {
-				collStamp[feedColl[fi]] = stamp
+		for _, v := range hits {
+			if collStamp[feedColl[v]] != stamp {
+				collStamp[feedColl[v]] = stamp
 				nColl++
 			}
-			if asnStamp[feedASN[fi]] != stamp {
-				asnStamp[feedASN[fi]] = stamp
+			if asnStamp[feedASN[v]] != stamp {
+				asnStamp[feedASN[v]] = stamp
 				nASN++
 			}
 		}
@@ -650,40 +670,29 @@ func CleanFeeds(list []*Feed, updateWarnings []bgpstream.Warning, opts Options) 
 		return true
 	}
 
-	cursor := make([]int, len(vpFeeds))
-	hits := make([]int, 0, len(vpFeeds)) // feeds whose cursor is on the union prefix
+	hits := make([]int, 0, len(vpFeeds))
 	admitted := make([]netip.Prefix, 0, rep.MaxPrefixCount)
-	for stamp := int32(1); ; stamp++ {
-		var pfx netip.Prefix
+	rows := make([]int, 0, rep.MaxPrefixCount) // admitted prefixes' rows in fs
+	for p, pfx := range fs.Prefixes {
+		if !inFamily(pfx) {
+			continue
+		}
+		row := fs.Row(p)
 		hits = hits[:0]
-		for fi, fd := range vpFeeds {
-			c := cursor[fi]
-			if c == len(fd.pfx) {
-				continue
-			}
-			// Most cursors sit on the union prefix: test equality first.
-			if len(hits) > 0 && fd.pfx[c] == pfx {
-				hits = append(hits, fi)
-			} else if len(hits) == 0 || prefixset.ComparePrefixes(fd.pfx[c], pfx) < 0 {
-				pfx = fd.pfx[c]
-				hits = append(hits[:0], fi)
+		for v, fi := range vpFeeds {
+			if kept(row[fi]) {
+				hits = append(hits, v)
 			}
 		}
 		if len(hits) == 0 {
-			break
+			continue
 		}
 		rep.PrefixesSeen++
-		row := int32(-1)
-		if admit(pfx, hits, stamp) {
-			row = int32(len(admitted))
+		if admit(pfx, hits, int32(rep.PrefixesSeen)) {
 			admitted = append(admitted, pfx)
-		}
-		for _, fi := range hits {
-			vpFeeds[fi].rows[cursor[fi]] = row
-			cursor[fi]++
+			rows = append(rows, p)
 		}
 	}
-	// admitted inherits the sweep's sorted order; no re-sort needed.
 	rep.PrefixesAdmitted = len(admitted)
 	if reg != nil {
 		reg.Counter("sanitize.prefixes_seen").Add(int64(rep.PrefixesSeen))
@@ -697,49 +706,38 @@ func CleanFeeds(list []*Feed, updateWarnings []bgpstream.Warning, opts Options) 
 	stage.End()
 	stage = sp.Child("assemble")
 
-	// Assemble the snapshot.
+	// Assemble the snapshot from the VP columns of the admitted rows,
+	// counting MOAS prefixes on the way. The tiny origins scratch is
+	// reused across rows (origin counts per prefix are small; a linear
+	// scan beats a map).
 	vps := make([]core.VP, len(vpFeeds))
-	for i, fd := range vpFeeds {
-		vps[i] = fd.stat.VP
+	for v, fi := range vpFeeds {
+		vps[v] = stats[fi].VP
 	}
-	// Share the interning table built during ingestion.
-	snap := core.NewSnapshotWith(snapTime, vps, admitted, table)
-	for v, fd := range vpFeeds {
-		for c, row := range fd.rows {
-			if row >= 0 {
-				snap.Row(int(row))[v] = fd.ids[c]
+	snap := core.NewSnapshotWith(fs.Time, vps, admitted, fs.Paths)
+	origins := make([]uint32, 0, 8)
+	for r, p := range rows {
+		src, dst := fs.Row(p), snap.Row(r)
+		origins = origins[:0]
+		for v, fi := range vpFeeds {
+			id := src[fi]
+			if !kept(id) {
+				continue
+			}
+			dst[v] = id
+			if o, ok := fs.Paths.Origin(id); ok && !slices.Contains(origins, o) {
+				origins = append(origins, o)
 			}
 		}
-	}
-	// MOAS: each chunk scans a disjoint range of rows; only the tally is
-	// shared, so it accumulates atomically. The tiny origins scratch is
-	// reused across the chunk's prefixes (origin counts per prefix are
-	// small; a linear scan beats a map).
-	var moas atomic.Int64
-	parallel.Chunks(opts.Workers, len(admitted), func(lo, hi int) error {
-		origins := make([]uint32, 0, 8)
-		for p := lo; p < hi; p++ {
-			origins = origins[:0]
-			for _, id := range snap.Row(p) {
-				if id == aspath.Empty {
-					continue
-				}
-				if o, ok := table.Origin(id); ok && !slices.Contains(origins, o) {
-					origins = append(origins, o)
-				}
-			}
-			if len(origins) > 1 {
-				moas.Add(1)
-			}
+		if len(origins) > 1 {
+			rep.MOASPrefixes++
 		}
-		return nil
-	})
-	rep.MOASPrefixes = int(moas.Load())
+	}
 	if reg != nil {
 		reg.Counter("sanitize.moas_prefixes").Add(int64(rep.MOASPrefixes))
 	}
 	stage.End()
-	sp.SetAttr("feeds", len(feeds))
+	sp.SetAttr("feeds", len(live))
 	sp.SetAttr("vps", len(vpFeeds))
 	sp.SetAttr("prefixes", rep.PrefixesAdmitted)
 	return snap, rep, nil

@@ -107,7 +107,7 @@ func TestCleanRemovesGhosts(t *testing.T) {
 func TestVisibilityThresholdsDirect(t *testing.T) {
 	mk := edgeFeed
 	wide := []string{"10.0.0.0/24", "10.0.1.0/24", "10.0.2.0/24", "10.0.3.0/24", "10.0.4.0/24"}
-	feeds := []*sanitize.Feed{
+	feeds := []*handFeed{
 		mk("c1", 1, wide...),
 		mk("c1", 2, wide...),
 		mk("c2", 3, wide...),
@@ -128,7 +128,7 @@ func TestVisibilityThresholdsDirect(t *testing.T) {
 	opts := sanitize.Defaults()
 	// Keep every feed a vantage point despite the deliberate size skew.
 	opts.FullFeedFraction = 0.5
-	snap, rep, err := sanitize.CleanFeeds(feeds, nil, opts)
+	snap, rep, err := sanitize.CleanFeeds(feedSet(feeds), nil, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,6 +24,35 @@ func H64(vals ...uint64) uint64 {
 	return acc
 }
 
+// Chain64 hashes a sequence of values with chained splitmix64 rounds
+// that fold the accumulator into each value after its increment. It is
+// a different mixer from H64; the collector's and the fault injector's
+// draws use it, and the digests, goldens and fault schedules pin its
+// output.
+func Chain64(vals ...uint64) uint64 {
+	acc := uint64(0x2545f4914f6cdd1d)
+	for _, v := range vals {
+		v += 0x9e3779b97f4a7c15
+		v = (v ^ acc ^ (v >> 30)) * 0xbf58476d1ce4e5b9
+		v = (v ^ (v >> 27)) * 0x94d049bb133111eb
+		acc = v ^ (v >> 31)
+	}
+	return acc
+}
+
+// ChainUnit is Unit over Chain64.
+func ChainUnit(vals ...uint64) float64 {
+	return toUnit(Chain64(vals...))
+}
+
+// ChainPick is Pick over Chain64.
+func ChainPick(n int, vals ...uint64) int {
+	if n <= 0 {
+		return 0
+	}
+	return int(Chain64(vals...) % uint64(n))
+}
+
 // Unit returns a uniform float64 in [0,1) addressed by the labels.
 func Unit(vals ...uint64) float64 {
 	return toUnit(H64(vals...))
