@@ -125,17 +125,6 @@ func (p Path) AppendSequence(buf Seq) (Seq, error) {
 	return out, nil
 }
 
-// HasMultiASSet reports whether any segment is an AS_SET with more than one
-// member.
-func (p Path) HasMultiASSet() bool {
-	for _, s := range p.Segments {
-		if s.Type == SegSet && len(s.ASNs) > 1 {
-			return true
-		}
-	}
-	return false
-}
-
 // Len returns the AS_PATH length as the BGP decision process counts it:
 // each sequence member counts 1, each AS_SET segment counts 1 in total
 // (RFC 4271 §9.1.2.2).
@@ -271,9 +260,9 @@ func ParseSeq(s string) (Seq, error) {
 	return out, nil
 }
 
-// HasPrepending reports whether the sequence contains at least one pair of
+// hasPrepending reports whether the sequence contains at least one pair of
 // consecutive duplicate ASes (the signature of AS-path prepending).
-func (s Seq) HasPrepending() bool {
+func (s Seq) hasPrepending() bool {
 	for i := 1; i < len(s); i++ {
 		if s[i] == s[i-1] {
 			return true
@@ -286,7 +275,7 @@ func (s Seq) HasPrepending() bool {
 // collapsed to a single occurrence. If nothing is prepended the receiver
 // is returned unchanged (no allocation).
 func (s Seq) StripPrepending() Seq {
-	if !s.HasPrepending() {
+	if !s.hasPrepending() {
 		return s
 	}
 	out := make(Seq, 0, len(s))
@@ -330,16 +319,6 @@ func (s Seq) HasLoop() bool {
 			if s[j] == s[i] {
 				return true // two runs headed by the same AS
 			}
-		}
-	}
-	return false
-}
-
-// ContainsASN reports whether asn appears anywhere in the sequence.
-func (s Seq) ContainsASN(asn uint32) bool {
-	for _, a := range s {
-		if a == asn {
-			return true
 		}
 	}
 	return false

@@ -145,15 +145,6 @@ func TestPathString(t *testing.T) {
 	}
 }
 
-func TestHasMultiASSet(t *testing.T) {
-	if (Path{Segments: []Segment{{Type: SegSet, ASNs: []uint32{1}}}}).HasMultiASSet() {
-		t.Error("singleton set flagged")
-	}
-	if !(Path{Segments: []Segment{{Type: SegSet, ASNs: []uint32{1, 2}}}}).HasMultiASSet() {
-		t.Error("multi set not flagged")
-	}
-}
-
 func TestFromSeqRoundTrip(t *testing.T) {
 	s := seq(10, 20, 30)
 	p := FromSeq(s)
@@ -221,11 +212,11 @@ func TestParseSeq(t *testing.T) {
 
 func TestPrepending(t *testing.T) {
 	plain := seq(1, 2, 3)
-	if plain.HasPrepending() {
+	if plain.hasPrepending() {
 		t.Error("plain flagged as prepended")
 	}
 	pre := seq(1, 2, 2, 2, 3)
-	if !pre.HasPrepending() {
+	if !pre.hasPrepending() {
 		t.Error("prepended not flagged")
 	}
 	if got := pre.StripPrepending(); !got.Equal(plain) {
@@ -255,13 +246,6 @@ func TestHasLoop(t *testing.T) {
 	}
 	if seq().HasLoop() || seq(1).HasLoop() {
 		t.Error("trivial loop")
-	}
-}
-
-func TestContainsASN(t *testing.T) {
-	s := seq(1, 2, 3)
-	if !s.ContainsASN(2) || s.ContainsASN(9) {
-		t.Error("ContainsASN broken")
 	}
 }
 
@@ -407,7 +391,7 @@ func TestSplitPropertyBased(t *testing.T) {
 		}
 		// Stripping prepending from both must not change SplitRaw-on-stripped
 		// vs SplitUnique when neither path has prepending.
-		if !a.HasPrepending() && !b.HasPrepending() {
+		if !a.hasPrepending() && !b.hasPrepending() {
 			if ru != rr {
 				t.Fatalf("no prepending but unique %d != raw %d: %v / %v", ru, rr, a, b)
 			}

@@ -505,3 +505,21 @@ func TestMainExitLoadError(t *testing.T) {
 		t.Errorf("Main on non-module dir = %d, want %d", got, ExitError)
 	}
 }
+
+// The standard library's export data comes from one go list call; the
+// map must cover what the analyzers import, and a failing call must
+// surface as an error rather than an empty map.
+func TestListExports(t *testing.T) {
+	exports, err := listExports("go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{"fmt", "sync/atomic", "net/netip"} {
+		if exports[path] == "" {
+			t.Errorf("no export data listed for %s", path)
+		}
+	}
+	if _, err := listExports(filepath.Join(t.TempDir(), "no-such-go")); err == nil {
+		t.Error("a failing go list returned no error")
+	}
+}

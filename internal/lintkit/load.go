@@ -1,6 +1,8 @@
 package lintkit
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"go/ast"
@@ -9,11 +11,14 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"runtime"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // Package is one loaded, type-checked package: the syntax trees plus the
@@ -31,8 +36,9 @@ type Package struct {
 // standard library: module-internal imports are resolved against the
 // module directory, everything else is read from the toolchain's
 // compiled export data (go/importer's "gc" importer), so the standard
-// library is never type-checked from source. Test files are skipped —
-// analyzers gate production code.
+// library is never type-checked from source. One batched go list call
+// per process locates the export data of every standard package. Test
+// files are skipped — analyzers gate production code.
 type Loader struct {
 	ModPath string
 	ModDir  string
@@ -55,18 +61,55 @@ func NewLoader(dir string) (*Loader, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newLoader(modPath, abs), nil
+	return newLoader(modPath, abs)
 }
 
-func newLoader(modPath, dir string) *Loader {
+func newLoader(modPath, dir string) (*Loader, error) {
+	exports, err := stdExports()
+	if err != nil {
+		return nil, err
+	}
+	lookup := func(path string) (io.ReadCloser, error) {
+		if file := exports[path]; file != "" {
+			return os.Open(file)
+		}
+		return nil, fmt.Errorf("lintkit: no export data for %q (not a standard package)", path)
+	}
 	fset := token.NewFileSet()
 	return &Loader{
 		ModPath: modPath,
 		ModDir:  dir,
 		fset:    fset,
-		std:     importer.ForCompiler(fset, "gc", nil),
+		std:     importer.ForCompiler(fset, "gc", lookup),
 		pkgs:    map[string]*Package{},
 		loading: map[string]bool{},
+	}, nil
+}
+
+// stdExports maps every standard-library import path to its export
+// data file. Left to itself the "gc" importer runs one go list per
+// imported package; one batched call over std replaces them all.
+var stdExports = sync.OnceValues(func() (map[string]string, error) { return listExports("go") })
+
+// listExports runs the go command goCmd once to list the export data
+// of every standard package.
+func listExports(goCmd string) (map[string]string, error) {
+	var stderr bytes.Buffer
+	cmd := exec.Command(goCmd, "list", "-export", "-json=ImportPath,Export", "std")
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		return nil, fmt.Errorf("lintkit: go list -export std: %v: %s", err, stderr.Bytes())
+	}
+	exports := map[string]string{}
+	for dec := json.NewDecoder(bytes.NewReader(out)); ; {
+		var p struct{ ImportPath, Export string }
+		if err := dec.Decode(&p); err == io.EOF {
+			return exports, nil
+		} else if err != nil {
+			return nil, fmt.Errorf("lintkit: go list -export std: %v", err)
+		}
+		exports[p.ImportPath] = p.Export
 	}
 }
 
@@ -226,7 +269,11 @@ var errNoGoFiles = errors.New("lintkit: no buildable Go files")
 // which lets testdata packages impersonate scoped paths like
 // "repro/internal/core".
 func LoadFixture(dir, importPath string) (*Package, error) {
-	return newLoader(importPath, dir).loadDir(dir, importPath)
+	l, err := newLoader(importPath, dir)
+	if err != nil {
+		return nil, err
+	}
+	return l.loadDir(dir, importPath)
 }
 
 // excludedByBuildTags reports whether a //go:build line above the
