@@ -187,8 +187,9 @@ func cloneInfra(in *Infra, edit func(*Peer)) *Infra {
 
 // TestLazyAltRoutes pins the route table's lazy runner-up routes to an
 // eager reference: AltRouteAt at every VP for every unit, then the shift
-// rule applied per (prefix, VP). VPShiftShare is forced high so a large
-// share of shifted VPs' cells take the runner-up route.
+// rule applied per (prefix, VP) that some peer of the VP exports; the
+// cells no peer exports stay empty. VPShiftShare is forced high so a
+// large share of shifted VPs' cells take the runner-up route.
 func TestLazyAltRoutes(t *testing.T) {
 	p := topology.DefaultParams(41)
 	p.Scale = 0.004
@@ -199,13 +200,13 @@ func TestLazyAltRoutes(t *testing.T) {
 	ov := model.OverlayAt(g, 12.5, in.FullFeedASNs())
 	got := buildRouteTable(g, in, ov, aspath.NewTable())
 
-	seen := map[uint32]bool{}
+	peersOf := map[uint32][]*Peer{}
 	var vps []uint32
 	for _, cp := range in.AllPeers() {
-		if !seen[cp.Peer.ASN] && cp.Peer.Artifact != ArtifactStuck {
+		if peersOf[cp.Peer.ASN] == nil && cp.Peer.Artifact != ArtifactStuck {
 			vps = append(vps, cp.Peer.ASN)
 		}
-		seen[cp.Peer.ASN] = true
+		peersOf[cp.Peer.ASN] = append(peersOf[cp.Peer.ASN], cp.Peer)
 	}
 	slices.Sort(vps)
 	want := &routeTable{paths: got.paths, prefixes: got.prefixes, nVPs: got.nVPs, cells: make([]routeEntry, len(got.cells))}
@@ -219,11 +220,13 @@ func TestLazyAltRoutes(t *testing.T) {
 			alts[v], _ = eng.AltRouteAt(vp)
 		}
 		for _, pfx := range moves.UnitPrefixes(u) {
-			row := want.rowOf(pfx)
+			ri, _ := slices.BinarySearchFunc(want.prefixes, pfx, prefixset.ComparePrefixes)
+			row := want.row(ri)
 			label := prefixLabel(pfx)
 			for v, vp := range vps {
 				r := best[v]
-				if r.Path == nil {
+				exported := slices.ContainsFunc(peersOf[vp], func(p *Peer) bool { return carries(in, p, label) })
+				if r.Path == nil || !exported {
 					continue
 				}
 				if tok := ov.VPShift[vp]; tok != 0 && alts[v].Path != nil &&
@@ -248,6 +251,88 @@ func TestLazyAltRoutes(t *testing.T) {
 				t.Fatalf("%v at VP %d: %v/%d/%v, eager %v/%d/%v", pfx, vp,
 					got.paths.Seq(a.id), a.cost, a.class, got.paths.Seq(b.id), b.cost, b.class)
 			}
+		}
+	}
+}
+
+// TestRouteTableInternsOnlyExportedRoutes: after BuildFeeds into a
+// fresh table, the table holds the empty path, the paths the feed set
+// references, and the routes the route table weighed for cells some
+// peer exports — each exported (unit, VP) best route and each runner-up
+// the shift rule selects for an exported prefix — and nothing else. A
+// unit's route at a VP none of whose peers carries any of its prefixes
+// is never interned.
+func TestRouteTableInternsOnlyExportedRoutes(t *testing.T) {
+	p := topology.DefaultParams(41)
+	p.Scale = 0.004
+	g := topology.Generate(p, topology.EraOf(2024, 1))
+	in := BuildInfra(g, Config{Seed: 11, Artifacts: true})
+	peersOf := map[uint32][]*Peer{}
+	var vps, stuck []uint32
+	for _, cp := range in.AllPeers() {
+		if peersOf[cp.Peer.ASN] == nil {
+			if cp.Peer.Artifact == ArtifactStuck {
+				stuck = append(stuck, cp.Peer.ASN)
+			} else {
+				vps = append(vps, cp.Peer.ASN)
+			}
+		}
+		peersOf[cp.Peer.ASN] = append(peersOf[cp.Peer.ASN], cp.Peer)
+	}
+	slices.Sort(vps)
+	exported := func(vp uint32, pfx netip.Prefix) bool {
+		return slices.ContainsFunc(peersOf[vp], func(p *Peer) bool { return carries(in, p, prefixLabel(pfx)) })
+	}
+	// weigh interns into need every route the table weighs for u's
+	// exported cells at vps.
+	weigh := func(need *aspath.Table, eng *routing.Engine, ov *routing.Overlay, u *topology.PolicyGroup, prefixes []netip.Prefix, vps []uint32) {
+		eng.ComputeUnit(u)
+		for _, vp := range vps {
+			best, ok := eng.RouteAt(vp)
+			if !ok || !slices.ContainsFunc(prefixes, func(pfx netip.Prefix) bool { return exported(vp, pfx) }) {
+				continue
+			}
+			need.Intern(best.Path)
+			tok := ov.VPShift[vp]
+			if tok == 0 {
+				continue
+			}
+			for _, pfx := range prefixes {
+				label := prefixLabel(pfx)
+				if exported(vp, pfx) && (topology.ChainUnit(ov.VPSticky[vp], label) < ov.VPShiftShare*0.7 || topology.ChainUnit(tok, label) < ov.VPShiftShare*0.3) {
+					if alt, ok := eng.AltRouteAt(vp); ok {
+						need.Intern(alt.Path)
+					}
+				}
+			}
+		}
+	}
+	for _, shift := range []float64{0.015, 0.5} {
+		model := routing.ChurnModel{Seed: 3, UnitEventRate: 0.3, VPEventRate: 2,
+			TransitFlipShare: 0.4, PrefixMobileShare: 0.01, PrefixBaseMoveRate: 0.01, VPShiftShare: shift}
+		ov := model.OverlayAt(g, 12.5, in.FullFeedASNs())
+		table := aspath.NewTable()
+		fs := BuildFeeds(g, in, ov, EpochOf(g.Era), table)
+
+		need := aspath.NewTable()
+		for r := range fs.Prefixes {
+			for _, id := range fs.Row(r) {
+				if id != aspath.Empty {
+					need.Intern(table.Seq(id))
+				}
+			}
+		}
+		referenced := need.Len() - 1
+		eng := routing.NewEngine(g, ov)
+		moves := routing.BuildMoveSet(ov)
+		stale := routing.NewEngine(g, nil)
+		for _, u := range g.Groups {
+			weigh(need, eng, ov, u, moves.UnitPrefixes(u), vps)
+			weigh(need, stale, &routing.Overlay{}, u, u.Prefixes, stuck)
+		}
+		if table.Len() != need.Len() {
+			t.Errorf("shift %v: table holds %d paths, want %d: the empty path, %d the feed set references and %d more weighed for exported cells",
+				shift, table.Len(), need.Len(), referenced, need.Len()-1-referenced)
 		}
 	}
 }

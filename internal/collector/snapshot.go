@@ -67,16 +67,12 @@ func (t *routeTable) row(p int) []routeEntry {
 	return t.cells[lo : lo+t.nVPs : lo+t.nVPs]
 }
 
-// rowOf returns pfx's cells; pfx must be indexed.
-func (t *routeTable) rowOf(pfx netip.Prefix) []routeEntry {
-	p, _ := slices.BinarySearchFunc(t.prefixes, pfx, prefixset.ComparePrefixes)
-	return t.row(p)
-}
-
-// buildRouteTable routes every unit at every distinct peer, interning
-// each unit's route at each peer into paths once, however many prefixes
-// the unit has. Stuck peers route on the pristine (overlay-free) graph —
-// their feed is stale.
+// buildRouteTable routes every unit at every distinct peer that exports
+// at least one of its prefixes, interning each unit's route at each
+// such peer into paths once, however many prefixes the unit has. A cell
+// no peer of its column exports stays empty, but still counts toward
+// routed when the unit has a route there. Stuck peers route on the
+// pristine (overlay-free) graph — their feed is stale.
 func buildRouteTable(g *topology.Graph, in *Infra, ov *routing.Overlay, paths *aspath.Table) *routeTable {
 	seen := map[uint32]bool{}
 	var vps, stuckVPs []uint32
@@ -100,6 +96,7 @@ func buildRouteTable(g *topology.Graph, in *Infra, ov *routing.Overlay, paths *a
 	for i, vp := range stuckVPs {
 		t.cols[vp] = len(vps) + i
 	}
+	ex := newColExport(in, t)
 
 	// Index every prefix the merge loops below touch, so the cell
 	// matrix is allocated once and each (unit, prefix) pair finds its
@@ -124,6 +121,7 @@ func buildRouteTable(g *topology.Graph, in *Infra, ov *routing.Overlay, paths *a
 	prefixset.SortPrefixes(all)
 	t.prefixes = slices.Clip(slices.Compact(all))
 	t.cells = make([]routeEntry, len(t.prefixes)*t.nVPs)
+	reached := make([]bool, len(t.prefixes))
 
 	merge := func(c *routeEntry, cand routeEntry) {
 		if c.id == aspath.Empty || t.better(cand, *c) {
@@ -131,24 +129,30 @@ func buildRouteTable(g *topology.Graph, in *Infra, ov *routing.Overlay, paths *a
 		}
 	}
 	// A VP's runner-up route is computed at most once per unit, and only
-	// when its shift rule selects one of the unit's prefixes.
+	// when its shift rule selects one of the unit's exported prefixes.
 	eng := routing.NewEngine(g, ov)
 	shift := newVPShift(ov, vps)
 	best := make([]routeEntry, len(vps))
 	alts := make([]routeEntry, len(vps))
 	altDone := make([]bool, len(vps))
+	var ue unitExports
 	for i, u := range g.Groups {
 		prefixes := unitPrefixes[i]
 		if len(prefixes) == 0 {
 			continue
 		}
-		t.routeUnit(eng, u, vps, best)
+		ue.load(t, ex, prefixes, 0, len(vps))
+		if t.routeUnit(eng, u, vps, ue.want, best) {
+			for _, r := range ue.rows {
+				reached[r] = true
+			}
+		}
 		clear(altDone)
-		for _, pfx := range prefixes {
-			row := t.rowOf(pfx)
-			label := prefixLabel(pfx)
+		for j, r := range ue.rows {
+			row := t.row(r)
+			label := ue.labels[j]
 			for v, e := range best {
-				if e.id == aspath.Empty {
+				if e.id == aspath.Empty || !ue.exported(j, v) {
 					continue
 				}
 				if shift.selects(v, label) {
@@ -170,24 +174,89 @@ func buildRouteTable(g *topology.Graph, in *Infra, ov *routing.Overlay, paths *a
 		stale := routing.NewEngine(g, nil)
 		best := make([]routeEntry, len(stuckVPs))
 		for _, u := range g.Groups {
-			t.routeUnit(stale, u, stuckVPs, best)
-			for _, pfx := range u.Prefixes {
-				row := t.rowOf(pfx)[len(vps):]
+			ue.load(t, ex, u.Prefixes, len(vps), len(stuckVPs))
+			if t.routeUnit(stale, u, stuckVPs, ue.want, best) {
+				for _, r := range ue.rows {
+					reached[r] = true
+				}
+			}
+			for j, r := range ue.rows {
+				row := t.row(r)[len(vps):]
 				for v, e := range best {
-					if e.id != aspath.Empty {
+					if e.id != aspath.Empty && ue.exported(j, v) {
 						merge(&row[v], e)
 					}
 				}
 			}
 		}
 	}
-	for p := range t.prefixes {
-		if slices.ContainsFunc(t.row(p), func(c routeEntry) bool { return c.id != aspath.Empty }) {
+	for _, ok := range reached {
+		if ok {
 			t.routed++
 		}
 	}
 	return t
 }
+
+// colExport is, per route-table column, whether some peer exports a
+// prefix there. A column's peers share its ASN and with it the carry
+// hash of every prefix, so the column exports a prefix when one of them
+// is a full feed or the hash falls under the largest partial share
+// among them: exactly when carries holds for at least one of its peers.
+type colExport struct {
+	seed  uint64
+	asn   []uint32
+	full  []bool
+	share []float64
+}
+
+func newColExport(in *Infra, t *routeTable) *colExport {
+	ex := &colExport{seed: in.Seed, asn: make([]uint32, t.nVPs), full: make([]bool, t.nVPs), share: make([]float64, t.nVPs)}
+	for _, cp := range in.AllPeers() {
+		c := t.cols[cp.Peer.ASN]
+		ex.asn[c] = cp.Peer.ASN
+		ex.full[c] = ex.full[c] || cp.Peer.FullFeed
+		ex.share[c] = max(ex.share[c], cp.Peer.PartialShare)
+	}
+	return ex
+}
+
+// exports reports whether column c exports the prefix with this label.
+func (ex *colExport) exports(c int, label uint64) bool {
+	return ex.full[c] || topology.ChainUnit(ex.seed, 0xfeed, uint64(ex.asn[c]), label) < ex.share[c]
+}
+
+// unitExports is one unit's prefixes resolved against a run of
+// columns: their rows and labels, which (prefix, column) cells some
+// peer exports, and which columns export any of them. Its slices are
+// reused from unit to unit.
+type unitExports struct {
+	rows   []int
+	labels []uint64
+	cells  []bool // len(rows) × len(want)
+	want   []bool
+}
+
+// load resolves prefixes against the n columns starting at column lo.
+func (ue *unitExports) load(t *routeTable, ex *colExport, prefixes []netip.Prefix, lo, n int) {
+	ue.rows, ue.labels, ue.cells = ue.rows[:0], ue.labels[:0], ue.cells[:0]
+	ue.want = append(ue.want[:0], make([]bool, n)...)
+	for _, pfx := range prefixes {
+		r, _ := slices.BinarySearchFunc(t.prefixes, pfx, prefixset.ComparePrefixes)
+		label := prefixLabel(pfx)
+		ue.rows = append(ue.rows, r)
+		ue.labels = append(ue.labels, label)
+		for v := range n {
+			ok := ex.exports(lo+v, label)
+			ue.cells = append(ue.cells, ok)
+			ue.want[v] = ue.want[v] || ok
+		}
+	}
+}
+
+// exported reports whether the j-th prefix is exported at column v of
+// the loaded run.
+func (ue *unitExports) exported(j, v int) bool { return ue.cells[j*len(ue.want)+v] }
 
 // entry interns r's path into a route-table cell; a route without a
 // path becomes the empty cell.
@@ -195,14 +264,31 @@ func (t *routeTable) entry(r routing.VPRoute) routeEntry {
 	return routeEntry{id: t.paths.Intern(r.Path), cost: int16(min(r.Cost, math.MaxInt16)), class: r.Class}
 }
 
-// routeUnit computes u's best route at every VP into out, interning
-// each path once; a VP with no route gets the empty cell.
-func (t *routeTable) routeUnit(eng *routing.Engine, u *topology.PolicyGroup, vps []uint32, out []routeEntry) {
+// routeUnit computes u's best route at every VP that want selects into
+// out, interning each path once; a VP not selected or with no route
+// gets the empty cell. It reports whether u has a route at any of vps,
+// probing the unselected VPs without interning when no selected one
+// has a route.
+func (t *routeTable) routeUnit(eng *routing.Engine, u *topology.PolicyGroup, vps []uint32, want []bool, out []routeEntry) bool {
 	eng.ComputeUnit(u)
+	reached := false
 	for v, vp := range vps {
-		r, _ := eng.RouteAt(vp)
-		out[v] = t.entry(r)
+		out[v] = routeEntry{}
+		if want[v] {
+			r, ok := eng.RouteAt(vp)
+			out[v] = t.entry(r)
+			reached = reached || ok
+		}
 	}
+	for v, vp := range vps {
+		if reached {
+			break
+		}
+		if !want[v] {
+			_, reached = eng.RouteAt(vp)
+		}
+	}
+	return reached
 }
 
 // carries reports whether peer p exports the prefix with this label: a

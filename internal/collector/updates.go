@@ -2,8 +2,9 @@ package collector
 
 import (
 	"bytes"
+	"cmp"
 	"net/netip"
-	"sort"
+	"slices"
 
 	"repro/internal/aspath"
 	"repro/internal/bgp"
@@ -29,9 +30,11 @@ type UpdateConfig struct {
 	// noise flaps.
 	FlapRate float64
 	// Peers scopes the archives to these peer ASNs (nil = every peer).
-	// Out-of-scope peers are still routed and their messages still
-	// sorted and packed, so an in-scope peer's records are byte-identical
-	// to its records in the unscoped archive; they are just not encoded.
+	// Out-of-scope peers are still routed, but their messages are never
+	// built: each one only seals the last in-scope message at its
+	// instant, so packing never merges two in-scope messages the
+	// unscoped stream kept apart, and an in-scope peer's records are
+	// byte-identical to its records in the unscoped archive.
 	Peers map[uint32]bool
 }
 
@@ -45,9 +48,109 @@ type message struct {
 	t        float64
 	peer     *Peer
 	withdraw bool
+	// sealed forbids packing the next message into this one: an
+	// out-of-scope message sat between them in the unscoped stream.
+	sealed   bool
 	prefixes []netip.Prefix
 	path     aspath.Seq
 	order    int // stable sort tiebreak
+}
+
+// msgBuilder collects a window's pending messages in emission order.
+// Scoped (UpdateConfig.Peers set), it materializes in-scope messages
+// only: an out-of-scope message seals the last in-scope message added
+// at the same instant, which is exactly the message it would have
+// followed after the (t, order) sort.
+type msgBuilder struct {
+	g    *topology.Graph
+	cfg  *UpdateConfig
+	msgs []message
+	// lastAt maps an instant to the index of the last in-scope message
+	// added at it; nil when the window is unscoped.
+	lastAt map[float64]int
+}
+
+func newMsgBuilder(g *topology.Graph, cfg *UpdateConfig) *msgBuilder {
+	b := &msgBuilder{g: g, cfg: cfg}
+	if cfg.Peers != nil {
+		b.lastAt = map[float64]int{}
+	}
+	return b
+}
+
+// add queues one in-scope message.
+func (b *msgBuilder) add(t float64, peer *Peer, withdraw bool, prefixes []netip.Prefix, path aspath.Seq) {
+	if b.lastAt != nil {
+		b.lastAt[t] = len(b.msgs)
+	}
+	b.msgs = append(b.msgs, message{t: t, peer: peer, withdraw: withdraw, prefixes: prefixes, path: path, order: len(b.msgs)})
+}
+
+// single queues a one-prefix message, or seals its instant if peer is
+// out of scope.
+func (b *msgBuilder) single(t float64, peer *Peer, withdraw bool, pfx netip.Prefix, path aspath.Seq) {
+	if !b.cfg.inScope(peer.ASN) {
+		b.seal(t)
+		return
+	}
+	b.add(t, peer, withdraw, []netip.Prefix{pfx}, path)
+}
+
+// seal marks the last in-scope message at instant t as unmergeable
+// with its successor.
+func (b *msgBuilder) seal(t float64) {
+	if i, ok := b.lastAt[t]; ok {
+		b.msgs[i].sealed = true
+	}
+}
+
+// open reports whether instant t holds an in-scope message that a
+// later one could still pack into.
+func (b *msgBuilder) open(t float64) bool {
+	i, ok := b.lastAt[t]
+	return ok && !b.msgs[i].sealed
+}
+
+// skips reports whether peer's chunked messages for one event of unit
+// unitID at t, over at most n prefixes, would change nothing: peer is
+// out of scope and no instant such a batch can reach is open. Callers
+// then need not even route the unit at peer.
+func (b *msgBuilder) skips(peer *Peer, unitID int, t float64, n int) bool {
+	if b.cfg.inScope(peer.ASN) {
+		return false
+	}
+	// A batch of n' <= n prefixes reaches at most max(parts,
+	// ceil(n/200)) chunk instants, which chunked offsets by the
+	// same sums.
+	reach := max(2+topology.ChainPick(2, uint64(unitID), 0xc4c5, uint64(t*86400)), (n+maxPerMsg-1)/maxPerMsg)
+	dt := 0.0
+	for range reach {
+		if b.open(t + dt) {
+			return false
+		}
+		dt += chunkGap
+	}
+	return true
+}
+
+// unit queues peer's messages for one event of unit unitID at t: path
+// announced (nil: withdrawn) for the prefixes peer carries, in
+// chunks. An out-of-scope peer's chunks only seal their instants.
+func (b *msgBuilder) unit(unitID int, t float64, peer *Peer, path aspath.Seq, prefixes []netip.Prefix) {
+	if !b.cfg.inScope(peer.ASN) {
+		n := 0
+		for _, pfx := range prefixes {
+			if streamCarries(b.g, peer, pfx) {
+				n++
+			}
+		}
+		chunked(b.cfg, unitID, t, n, func(_, _ int, dt float64) { b.seal(t + dt) })
+		return
+	}
+	pfxs := peerPrefixes(b.g, peer, prefixes)
+	chunked(b.cfg, unitID, t, len(pfxs), func(lo, hi int, dt float64) {
+		b.add(t+dt, peer, path == nil, pfxs[lo:hi], path)
+	})
 }
 
 // BuildUpdates synthesizes the BGP4MP update archives for the window:
@@ -60,12 +163,7 @@ func BuildUpdates(g *topology.Graph, in *Infra, cfg UpdateConfig) map[string][]b
 	base := cfg.Model.OverlayAt(g, cfg.FromT, vps)
 	moves := routing.BuildMoveSet(base)
 	eng := routing.NewEngine(g, base)
-	var msgs []message
-	order := 0
-	add := func(t float64, peer *Peer, withdraw bool, prefixes []netip.Prefix, path aspath.Seq) {
-		msgs = append(msgs, message{t: t, peer: peer, withdraw: withdraw, prefixes: prefixes, path: path, order: order})
-		order++
-	}
+	b := newMsgBuilder(g, &cfg)
 
 	// Unit policy events (clocked per policy signature, so identically
 	// configured sibling groups change and re-announce together).
@@ -89,7 +187,7 @@ func BuildUpdates(g *topology.Graph, in *Infra, cfg UpdateConfig) map[string][]b
 			cfg.Model.ApplyUnitVersion(g, base, u, vPrev, k)
 			vPrev = k
 			after := eng.PathsAt(u, vps)
-			emitDiff(g, cfg, add, t, u, moves, vps, peersByASN, beforeCopy, after)
+			emitDiff(b, t, u, moves, vps, peersByASN, beforeCopy, after)
 			for i := range after {
 				beforeCopy[i] = after[i].Path
 			}
@@ -105,21 +203,21 @@ func BuildUpdates(g *topology.Graph, in *Infra, cfg UpdateConfig) map[string][]b
 			if t < cfg.FromT {
 				t = cfg.FromT
 			}
-			emitVPEvent(g, cfg, add, eng, base, moves, t, vp, peersByASN, k)
+			emitVPEvent(b, eng, base, moves, t, vp, peersByASN, k)
 		}
 	}
 
 	// Attribute refreshes: whole-group re-announcements with unchanged
 	// paths (the dominant record type in real update streams).
-	emitRefreshes(g, cfg, add, eng, moves, vps, peersByASN)
+	emitRefreshes(b, eng, moves, vps, peersByASN)
 
 	// Prefix reassignment events.
-	emitMoves(g, cfg, add, eng, vps, peersByASN)
+	emitMoves(b, eng, vps, peersByASN)
 
 	// Single-prefix flaps.
-	emitFlaps(g, cfg, add, eng, vps, peersByASN)
+	emitFlaps(b, eng, vps, peersByASN)
 
-	return serialize(in, cfg, msgs)
+	return serialize(in, cfg, b.msgs)
 }
 
 // updateVPs lists distinct peer ASNs (stuck peers emit no updates — a
@@ -137,33 +235,53 @@ func updateVPs(in *Infra) ([]uint32, map[uint32]*Peer) {
 			vps = append(vps, p.ASN)
 		}
 	}
-	sort.Slice(vps, func(i, j int) bool { return vps[i] < vps[j] })
+	slices.Sort(vps)
 	return vps, peersByASN
 }
 
+// lazyRoutes serves one unit's paths at vps, routing the unit on first
+// use and each VP only when asked, so an event can skip the peers
+// msgBuilder.skips. Nothing else may route on eng while it is in use.
+type lazyRoutes struct {
+	eng    *routing.Engine
+	vps    []uint32
+	u      *topology.PolicyGroup
+	routed bool
+	paths  []aspath.Seq
+	done   []bool
+}
+
+func newLazyRoutes(eng *routing.Engine, vps []uint32) *lazyRoutes {
+	return &lazyRoutes{eng: eng, vps: vps, paths: make([]aspath.Seq, len(vps)), done: make([]bool, len(vps))}
+}
+
+// reset switches to unit u without routing it.
+func (r *lazyRoutes) reset(u *topology.PolicyGroup) {
+	r.u, r.routed = u, false
+	clear(r.done)
+}
+
+// at returns the unit's path at vps[i], nil if it has no route there.
+func (r *lazyRoutes) at(i int) aspath.Seq {
+	if !r.routed {
+		r.eng.ComputeUnit(r.u)
+		r.routed = true
+	}
+	if !r.done[i] {
+		rt, _ := r.eng.RouteAt(r.vps[i])
+		r.paths[i], r.done[i] = rt.Path, true
+	}
+	return r.paths[i]
+}
+
 // emitDiff turns one unit's before/after paths into per-peer messages.
-func emitDiff(g *topology.Graph, cfg UpdateConfig, add func(float64, *Peer, bool, []netip.Prefix, aspath.Seq),
-	t float64, u *topology.PolicyGroup, moves *routing.MoveSet, vps []uint32, peers map[uint32]*Peer,
-	before []aspath.Seq, after []routing.VPRoute) {
+func emitDiff(b *msgBuilder, t float64, u *topology.PolicyGroup, moves *routing.MoveSet, vps []uint32,
+	peers map[uint32]*Peer, before []aspath.Seq, after []routing.VPRoute) {
 	for i, vp := range vps {
-		b, a := before[i], after[i].Path
-		if b.Equal(a) {
+		if before[i].Equal(after[i].Path) {
 			continue
 		}
-		peer := peers[vp]
-		pfxs := peerPrefixes(g, cfg, peer, moves.UnitPrefixes(u))
-		if len(pfxs) == 0 {
-			continue
-		}
-		if a == nil {
-			chunked(cfg, u.ID, t, pfxs, func(chunk []netip.Prefix, dt float64) {
-				add(t+dt, peer, true, chunk, nil)
-			})
-			continue
-		}
-		chunked(cfg, u.ID, t, pfxs, func(chunk []netip.Prefix, dt float64) {
-			add(t+dt, peer, false, chunk, a)
-		})
+		b.unit(u.ID, t, peers[vp], after[i].Path, moves.UnitPrefixes(u))
 	}
 }
 
@@ -171,9 +289,9 @@ func emitDiff(g *topology.Graph, cfg UpdateConfig, add func(float64, *Peer, bool
 // eng routes over base, whose salt for vp it sets before each pass.
 // Leaves the salt at its post-event value: later events see the new
 // preference, at this VP and at every VP routed through it.
-func emitVPEvent(g *topology.Graph, cfg UpdateConfig, add func(float64, *Peer, bool, []netip.Prefix, aspath.Seq),
-	eng *routing.Engine, base *routing.Overlay, moves *routing.MoveSet, t float64, vp uint32, peers map[uint32]*Peer, version int) {
-	peer := peers[vp]
+func emitVPEvent(b *msgBuilder, eng *routing.Engine, base *routing.Overlay, moves *routing.MoveSet,
+	t float64, vp uint32, peers map[uint32]*Peer, version int) {
+	g, cfg := b.g, b.cfg
 	saltBefore := cfg.Model.VPSaltAt(vp, version-1)
 	saltAfter := cfg.Model.VPSaltAt(vp, version)
 
@@ -185,9 +303,8 @@ func emitVPEvent(g *topology.Graph, cfg UpdateConfig, add func(float64, *Peer, b
 		}
 	}
 	if !cfg.inScope(vp) {
-		// Its messages would be dropped at encode, and their event
-		// times are its own, so they pack with nothing in scope: skip
-		// both sweeps.
+		// Its messages would not be built, and their event times are
+		// its own, so they seal nothing in scope: skip both sweeps.
 		setSalt(saltAfter)
 		return
 	}
@@ -202,61 +319,41 @@ func emitVPEvent(g *topology.Graph, cfg UpdateConfig, add func(float64, *Peer, b
 	for _, u := range g.Groups {
 		eng.ComputeUnit(u)
 		r, _ := eng.RouteAt(vp)
-		a := r.Path
-		if beforePaths[u.ID].Equal(a) {
+		if beforePaths[u.ID].Equal(r.Path) {
 			continue
 		}
-		pfxs := peerPrefixes(g, cfg, peer, moves.UnitPrefixes(u))
-		if len(pfxs) == 0 {
-			continue
-		}
-		if a == nil {
-			chunked(cfg, u.ID, t, pfxs, func(chunk []netip.Prefix, dt float64) {
-				add(t+dt, peer, true, chunk, nil)
-			})
-			continue
-		}
-		chunked(cfg, u.ID, t, pfxs, func(chunk []netip.Prefix, dt float64) {
-			add(t+dt, peer, false, chunk, a)
-		})
+		b.unit(u.ID, t, peers[vp], r.Path, moves.UnitPrefixes(u))
 	}
 }
 
 // emitRefreshes re-announces whole units with their current paths at
 // attribute-refresh events.
-func emitRefreshes(g *topology.Graph, cfg UpdateConfig, add func(float64, *Peer, bool, []netip.Prefix, aspath.Seq),
-	eng *routing.Engine, moves *routing.MoveSet, vps []uint32, peers map[uint32]*Peer) {
+func emitRefreshes(b *msgBuilder, eng *routing.Engine, moves *routing.MoveSet, vps []uint32, peers map[uint32]*Peer) {
+	g, cfg := b.g, b.cfg
 	if cfg.Model.RefreshRate <= 0 {
 		return
 	}
+	routes := newLazyRoutes(eng, vps)
 	for _, u := range g.Groups {
 		v1 := cfg.Model.RefreshVersion(u, cfg.FromT)
 		v2 := cfg.Model.RefreshVersion(u, cfg.ToT)
 		if v2 == v1 {
 			continue
 		}
-		var routes []routing.VPRoute
+		routes.reset(u)
+		prefixes := moves.UnitPrefixes(u)
 		for k := v1 + 1; k <= v2; k++ {
 			t := cfg.Model.RefreshEventTime(u, k)
 			if t < cfg.FromT {
 				t = cfg.FromT
 			}
-			if routes == nil {
-				routes = eng.PathsAt(u, vps)
-			}
 			for i, vp := range vps {
-				if routes[i].Path == nil {
+				if b.skips(peers[vp], u.ID, t, len(prefixes)) {
 					continue
 				}
-				peer := peers[vp]
-				pfxs := peerPrefixes(g, cfg, peer, moves.UnitPrefixes(u))
-				if len(pfxs) == 0 {
-					continue
+				if path := routes.at(i); path != nil {
+					b.unit(u.ID, t, peers[vp], path, prefixes)
 				}
-				path := routes[i].Path
-				chunked(cfg, u.ID, t, pfxs, func(chunk []netip.Prefix, dt float64) {
-					add(t+dt, peer, false, chunk, path)
-				})
 			}
 		}
 	}
@@ -265,8 +362,8 @@ func emitRefreshes(g *topology.Graph, cfg UpdateConfig, add func(float64, *Peer,
 // emitMoves announces prefix reassignments: when a prefix switches to a
 // sibling group's policy, peers whose path for it changes re-announce
 // the single prefix (atom-composition churn on the wire).
-func emitMoves(g *topology.Graph, cfg UpdateConfig, add func(float64, *Peer, bool, []netip.Prefix, aspath.Seq),
-	eng *routing.Engine, vps []uint32, peers map[uint32]*Peer) {
+func emitMoves(b *msgBuilder, eng *routing.Engine, vps []uint32, peers map[uint32]*Peer) {
+	g, cfg := b.g, b.cfg
 	if cfg.Model.PrefixMobileShare <= 0 && cfg.Model.PrefixBaseMoveRate <= 0 {
 		return
 	}
@@ -303,14 +400,10 @@ func emitMoves(g *topology.Graph, cfg UpdateConfig, add func(float64, *Peer, boo
 						continue
 					}
 					peer := peers[vp]
-					if !peer.FullFeed && topology.ChainUnit(g.Seed, 0xfeed, uint64(peer.ASN), prefixLabel(pfx)) >= peer.PartialShare {
+					if !streamCarries(g, peer, pfx) {
 						continue
 					}
-					if newPaths[i].Path == nil {
-						add(t, peer, true, []netip.Prefix{pfx}, nil)
-					} else {
-						add(t, peer, false, []netip.Prefix{pfx}, newPaths[i].Path)
-					}
+					b.single(t, peer, newPaths[i].Path == nil, pfx, newPaths[i].Path)
 				}
 			}
 		}
@@ -318,36 +411,37 @@ func emitMoves(g *topology.Graph, cfg UpdateConfig, add func(float64, *Peer, boo
 }
 
 // emitFlaps adds single-prefix withdraw/re-announce noise.
-func emitFlaps(g *topology.Graph, cfg UpdateConfig, add func(float64, *Peer, bool, []netip.Prefix, aspath.Seq),
-	eng *routing.Engine, vps []uint32, peers map[uint32]*Peer) {
+func emitFlaps(b *msgBuilder, eng *routing.Engine, vps []uint32, peers map[uint32]*Peer) {
+	g, cfg := b.g, b.cfg
 	if cfg.FlapRate <= 0 {
 		return
 	}
+	routes := newLazyRoutes(eng, vps)
 	for _, u := range g.Groups {
+		routes.reset(u)
 		for pi, pfx := range u.Prefixes {
 			rate := cfg.FlapRate * 3 * topology.ChainUnit(uint64(u.ID), 0xf1a0, uint64(pi))
 			v1 := flapVersion(rate, cfg.FromT, uint64(u.ID), uint64(pi))
 			v2 := flapVersion(rate, cfg.ToT, uint64(u.ID), uint64(pi))
-			if v2 == v1 {
-				continue
-			}
-			var routes []routing.VPRoute
 			for k := v1 + 1; k <= v2; k++ {
 				t := cfg.FromT + (cfg.ToT-cfg.FromT)*topology.ChainUnit(uint64(u.ID), 0xf1a1, uint64(pi), uint64(k))
+				back := t + 20.0/86400
 				// One or two peers observe the flap.
 				n := 1 + topology.ChainPick(2, uint64(u.ID), 0xf1a2, uint64(pi), uint64(k))
-				if routes == nil {
-					routes = eng.PathsAt(u, vps)
-				}
 				for j := 0; j < n; j++ {
 					vi := topology.ChainPick(len(vps), uint64(u.ID), 0xf1a3, uint64(pi), uint64(k), uint64(j))
-					r := routes[vi]
-					if r.Path == nil {
+					peer := peers[vps[vi]]
+					// An out-of-scope observer matters only where it
+					// seals an open instant.
+					if !b.cfg.inScope(peer.ASN) && !b.open(t) && !b.open(back) {
 						continue
 					}
-					peer := peers[vps[vi]]
-					add(t, peer, true, []netip.Prefix{pfx}, nil)
-					add(t+20.0/86400, peer, false, []netip.Prefix{pfx}, r.Path)
+					path := routes.at(vi)
+					if path == nil {
+						continue
+					}
+					b.single(t, peer, true, pfx, nil)
+					b.single(back, peer, false, pfx, path)
 				}
 			}
 		}
@@ -366,62 +460,69 @@ func flapVersion(rate, t float64, labels ...uint64) int {
 	return v
 }
 
+// streamCarries reports whether peer's update stream carries pfx: a
+// partial feed drops a hash-selected share of prefixes.
+func streamCarries(g *topology.Graph, peer *Peer, pfx netip.Prefix) bool {
+	return peer.FullFeed || topology.ChainUnit(g.Seed, 0xfeed, uint64(peer.ASN), prefixLabel(pfx)) < peer.PartialShare
+}
+
 // peerPrefixes filters a prefix batch to those a peer carries.
-func peerPrefixes(g *topology.Graph, cfg UpdateConfig, peer *Peer, prefixes []netip.Prefix) []netip.Prefix {
+func peerPrefixes(g *topology.Graph, peer *Peer, prefixes []netip.Prefix) []netip.Prefix {
 	if peer.FullFeed {
 		return prefixes
 	}
 	var out []netip.Prefix
 	for _, pfx := range prefixes {
-		if topology.ChainUnit(g.Seed, 0xfeed, uint64(peer.ASN), prefixLabel(pfx)) < peer.PartialShare {
+		if streamCarries(g, peer, pfx) {
 			out = append(out, pfx)
 		}
 	}
 	return out
 }
 
-// chunked delivers the batch in one full message with probability
-// FullMessageProb, otherwise split into 2–3 chunks a few seconds apart
-// (and always split above the message size budget).
-func chunked(cfg UpdateConfig, unitID int, t float64, prefixes []netip.Prefix, emit func([]netip.Prefix, float64)) {
-	const maxPerMsg = 200
+// chunked delivers a batch of n prefixes in one full message with
+// probability FullMessageProb, otherwise split into 2–3 chunks a few
+// seconds apart (and always split above the message size budget): it
+// calls emit with each chunk's index range and time offset. An empty
+// batch emits nothing.
+func chunked(cfg *UpdateConfig, unitID int, t float64, n int, emit func(lo, hi int, dt float64)) {
+	if n == 0 {
+		return
+	}
 	full := topology.ChainUnit(uint64(unitID), 0xc4c4, uint64(t*86400)) < cfg.FullMessageProb
-	if full && len(prefixes) <= maxPerMsg {
-		emit(prefixes, 0)
+	if full && n <= maxPerMsg {
+		emit(0, n, 0)
 		return
 	}
 	parts := 2 + topology.ChainPick(2, uint64(unitID), 0xc4c5, uint64(t*86400))
-	if len(prefixes) <= 1 {
-		emit(prefixes, 0)
+	if n <= 1 {
+		emit(0, n, 0)
 		return
 	}
-	size := (len(prefixes) + parts - 1) / parts
+	size := (n + parts - 1) / parts
 	if size > maxPerMsg {
 		size = maxPerMsg
 	}
 	dt := 0.0
-	for i := 0; i < len(prefixes); i += size {
-		end := i + size
-		if end > len(prefixes) {
-			end = len(prefixes)
-		}
-		emit(prefixes[i:end], dt)
-		dt += 5.0 / 86400
+	for i := 0; i < n; i += size {
+		emit(i, min(i+size, n), dt)
+		dt += chunkGap
 	}
 }
 
+// maxPerMsg is the most prefixes one UPDATE carries, and chunkGap the
+// time between a split batch's chunks, in days.
+const (
+	maxPerMsg = 200
+	chunkGap  = 5.0 / 86400
+)
+
 // serialize sorts messages, packs them the way routers do, and writes
 // per-collector BGP4MP archives, applying the ADD-PATH artifact at
-// encode time. The scope filter runs after packing: an out-of-scope
-// message between two of a peer's messages keeps them apart, exactly as
-// in the unscoped archive.
+// encode time. A scoped window's messages are all in scope already:
+// the seals msgBuilder left where out-of-scope messages stood keep
+// packing exactly as in the unscoped archive.
 func serialize(in *Infra, cfg UpdateConfig, msgs []message) map[string][]byte {
-	sort.Slice(msgs, func(i, j int) bool {
-		if msgs[i].t != msgs[j].t {
-			return msgs[i].t < msgs[j].t
-		}
-		return msgs[i].order < msgs[j].order
-	})
 	msgs = packMessages(msgs)
 	// Peer → collectors it feeds.
 	collectorsOf := map[uint32][]*Collector{}
@@ -440,9 +541,6 @@ func serialize(in *Infra, cfg UpdateConfig, msgs []message) map[string][]byte {
 
 	enc := newMsgEncoder()
 	for _, m := range msgs {
-		if !cfg.inScope(m.peer.ASN) {
-			continue
-		}
 		// rec.Body aliases the encoder's scratch buffer; WriteRecord
 		// copies it into the bufio layer before the next iteration.
 		rec, ok := enc.encode(in, cfg, m)
@@ -463,23 +561,31 @@ func serialize(in *Infra, cfg UpdateConfig, msgs []message) map[string][]byte {
 	return out
 }
 
-// packMessages merges adjacent messages from the same peer at the same
-// instant that share path attributes — BGP routers pack all NLRI with
-// identical attributes into one UPDATE, which is why prefixes of one
-// atom appear together in single update records even when they span
-// generator units.
+// packMessages sorts messages by time and merges adjacent messages from
+// the same peer at the same instant that share path attributes — BGP
+// routers pack all NLRI with identical attributes into one UPDATE,
+// which is why prefixes of one atom appear together in single update
+// records even when they span generator units. A sealed message takes
+// nothing more; a merge carries the seal of the message it absorbs.
 func packMessages(msgs []message) []message {
-	const maxPerMsg = 200
+	// (t, order) is a total order, so the result is deterministic.
+	slices.SortFunc(msgs, func(a, b message) int {
+		if c := cmp.Compare(a.t, b.t); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.order, b.order)
+	})
 	out := msgs[:0]
 	for _, m := range msgs {
 		if n := len(out); n > 0 {
 			prev := &out[n-1]
-			if prev.peer == m.peer && prev.t == m.t && prev.withdraw == m.withdraw &&
+			if !prev.sealed && prev.peer == m.peer && prev.t == m.t && prev.withdraw == m.withdraw &&
 				prev.path.Equal(m.path) && len(prev.prefixes)+len(m.prefixes) <= maxPerMsg {
 				merged := make([]netip.Prefix, 0, len(prev.prefixes)+len(m.prefixes))
 				merged = append(merged, prev.prefixes...)
 				merged = append(merged, m.prefixes...)
 				prev.prefixes = merged
+				prev.sealed = m.sealed
 				continue
 			}
 		}

@@ -109,3 +109,62 @@ func TestRunSplitsWorkersDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// TestRunTrendStageOrderDeterminism pins RunTrend's era-major stage
+// pool: its schedule is a function of the era list alone (latest era
+// first, equal eras in list order), a permuted era list yields the same
+// points in the permuted order, and the six benchmark eras give
+// identical points at every pool size.
+func TestRunTrendStageOrderDeterminism(t *testing.T) {
+	scheduled := func(eras []topology.Era) []topology.Era {
+		var out []topology.Era
+		for _, k := range trendOrder(eras) {
+			out = append(out, eras[k])
+		}
+		return out
+	}
+	if got, want := trendOrder(trendEras), []int{5, 4, 3, 2, 1, 0}; !reflect.DeepEqual(got, want) {
+		t.Errorf("trendOrder(bench eras) = %v, want %v", got, want)
+	}
+	perm := []int{2, 5, 0, 3, 1, 4}
+	permuted := make([]topology.Era, len(perm))
+	for i, k := range perm {
+		permuted[i] = trendEras[k]
+	}
+	if got, want := scheduled(permuted), scheduled(trendEras); !reflect.DeepEqual(got, want) {
+		t.Errorf("permuted list schedules %v, want %v", got, want)
+	}
+	dup := []topology.Era{trendEras[0], trendEras[5], trendEras[0]}
+	if got, want := trendOrder(dup), []int{1, 0, 2}; !reflect.DeepEqual(got, want) {
+		t.Errorf("trendOrder(%v) = %v, want %v", dup, got, want)
+	}
+
+	cfg := warningConfig(7)
+	var ref []TrendPoint
+	for _, w := range workerSweep() {
+		wcfg := cfg
+		wcfg.Workers = w
+		points, err := RunTrend(wcfg, trendEras)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", w, err)
+		}
+		if ref == nil {
+			ref = points
+			continue
+		}
+		if !reflect.DeepEqual(points, ref) {
+			t.Errorf("workers=%d: trend points differ from workers=1", w)
+		}
+	}
+	pcfg := cfg
+	pcfg.Workers = 2
+	points, err := RunTrend(pcfg, permuted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, k := range perm {
+		if !reflect.DeepEqual(points[i], ref[k]) {
+			t.Errorf("permuted run: point %d (%v) differs from the in-order run's", i, permuted[i])
+		}
+	}
+}

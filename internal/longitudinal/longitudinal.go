@@ -8,10 +8,14 @@
 package longitudinal
 
 import (
+	"cmp"
 	"fmt"
+	"io"
 	"math"
+	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/aspath"
 	"repro/internal/bgp"
@@ -56,11 +60,11 @@ type Config struct {
 	// MaxK bounds the update-correlation size axis.
 	MaxK int
 	// Workers bounds the worker pools used throughout the pipeline:
-	// eras within RunTrend, the four snapshot offsets within RunEra,
-	// daily snapshots within RunSplits, the per-feed and row-range
-	// stages inside sanitization, and the origin fan-out of atom
-	// grouping. 0 = one worker per CPU, 1 = fully sequential. Every
-	// output is byte-identical at any value.
+	// each era's window and snapshots within RunTrend, the four
+	// snapshot offsets within RunEra, daily snapshots within RunSplits,
+	// the per-feed and row-range stages inside sanitization, and the
+	// origin fan-out of atom grouping. 0 = one worker per CPU, 1 =
+	// fully sequential. Every output is byte-identical at any value.
 	Workers int
 	// Trace, when non-nil, receives one child span per era and stage
 	// (generation, each snapshot, the update window, each analysis), so
@@ -218,28 +222,36 @@ func (r *EraRun) SnapshotAt(t float64) (*core.AtomSet, *sanitize.Report, error) 
 	defer sp.End()
 	ov := r.Model.OverlayAt(r.Graph, t, r.vps)
 	ts := r.timestamp(t)
+	opts := r.sanitizeOptions()
+	opts.Span = sp
+	opts.Metrics = r.Cfg.Metrics
+	var feeds *sanitize.FeedSet
+	var sources []bgpstream.Source
+	if r.Cfg.FastPath {
+		bsp := sp.Child("collector.build_feeds")
+		feeds = collector.BuildFeeds(r.Graph, r.Infra, ov, ts, opts.Intern)
+		bsp.SetAttr("feeds", len(feeds.Feeds))
+		bsp.End()
+	} else {
+		bsp := sp.Child("collector.build_ribs")
+		ribs := collector.BuildRIBs(r.Graph, r.Infra, ov, ts)
+		var totalBytes int
+		sources, totalBytes = sortedSources(ribs.Archives)
+		bsp.SetAttr("archives", len(sources))
+		bsp.SetAttr("bytes", totalBytes)
+		bsp.End()
+	}
+	// The abnormal-peer warnings are read only now, so the build above
+	// overlaps a window another task may still be synthesizing.
 	warnings, err := r.warnings()
 	if err != nil {
 		return nil, nil, err
 	}
-	opts := r.sanitizeOptions()
-	opts.Span = sp
-	opts.Metrics = r.Cfg.Metrics
 	var snap *core.Snapshot
 	var rep *sanitize.Report
-	if r.Cfg.FastPath {
-		bsp := sp.Child("collector.build_feeds")
-		feeds := collector.BuildFeeds(r.Graph, r.Infra, ov, ts, opts.Intern)
-		bsp.SetAttr("feeds", len(feeds.Feeds))
-		bsp.End()
+	if feeds != nil {
 		snap, rep, err = sanitize.CleanFeeds(feeds, warnings, opts)
 	} else {
-		bsp := sp.Child("collector.build_ribs")
-		ribs := collector.BuildRIBs(r.Graph, r.Infra, ov, ts)
-		sources, totalBytes := sortedSources(ribs.Archives)
-		bsp.SetAttr("archives", len(sources))
-		bsp.SetAttr("bytes", totalBytes)
-		bsp.End()
 		snap, rep, err = sanitize.Clean(sources, warnings, opts)
 	}
 	if err != nil {
@@ -302,21 +314,24 @@ func (r *EraRun) updateFilter() *bgpstream.Filter {
 // Updates synthesizes the update window starting at day offset t and
 // returns the per-message records.
 func (r *EraRun) Updates(fromT, toT float64) ([]metrics.UpdateRecord, []bgpstream.Warning, error) {
-	return r.updates(fromT, toT, nil)
+	sp, sources := r.buildUpdates(fromT, toT, nil)
+	defer sp.End()
+	return metrics.CollectRecords(sources, r.updateFilter(), r.Cfg.Workers, r.Cfg.Metrics, sp)
 }
 
-// updates is Updates scoped to peers (nil = every peer).
-func (r *EraRun) updates(fromT, toT float64, peers map[uint32]bool) ([]metrics.UpdateRecord, []bgpstream.Warning, error) {
+// buildUpdates opens an update window's "updates" span, which the
+// caller ends, and builds the window's sources (updateSources) under
+// it.
+func (r *EraRun) buildUpdates(fromT, toT float64, peers map[uint32]bool) (*obs.Span, []bgpstream.Source) {
 	sp := r.Cfg.Trace.Child("updates")
 	sp.SetAttr("from_t", fromT)
 	sp.SetAttr("to_t", toT)
-	defer sp.End()
 	bsp := sp.Child("collector.build_updates")
 	sources, totalBytes := r.updateSources(fromT, toT, peers)
 	bsp.SetAttr("archives", len(sources))
 	bsp.SetAttr("bytes", totalBytes)
 	bsp.End()
-	return metrics.CollectRecords(sources, r.updateFilter(), r.Cfg.Workers, r.Cfg.Metrics, sp)
+	return sp, sources
 }
 
 // RunChurnReplay builds the era's base snapshot, wraps it in an
@@ -345,16 +360,36 @@ func (r *EraRun) RunChurnReplay(fromT, toT float64) (*core.AtomIndex, replay.Sta
 // updateWarnings builds the standard 4-hour update window's parse
 // warnings — the abnormal-peer signal fed into sanitization, which
 // counts them per non-zero peer ASN. Only Infra.WarningPeers can be
-// blamed for one, so the window is scoped to them, and an era without
-// such a peer builds nothing. Correlation and replay (Updates,
-// UpdateSources) keep the full window.
+// blamed for one, so the window is built for them alone, and an era
+// without such a peer builds nothing. The archives are small, so one
+// sequential stream drains them for their warnings and no update
+// record is kept. Correlation and replay (Updates, UpdateSources) keep
+// the full window.
 func (r *EraRun) updateWarnings() ([]bgpstream.Warning, error) {
 	peers := r.Infra.WarningPeers()
 	if len(peers) == 0 {
 		return nil, nil
 	}
-	_, warnings, err := r.updates(OffsetBase, OffsetBase+UpdateHours, peers)
-	return warnings, err
+	sp, sources := r.buildUpdates(OffsetBase, OffsetBase+UpdateHours, peers)
+	defer sp.End()
+	// The decode keeps Updates' span name, under which bench/spans.go
+	// files it as decode time.
+	dsp := sp.Child("metrics.collect_records")
+	defer dsp.End()
+	s := bgpstream.NewStream(r.updateFilter(), sources...)
+	s.SetMetrics(r.Cfg.Metrics)
+	s.SetWorkers(1)
+	for {
+		if _, err := s.NextBatch(); err == io.EOF {
+			break
+		} else if err != nil {
+			return nil, err
+		}
+	}
+	warnings := s.Warnings()
+	dsp.SetAttr("sources", len(sources))
+	dsp.SetAttr("warnings", len(warnings))
+	return warnings, nil
 }
 
 // EraResult is the full per-era analysis (one column of Tables 1–3).
@@ -460,57 +495,110 @@ type TrendPoint struct {
 }
 
 // RunTrend runs the pipeline across eras (Figures 4, 5, 9, 11, 12, 13).
-// Eras are independent worlds, so they fan out across the worker pool;
-// Map returns the points in era order regardless of completion order.
+// Every era is four tasks on one worker pool: its abnormal-peer window
+// and its base, +8h and +1w snapshots. Eras run largest first
+// (trendOrder), so the longest one starts at once instead of leaving
+// one CPU idle for its tail. An era's world is generated by whichever
+// of its tasks runs first, and the task that finishes its last stage
+// runs its analyses and releases it, so at most as many stages are in
+// flight as the pool has workers. The points come back in the order of
+// eras, identical at any worker count.
 func RunTrend(cfg Config, eras []topology.Era) ([]TrendPoint, error) {
 	root := cfg.Trace
 	cfg.Progress.Begin("trend", len(eras))
-	out, err := parallel.Map(cfg.Workers, len(eras), func(i int) (TrendPoint, error) {
-		tp, err := trendPoint(cfg, root, eras[i])
-		if err == nil {
-			cfg.Progress.Step("era_done", eras[i].String(), int64(tp.Stats.Prefixes))
+	order := trendOrder(eras)
+	jobs := make([]trendJob, len(eras))
+	out := make([]TrendPoint, len(eras))
+	err := parallel.ForEach(cfg.Workers, len(eras)*trendStages, func(i int) error {
+		k := order[i/trendStages]
+		j := &jobs[k]
+		j.once.Do(func() {
+			j.span = root.Child("longitudinal.trend_era")
+			j.span.SetAttr("era", eras[k].String())
+			ecfg := cfg
+			ecfg.Trace = j.span
+			j.run = NewEraRun(ecfg, eras[k])
+			j.left.Store(int32(trendStages))
+		})
+		if stage := i % trendStages; stage == 0 {
+			if _, err := j.run.warnings(); err != nil {
+				return err
+			}
+		} else {
+			atoms, rep, err := j.run.SnapshotAt(trendOffsets[stage-1])
+			if err != nil {
+				return err
+			}
+			j.snaps[stage-1] = atoms
+			if stage == 1 {
+				j.rep = rep
+			}
 		}
-		return tp, err
+		// The atomic decrement orders every stage's writes before the
+		// last stage's reads.
+		if j.left.Add(-1) > 0 {
+			return nil
+		}
+		out[k] = j.point()
+		j.span.End()
+		cfg.Progress.Step("era_done", eras[k].String(), int64(out[k].Stats.Prefixes))
+		j.run, j.snaps, j.rep = nil, [len(trendOffsets)]*core.AtomSet{}, nil
+		return nil
 	})
 	if err != nil {
+		for k := range jobs {
+			jobs[k].span.End()
+		}
 		return nil, err
 	}
 	cfg.Progress.End("trend_done")
 	return out, nil
 }
 
-// trendPoint computes one era's trend numbers — the per-worker unit of
-// RunTrend.
-func trendPoint(cfg Config, root *obs.Span, era topology.Era) (TrendPoint, error) {
-	sp := root.Child("longitudinal.trend_era")
-	sp.SetAttr("era", era.String())
-	defer sp.End()
-	ecfg := cfg
-	ecfg.Trace = sp
-	r := NewEraRun(ecfg, era)
-	base, rep, err := r.SnapshotAt(OffsetBase)
-	if err != nil {
-		return TrendPoint{}, err
+// trendStages is the number of RunTrend pool tasks per era: the
+// abnormal-peer window, then one per trendOffsets snapshot.
+const trendStages = 1 + len(trendOffsets)
+
+// trendOffsets are the snapshots a trend point compares: base, +8h and
+// +1w.
+var trendOffsets = [...]float64{OffsetBase, OffsetBase + Offset8h, OffsetBase + Offset1Week}
+
+// trendOrder returns the era indices in RunTrend's schedule: latest
+// era first, since this generator's worlds grow with the year, and
+// equal eras in list order. It depends on the era list alone.
+func trendOrder(eras []topology.Era) []int {
+	order := make([]int, len(eras))
+	for i := range order {
+		order[i] = i
 	}
-	s8, _, err := r.SnapshotAt(OffsetBase + Offset8h)
-	if err != nil {
-		return TrendPoint{}, err
-	}
-	s1w, _, err := r.SnapshotAt(OffsetBase + Offset1Week)
-	if err != nil {
-		return TrendPoint{}, err
-	}
-	form := metrics.FormationDistances(base, metrics.DefaultFormationOptions(), sp)
-	st8 := metrics.CompareStability(base, s8, sp)
-	st1w := metrics.CompareStability(base, s1w, sp)
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(eras[b], eras[a]) })
+	return order
+}
+
+// trendJob is one era's state while its RunTrend stages run.
+type trendJob struct {
+	once  sync.Once
+	span  *obs.Span
+	run   *EraRun
+	snaps [len(trendOffsets)]*core.AtomSet
+	rep   *sanitize.Report // the base snapshot's
+	left  atomic.Int32     // stages not yet finished
+}
+
+// point runs the era's trend analyses over its finished snapshots.
+func (j *trendJob) point() TrendPoint {
+	base, s8, s1w := j.snaps[0], j.snaps[1], j.snaps[2]
+	form := metrics.FormationDistances(base, metrics.DefaultFormationOptions(), j.span)
+	st8 := metrics.CompareStability(base, s8, j.span)
+	st1w := metrics.CompareStability(base, s1w, j.span)
 	tp := TrendPoint{
-		Era:               era,
+		Era:               j.run.Era,
 		CAM8h:             st8.CAM,
 		MPM8h:             st8.MPM,
 		CAM1w:             st1w.CAM,
 		MPM1w:             st1w.MPM,
-		FullFeeds:         rep.FullFeeds,
-		FullFeedThreshold: rep.FullFeedThreshold,
+		FullFeeds:         j.rep.FullFeeds,
+		FullFeedThreshold: j.rep.FullFeedThreshold,
 		Stats:             base.Stats(),
 	}
 	tp.FormationShare = shares(form.AtomsAtDistance, form.TotalAtoms)
@@ -519,7 +607,7 @@ func trendPoint(cfg Config, root *obs.Span, era topology.Era) (TrendPoint, error
 		multiTotal += n
 	}
 	tp.FormationShareMulti = shares(form.AtomsAtDistanceMultiAtom, multiTotal)
-	return tp, nil
+	return tp
 }
 
 func shares(counts []int, total int) []float64 {
