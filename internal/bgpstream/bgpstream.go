@@ -812,18 +812,23 @@ func (d *sourceDecoder) finish() {
 	}
 }
 
-// emit queues an element, interning its path when the stream was given
-// an intern table, and does the per-element accounting.
-func (d *sourceDecoder) emit(e Elem) {
-	if d.intern != nil && (e.Type == ElemRIB || e.Type == ElemAnnounce) {
-		seq, err := e.Path.AppendSequence(d.seqBuf[:0])
-		if err != nil {
-			e.PathUnusable = true
-		} else {
-			d.seqBuf = seq
-			e.InternedPath = d.intern.Intern(seq)
-		}
+// internPath stamps e with the intern ID of its flattened path, or
+// marks the path unusable, when the stream was given an intern table.
+func (d *sourceDecoder) internPath(e *Elem) {
+	if d.intern == nil {
+		return
 	}
+	seq, err := e.Path.AppendSequence(d.seqBuf[:0])
+	if err != nil {
+		e.PathUnusable = true
+		return
+	}
+	d.seqBuf = seq
+	e.InternedPath = d.intern.Intern(seq)
+}
+
+// emit queues an element and does the per-element accounting.
+func (d *sourceDecoder) emit(e Elem) {
 	d.elems = append(d.elems, e)
 	d.elemCount++
 	d.elemC[e.Type].Inc()
@@ -898,6 +903,7 @@ func (d *sourceDecoder) decode(rec mrt.Record) {
 					PathID: entry.PathID, MsgIndex: d.msgCount,
 				}
 				applyAttrs(&e, attrs)
+				d.internPath(&e)
 				d.emit(e)
 			}
 		default:
@@ -971,35 +977,35 @@ func (d *sourceDecoder) decodeUpdate(rec mrt.Record, msg *mrt.Message) {
 		d.warn(msg.PeerAS, rec.Subtype, WarnAddPathSuspect, "suspicious NLRI: repeated zero-length prefixes (possible ADD-PATH mismatch)")
 	}
 	d.msgCount++
-	base := Elem{
-		Timestamp: rec.Timestamp, Collector: d.collector,
+	wdr := Elem{
+		Type: ElemWithdraw, Timestamp: rec.Timestamp, Collector: d.collector,
 		PeerAddr: msg.PeerAddr, PeerASN: msg.PeerAS, MsgIndex: d.msgCount,
 	}
-	var path aspath.Path
-	if p, ok := u.ASPathAttr(); ok {
-		path = p
+	// Every announcement of the message shares its path, so the path is
+	// flattened and interned once per message, not once per prefix.
+	ann := wdr
+	ann.Type = ElemAnnounce
+	if len(u.Announced)+len(mpAnn) > 0 {
+		if p, ok := u.ASPathAttr(); ok {
+			ann.Path = p
+		}
+		if c, ok := u.Attr(bgp.AttrTypeCommunities).(bgp.Communities); ok {
+			ann.Communities = c
+		}
+		d.internPath(&ann)
 	}
-	var comms []uint32
-	if c, ok := u.Attr(bgp.AttrTypeCommunities).(bgp.Communities); ok {
-		comms = c
-	}
-	emitAll := func(t ElemType, nlri []bgp.NLRI) {
+	emitAll := func(base Elem, nlri []bgp.NLRI) {
 		for _, n := range nlri {
 			e := base
-			e.Type = t
 			e.Prefix = n.Prefix
 			e.PathID = n.PathID
-			if t == ElemAnnounce {
-				e.Path = path
-				e.Communities = comms
-			}
 			d.emit(e)
 		}
 	}
-	emitAll(ElemWithdraw, u.Withdrawn)
-	emitAll(ElemWithdraw, mpWdr)
-	emitAll(ElemAnnounce, u.Announced)
-	emitAll(ElemAnnounce, mpAnn)
+	emitAll(wdr, u.Withdrawn)
+	emitAll(wdr, mpWdr)
+	emitAll(ann, u.Announced)
+	emitAll(ann, mpAnn)
 }
 
 // zeroLen counts zero-length (default-route) NLRI entries.

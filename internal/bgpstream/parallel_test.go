@@ -3,11 +3,13 @@ package bgpstream
 import (
 	"bytes"
 	"io"
+	"net/netip"
 	"reflect"
 	"testing"
 
 	"repro/internal/aspath"
 	"repro/internal/bgp"
+	"repro/internal/mrt"
 	"repro/internal/parallel"
 )
 
@@ -207,6 +209,80 @@ func TestStreamInternStamping(t *testing.T) {
 	}
 	if stamped == 0 {
 		t.Fatal("no elements carried interned paths")
+	}
+}
+
+// TestUpdateInternsPathOncePerMessage: a multi-NLRI UPDATE stamps each
+// of its announcements with exactly what flattening and interning that
+// element's own path gives, withdrawals with nothing, and a path whose
+// multi-member AS_SET cannot flatten marks every announcement unusable.
+// Two messages sharing one clean path grow the table by one ID.
+func TestUpdateInternsPathOncePerMessage(t *testing.T) {
+	clean := aspath.FromSeq(aspath.Seq{3356, 174, 65001})
+	set := aspath.Path{Segments: []aspath.Segment{
+		{Type: aspath.SegSequence, ASNs: []uint32{3356, 174}},
+		{Type: aspath.SegSet, ASNs: []uint32{65010, 65011}},
+	}}
+	nlri := func(cidrs ...string) []bgp.NLRI {
+		var out []bgp.NLRI
+		for _, c := range cidrs {
+			out = append(out, bgp.NLRI{Prefix: netip.MustParsePrefix(c)})
+		}
+		return out
+	}
+	update := func(path aspath.Path, wdr, ann []bgp.NLRI) *bgp.Update {
+		return &bgp.Update{Withdrawn: wdr, Announced: ann, Attrs: []bgp.Attr{
+			bgp.Origin(bgp.OriginIGP), bgp.ASPath{Path: path}, bgp.NextHop(netip.MustParseAddr("192.0.2.1")),
+		}}
+	}
+	var buf bytes.Buffer
+	for _, u := range []*bgp.Update{
+		update(clean, nlri("10.9.0.0/16"), nlri("10.1.0.0/16", "10.2.0.0/16", "10.3.0.0/16")),
+		update(set, nil, nlri("10.4.0.0/16", "10.5.0.0/16")),
+		update(clean, nil, nlri("10.6.0.0/16", "10.7.0.0/16")),
+	} {
+		data, err := u.Marshal(bgp.Options{AS4: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		writeRecord(t, &buf, mrt.Record{Timestamp: 200, Type: mrt.TypeBGP4MP, Subtype: mrt.SubMessageAS4, Body: marshalMessage(t, data)})
+	}
+
+	table := aspath.NewTable()
+	s := NewStream(nil, BytesSource("rrc00", buf.Bytes(), bgp.Options{}))
+	s.SetIntern(table)
+	elems, err := s.All()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(elems) != 8 {
+		t.Fatalf("%d elements, want 8", len(elems))
+	}
+	var unusable int
+	for i, e := range elems {
+		if e.Type == ElemWithdraw {
+			if e.InternedPath != aspath.Empty || e.PathUnusable {
+				t.Errorf("elem %d: withdrawal stamped %d/%v", i, e.InternedPath, e.PathUnusable)
+			}
+			continue
+		}
+		seq, err := e.Path.Sequence()
+		if err != nil {
+			unusable++
+			if !e.PathUnusable || e.InternedPath != aspath.Empty {
+				t.Errorf("elem %d: unflattenable path stamped %d/%v", i, e.InternedPath, e.PathUnusable)
+			}
+			continue
+		}
+		if id := table.Intern(seq); e.PathUnusable || e.InternedPath != id {
+			t.Errorf("elem %d: stamped %d/%v, per-element intern gives %d", i, e.InternedPath, e.PathUnusable, id)
+		}
+	}
+	if unusable != 2 {
+		t.Errorf("%d unusable announcements, want 2", unusable)
+	}
+	if table.Len() != 2 {
+		t.Errorf("table holds %d paths, want the empty path and one more", table.Len())
 	}
 }
 

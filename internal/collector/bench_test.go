@@ -30,3 +30,21 @@ func BenchmarkBuildFeeds(b *testing.B) {
 		feedsSink = collector.BuildFeeds(r.Graph, r.Infra, ov, ts, aspath.NewTable())
 	}
 }
+
+var ribsSink *collector.Snapshot
+
+// BenchmarkBuildRIBs times the wire path's RIB synthesis for the same
+// snapshot as BenchmarkBuildFeeds: the route table, then every
+// collector's TABLE_DUMP_V2 archive with its artifacts.
+func BenchmarkBuildRIBs(b *testing.B) {
+	cfg := longitudinal.DefaultConfig(7)
+	cfg.Scale = 0.004
+	r := longitudinal.NewEraRun(cfg, topology.EraOf(2024, 1))
+	ov := r.Model.OverlayAt(r.Graph, longitudinal.OffsetBase, r.Infra.FullFeedASNs())
+	ts := collector.EpochOf(r.Era)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ribsSink = collector.BuildRIBs(r.Graph, r.Infra, ov, ts)
+	}
+}

@@ -27,10 +27,12 @@ type Snapshot struct {
 // units) are merged per peer by the BGP decision order: class, then
 // cost, then lowest path lexicographically.
 func BuildRIBs(g *topology.Graph, in *Infra, ov *routing.Overlay, ts uint32) *Snapshot {
-	snap := &Snapshot{Era: g.Era, Timestamp: ts, Archives: make(map[string][]byte)}
-	t := buildRouteTable(g, in, ov, aspath.NewTable())
+	snap := &Snapshot{Era: g.Era, Timestamp: ts, Archives: make(map[string][]byte, len(in.Collectors))}
+	enc := newRIBEncoder(in, buildRouteTable(g, in, ov, aspath.NewTable()), ts)
 	for _, c := range in.Collectors {
-		snap.Archives[c.Name] = buildArchive(in, c, t, ts)
+		// Every archive grows in the encoder's one buffer and is kept
+		// as an exact-size copy, so none pins its growth slack.
+		snap.Archives[c.Name] = bytes.Clone(enc.archive(c))
 	}
 	return snap
 }
@@ -375,10 +377,55 @@ func (t *routeTable) better(a, b routeEntry) bool {
 	return slices.Compare(t.paths.Seq(a.id), t.paths.Seq(b.id)) < 0
 }
 
-// buildArchive writes one collector's TABLE_DUMP_V2 archive.
-func buildArchive(in *Infra, c *Collector, t *routeTable, ts uint32) []byte {
-	var buf bytes.Buffer
-	w := mrt.NewWriter(&buf)
+// ribEncoder writes the collectors' TABLE_DUMP_V2 archives from one
+// route table. Each distinct path's attribute block is encoded once, on
+// first use, and reused by every peer and collector that reports it;
+// the record body, the entry list and the archive buffer are reused
+// from record to record and from archive to archive.
+type ribEncoder struct {
+	in *Infra
+	t  *routeTable
+	ts uint32
+	// attrs[0][id] is path id's attribute block, attrs[1][id] that of
+	// its private-ASN rewrite (which depends on the path alone); nil
+	// until first use.
+	attrs   [2][][]byte
+	private aspath.Seq
+	entries []mrt.RIBEntry
+	body    []byte
+	buf     bytes.Buffer
+}
+
+func newRIBEncoder(in *Infra, t *routeTable, ts uint32) *ribEncoder {
+	n := t.paths.Len()
+	return &ribEncoder{in: in, t: t, ts: ts, attrs: [2][][]byte{make([][]byte, n), make([][]byte, n)}}
+}
+
+// pathAttrs returns the attribute block peer p reports for path id.
+func (e *ribEncoder) pathAttrs(id aspath.ID, p *Peer) []byte {
+	plane := 0
+	if p.Artifact == ArtifactPrivateASN {
+		plane = 1
+	}
+	b := e.attrs[plane][id]
+	if b == nil {
+		path := e.t.paths.Seq(id)
+		if plane == 1 {
+			e.private = withPrivateASN(e.private[:0], path)
+			path = e.private
+		}
+		b = ribAttrs(path)
+		e.attrs[plane][id] = b
+	}
+	return b
+}
+
+// archive writes collector c's TABLE_DUMP_V2 archive. The result
+// aliases the encoder's buffer and is valid until the next call.
+func (e *ribEncoder) archive(c *Collector) []byte {
+	in, t, ts := e.in, e.t, e.ts
+	e.buf.Reset()
+	w := mrt.NewWriter(&e.buf)
 
 	pit := &mrt.PeerIndexTable{CollectorID: c.ID, ViewName: c.Name}
 	cols := make([]int, len(c.Peers))
@@ -393,39 +440,36 @@ func buildArchive(in *Infra, c *Collector, t *routeTable, ts uint32) []byte {
 	w.WriteRecord(mrt.Record{Timestamp: ts, Type: mrt.TypeTableDumpV2, Subtype: mrt.SubPeerIndexTable, Body: body})
 
 	seq := uint32(0)
-	emit := func(pfx netip.Prefix, entries []mrt.RIBEntry) {
-		if len(entries) == 0 {
+	emit := func(pfx netip.Prefix) {
+		if len(e.entries) == 0 {
 			return
 		}
-		rib := &mrt.RIB{Sequence: seq, Prefix: pfx, Entries: entries}
+		rib := mrt.RIB{Sequence: seq, Prefix: pfx, Entries: e.entries}
 		seq++
-		b, err := rib.Marshal()
+		b, err := rib.AppendTo(e.body[:0])
 		if err != nil {
 			panic("collector: rib: " + err.Error())
 		}
+		e.body = b
 		w.WriteRecord(mrt.Record{Timestamp: ts, Type: mrt.TypeTableDumpV2, Subtype: rib.Subtype(), Body: b})
 	}
 
 	for pi, pfx := range t.prefixes {
 		row := t.row(pi)
 		label := prefixLabel(pfx)
-		var entries []mrt.RIBEntry
+		e.entries = e.entries[:0]
 		for idx, p := range c.Peers {
 			id := row[cols[idx]].id
 			if id == aspath.Empty || !carries(in, p, label) {
 				continue
 			}
-			path := t.paths.Seq(id)
-			if p.Artifact == ArtifactPrivateASN {
-				path = withPrivateASN(nil, path)
-			}
-			attrs := ribAttrs(path)
-			entries = append(entries, mrt.RIBEntry{PeerIndex: uint16(idx), Originated: ts - 3600, Attrs: attrs})
+			attrs := e.pathAttrs(id, p)
+			e.entries = append(e.entries, mrt.RIBEntry{PeerIndex: uint16(idx), Originated: ts - 3600, Attrs: attrs})
 			if duplicated(in, p, label) {
-				entries = append(entries, mrt.RIBEntry{PeerIndex: uint16(idx), Originated: ts - 3599, Attrs: attrs})
+				e.entries = append(e.entries, mrt.RIBEntry{PeerIndex: uint16(idx), Originated: ts - 3599, Attrs: attrs})
 			}
 		}
-		emit(pfx, entries)
+		emit(pfx)
 	}
 
 	// Ghost prefixes: fabricated, visible only at this peer — the very
@@ -433,14 +477,15 @@ func buildArchive(in *Infra, c *Collector, t *routeTable, ts uint32) []byte {
 	for idx, p := range c.Peers {
 		for j := range ghostCount(p, t.routed) {
 			attrs := ribAttrs(ghostPath(in, p, j))
-			emit(ghostPrefix(p.ASN, j), []mrt.RIBEntry{{PeerIndex: uint16(idx), Originated: ts - 3600, Attrs: attrs}})
+			e.entries = append(e.entries[:0], mrt.RIBEntry{PeerIndex: uint16(idx), Originated: ts - 3600, Attrs: attrs})
+			emit(ghostPrefix(p.ASN, j))
 		}
 	}
 
 	if err := w.Flush(); err != nil {
 		panic("collector: flush: " + err.Error())
 	}
-	return buf.Bytes()
+	return e.buf.Bytes()
 }
 
 // ribAttrs encodes the standard attribute block for a RIB entry.

@@ -34,7 +34,7 @@ var requiredHotpaths = []struct {
 	pkg string
 	fns []string
 }{
-	{"mrt", []string{"(*BytesReader).Next"}},
+	{"mrt", []string{"(*BytesReader).Next", "(*RIB).AppendTo"}},
 	{"bgpstream", []string{"(*Stream).fill", "(*Stream).NextBatch"}},
 	{"aspath", []string{"(*Table).Intern", "(*Table).Lookup"}},
 	{"core", []string{"(*AtomIndex).ApplyUpdate", "(*AtomIndex).rowHash", "(*AtomIndex).rebucket"}},

@@ -85,3 +85,34 @@ func TestReaderReuseBufferAllocs(t *testing.T) {
 		t.Fatalf("reuse-buffer drain of %d records: %v allocs, want <= 10", records, n)
 	}
 }
+
+// RIB.AppendTo into a buffer already sized for the record must not
+// allocate: BuildRIBs encodes every record of an archive into one
+// reused body buffer.
+func TestRIBAppendToAllocs(t *testing.T) {
+	attrs := bytes.Repeat([]byte{0x40}, 24)
+	for _, rib := range []*RIB{
+		{Sequence: 3, Prefix: netip.MustParsePrefix("10.1.0.0/16"),
+			Entries: []RIBEntry{{PeerIndex: 1, Originated: 90, Attrs: attrs}, {PeerIndex: 2, Originated: 91, Attrs: attrs}}},
+		{Sequence: 4, Prefix: netip.MustParsePrefix("2001:db8::/32"), AddPath: true,
+			Entries: []RIBEntry{{PeerIndex: 1, Originated: 90, PathID: 7, Attrs: attrs}}},
+	} {
+		want, err := rib.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf := make([]byte, 0, len(want))
+		n := testing.AllocsPerRun(100, func() {
+			var err error
+			if buf, err = rib.AppendTo(buf[:0]); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if n != 0 {
+			t.Errorf("%s: AppendTo into a sized buffer: %v allocs/op, want 0", rib.Prefix, n)
+		}
+		if !bytes.Equal(buf, want) {
+			t.Errorf("%s: AppendTo output diverged from Marshal", rib.Prefix)
+		}
+	}
+}

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"io"
 	"net/netip"
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -202,9 +204,29 @@ func TestRIBRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := ParseRIB(rib.Subtype(), b)
+		// AppendTo leaves the bytes before it intact and appends exactly
+		// what Marshal returns.
+		head := []byte{0xde, 0xad, 0xbe, 0xef}
+		appended, err := rib.AppendTo(slices.Clone(head))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(appended[:len(head)], head) || !bytes.Equal(appended[len(head):], b) {
+			t.Fatalf("%s: AppendTo = %x, want %x then %x", tc.prefix, appended, head, b)
+		}
+		got, err := ParseRIB(rib.Subtype(), appended[len(head):])
 		if err != nil {
 			t.Fatalf("%s: %v", tc.prefix, err)
+		}
+		want := *rib
+		want.Entries = slices.Clone(rib.Entries)
+		if !tc.addPath {
+			for i := range want.Entries {
+				want.Entries[i].PathID = 0 // only ADD-PATH subtypes carry it
+			}
+		}
+		if !reflect.DeepEqual(got, &want) {
+			t.Errorf("%s addpath=%v: round trip %+v, want %+v", tc.prefix, tc.addPath, got, &want)
 		}
 		if got.Sequence != 7 || got.Prefix != rib.Prefix || len(got.Entries) != 2 {
 			t.Errorf("%s: got %+v", tc.prefix, got)
@@ -263,6 +285,11 @@ func TestParseRIBErrors(t *testing.T) {
 	}
 	if _, err := ParseRIB(SubRIBIPv4Unicast, append(b, 0)); !errors.Is(err, ErrBadRecord) {
 		t.Errorf("trailing: %v", err)
+	}
+	// A record AppendTo rejects leaves dst as it was.
+	dst := []byte{1, 2}
+	if out, err := (&RIB{}).AppendTo(dst); !errors.Is(err, ErrBadRecord) || !bytes.Equal(out, dst) {
+		t.Errorf("invalid prefix: %x, %v", out, err)
 	}
 }
 

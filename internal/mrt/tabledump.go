@@ -155,17 +155,31 @@ func (r *RIB) Subtype() uint16 {
 
 // Marshal encodes the RIB record body.
 func (r *RIB) Marshal() ([]byte, error) {
+	return r.AppendTo(nil)
+}
+
+// AppendTo appends the RIB record body to dst, so a caller encoding
+// many records can reuse one buffer. On error dst is returned
+// unextended.
+//
+//atomlint:hotpath
+func (r *RIB) AppendTo(dst []byte) ([]byte, error) {
 	if !r.Prefix.IsValid() {
-		return nil, fmt.Errorf("%w: invalid prefix", ErrBadRecord)
+		return dst, fmt.Errorf("%w: invalid prefix", ErrBadRecord)
 	}
 	if len(r.Entries) > 0xffff {
-		return nil, fmt.Errorf("%w: %d entries", ErrBadRecord, len(r.Entries))
+		return dst, fmt.Errorf("%w: %d entries", ErrBadRecord, len(r.Entries))
 	}
-	out := binary.BigEndian.AppendUint32(nil, r.Sequence)
+	out := binary.BigEndian.AppendUint32(dst, r.Sequence)
 	bits := r.Prefix.Bits()
 	out = append(out, byte(bits))
-	addr := r.Prefix.Addr().AsSlice()
-	out = append(out, addr[:(bits+7)/8]...)
+	if a := r.Prefix.Addr(); a.Is4() {
+		b := a.As4()
+		out = append(out, b[:(bits+7)/8]...)
+	} else {
+		b := a.As16()
+		out = append(out, b[:(bits+7)/8]...)
+	}
 	out = binary.BigEndian.AppendUint16(out, uint16(len(r.Entries)))
 	for _, e := range r.Entries {
 		out = binary.BigEndian.AppendUint16(out, e.PeerIndex)
@@ -174,7 +188,7 @@ func (r *RIB) Marshal() ([]byte, error) {
 			out = binary.BigEndian.AppendUint32(out, e.PathID)
 		}
 		if len(e.Attrs) > 0xffff {
-			return nil, fmt.Errorf("%w: attribute block %d bytes", ErrBadRecord, len(e.Attrs))
+			return dst, fmt.Errorf("%w: attribute block %d bytes", ErrBadRecord, len(e.Attrs))
 		}
 		out = binary.BigEndian.AppendUint16(out, uint16(len(e.Attrs)))
 		out = append(out, e.Attrs...)

@@ -127,8 +127,8 @@ go test -run xxx -bench . -benchtime 1x -benchmem . ./internal/core/ ./internal/
 echo "== sanitize bench smoke (CleanFeeds over one 2024Q1 snapshot at benchmark scale)"
 go test -run xxx -bench 'BenchmarkCleanFeeds$' -benchtime 1x -benchmem ./internal/sanitize/
 
-echo "== feed synthesis bench smoke (BuildFeeds over one 2024Q1 snapshot at benchmark scale)"
-go test -run xxx -bench 'BenchmarkBuildFeeds$' -benchtime 1x -benchmem ./internal/collector/
+echo "== collector bench smoke (BuildRIBs and BuildFeeds over one 2024Q1 snapshot at benchmark scale)"
+go test -run '^$' -bench 'BuildRIBs|BuildFeeds' -benchtime 1x ./internal/collector/
 
 echo "== abnormal-peer window bench smoke (2024Q1 update window scoped to ADD-PATH peers)"
 go test -run xxx -bench 'BenchmarkUpdateWarnings$' -benchtime 1x -benchmem ./internal/longitudinal/
