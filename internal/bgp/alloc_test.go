@@ -68,12 +68,12 @@ func TestAppendMessageSteadyStateAllocs(t *testing.T) {
 func TestAttrCacheSharesValues(t *testing.T) {
 	_, data := allocTestUpdate(t)
 	opt := Options{AS4: true, Cache: NewAttrCache()}
-	u1, err := ParseUpdate(data, opt)
-	if err != nil {
+	u1 := new(Update)
+	if err := ParseUpdateInto(u1, data, opt); err != nil {
 		t.Fatal(err)
 	}
-	u2, err := ParseUpdate(data, opt)
-	if err != nil {
+	u2 := new(Update)
+	if err := ParseUpdateInto(u2, data, opt); err != nil {
 		t.Fatal(err)
 	}
 	p1, _ := u1.Attr(AttrTypeASPath).(ASPath)

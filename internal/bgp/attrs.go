@@ -102,9 +102,6 @@ type Communities []uint32
 // Type implements Attr.
 func (Communities) Type() AttrType { return AttrTypeCommunities }
 
-// Community constructs a community value from its AS and local parts.
-func Community(asn, value uint16) uint32 { return uint32(asn)<<16 | uint32(value) }
-
 // LargeCommunity is one RFC 8092 value.
 type LargeCommunity struct {
 	Global uint32

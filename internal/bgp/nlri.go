@@ -84,12 +84,3 @@ func appendParsedNLRI(dst []NLRI, b []byte, v6, addPath bool) ([]NLRI, error) {
 	}
 	return out, nil
 }
-
-// nlriLen returns the encoded size of one entry.
-func nlriLen(n NLRI, addPath bool) int {
-	sz := 1 + (n.Prefix.Bits()+7)/8
-	if addPath {
-		sz += 4
-	}
-	return sz
-}

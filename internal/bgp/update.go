@@ -10,7 +10,7 @@ import (
 
 // Update is a decoded BGP UPDATE message. Withdrawn and Announced hold
 // the top-level IPv4 fields; IPv6 reachability travels inside MPReach /
-// MPUnreach attributes, which the Reachable/Unreachable helpers merge.
+// MPUnreach attributes.
 type Update struct {
 	Withdrawn []NLRI
 	Attrs     []Attr
@@ -77,24 +77,6 @@ func reconcileAS4(path, path4 aspath.Path) aspath.Path {
 		}
 	}
 	out.Segments = append(out.Segments, path4.Segments...)
-	return out
-}
-
-// Reachable returns every announced NLRI: top-level IPv4 plus MP_REACH.
-func (u *Update) Reachable() []NLRI {
-	out := append([]NLRI(nil), u.Announced...)
-	if m, ok := u.Attr(AttrTypeMPReach).(MPReach); ok && m.SAFI == SAFIUnicast {
-		out = append(out, m.NLRI...)
-	}
-	return out
-}
-
-// Unreachable returns every withdrawn NLRI: top-level IPv4 plus MP_UNREACH.
-func (u *Update) Unreachable() []NLRI {
-	out := append([]NLRI(nil), u.Withdrawn...)
-	if m, ok := u.Attr(AttrTypeMPUnreach).(MPUnreach); ok && m.SAFI == SAFIUnicast {
-		out = append(out, m.NLRI...)
-	}
 	return out
 }
 
@@ -174,16 +156,6 @@ func (u *Update) AppendMessage(dst []byte, opt Options) ([]byte, error) {
 	return dst, nil
 }
 
-// ParseUpdate decodes a full BGP message (header included) that must be
-// an UPDATE.
-func ParseUpdate(b []byte, opt Options) (*Update, error) {
-	u := &Update{}
-	if err := ParseUpdateInto(u, b, opt); err != nil {
-		return nil, err
-	}
-	return u, nil
-}
-
 // ParseUpdateInto decodes a full BGP UPDATE message into u, reusing the
 // capacity of u's slices — a caller looping over messages can decode
 // with near-zero per-message allocations (combine with Options.Cache to
@@ -252,14 +224,9 @@ func parseUpdateBody(u *Update, b []byte, opt Options) error {
 	return nil
 }
 
-// ParseAttributes decodes a bare path-attribute block (as stored in MRT
-// TABLE_DUMP_V2 RIB entries).
-func ParseAttributes(b []byte, opt Options) ([]Attr, error) {
-	return parseAttrs(nil, b, opt)
-}
-
-// AppendAttributes decodes a bare path-attribute block, appending to dst
-// — a caller looping over RIB entries can reuse one scratch slice.
+// AppendAttributes decodes a bare path-attribute block (as stored in MRT
+// TABLE_DUMP_V2 RIB entries), appending to dst — a caller looping over
+// RIB entries can reuse one scratch slice.
 func AppendAttributes(dst []Attr, b []byte, opt Options) ([]Attr, error) {
 	return parseAttrs(dst, b, opt)
 }

@@ -39,7 +39,7 @@ func buildArchive(t testing.TB) []byte {
 			bgp.Origin(bgp.OriginIGP),
 			bgp.ASPath{Path: aspath.FromSeq(seq)},
 			bgp.NextHop(netip.MustParseAddr("192.0.2.1")),
-			bgp.Communities{bgp.Community(3356, 100)},
+			bgp.Communities{3356<<16 | 100},
 		}, bgp.Options{AS4: true})
 		if err != nil {
 			t.Fatal(err)

@@ -25,7 +25,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/parallel"
-	"repro/internal/replay"
 	"repro/internal/routing"
 	"repro/internal/sanitize"
 	"repro/internal/topology"
@@ -281,7 +280,7 @@ func sortedSources(archives map[string][]byte) ([]bgpstream.Source, int) {
 // UpdateSources synthesizes the update window's archives and returns
 // them as byte-backed sources in sorted name order — the deterministic
 // element stream behind Updates, exported so churn replay (replay.Run,
-// RunChurnReplay, the churn benchmark) can drive an AtomIndex with the
+// the churn benchmark) can drive an AtomIndex with the
 // very same messages the correlation analysis consumes.
 func (r *EraRun) UpdateSources(fromT, toT float64) []bgpstream.Source {
 	sources, _ := r.updateSources(fromT, toT, nil)
@@ -332,29 +331,6 @@ func (r *EraRun) buildUpdates(fromT, toT float64, peers map[uint32]bool) (*obs.S
 	bsp.SetAttr("bytes", totalBytes)
 	bsp.End()
 	return sp, sources
-}
-
-// RunChurnReplay builds the era's base snapshot, wraps it in an
-// AtomIndex, and replays the update window through it delta by delta —
-// the incremental counterpart of recomputing the snapshot at the
-// window's end. It returns the maintained index (Materialize reads the
-// final partition) alongside the replay accounting. The replayed
-// stream is the deterministic serve order bgpstream guarantees, so the
-// result is byte-identical at any worker count.
-func (r *EraRun) RunChurnReplay(fromT, toT float64) (*core.AtomIndex, replay.Stats, error) {
-	atoms, _, err := r.SnapshotAt(fromT)
-	if err != nil {
-		return nil, replay.Stats{}, err
-	}
-	ix := core.NewAtomIndex(atoms.Snap)
-	st, err := replay.Run(ix, r.UpdateSources(fromT, toT), replay.Options{
-		Workers:  r.Cfg.Workers,
-		Filter:   r.updateFilter(),
-		Metrics:  r.Cfg.Metrics,
-		Span:     r.Cfg.Trace,
-		Progress: r.Cfg.Progress,
-	})
-	return ix, st, err
 }
 
 // updateWarnings builds the standard 4-hour update window's parse

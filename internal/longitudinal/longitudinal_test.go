@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/obs"
+	"repro/internal/replay"
 	"repro/internal/topology"
 )
 
@@ -72,7 +73,15 @@ func TestRunEra2004(t *testing.T) {
 // are comparable here because both sides read the same table.)
 func TestRunChurnReplayDifferential(t *testing.T) {
 	r := NewEraRun(smallConfig(5), topology.EraOf(2024, 1))
-	ix, st, err := r.RunChurnReplay(OffsetBase, OffsetBase+UpdateHours)
+	atoms, _, err := r.SnapshotAt(OffsetBase)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix := core.NewAtomIndex(atoms.Snap)
+	st, err := replay.Run(ix, r.UpdateSources(OffsetBase, OffsetBase+UpdateHours), replay.Options{
+		Workers: r.Cfg.Workers,
+		Filter:  r.updateFilter(),
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -241,7 +241,7 @@ func TestRIBRoundTrip(t *testing.T) {
 			t.Errorf("%s: phantom path id", tc.prefix)
 		}
 		// Attributes decode back to the original path.
-		attrs, err := bgp.ParseAttributes(got.Entries[0].Attrs, bgp.Options{AS4: true})
+		attrs, err := bgp.AppendAttributes(nil, got.Entries[0].Attrs, bgp.Options{AS4: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -331,7 +331,7 @@ func TestBGP4MPMessageRoundTrip(t *testing.T) {
 		if got.AS4 != tc.as4 || got.AddPath != tc.addPath {
 			t.Errorf("%+v: flags %+v", tc, got)
 		}
-		if _, err := bgp.ParseUpdate(got.Data, bgp.Options{AS4: true}); err != nil {
+		if err := bgp.ParseUpdateInto(&bgp.Update{}, got.Data, bgp.Options{AS4: true}); err != nil {
 			t.Errorf("%+v: inner update: %v", tc, err)
 		}
 	}
@@ -397,15 +397,6 @@ func TestRecordClassifiers(t *testing.T) {
 	if (Record{Type: TypeBGP4MP, Subtype: SubMessage}).IsRIB() {
 		t.Error("bgp4mp is not rib")
 	}
-	if !(Record{Type: TypeTableDumpV2, Subtype: SubRIBIPv4UnicastAP}).IsAddPath() {
-		t.Error("rib addpath flag")
-	}
-	if !(Record{Type: TypeBGP4MP, Subtype: SubMessageAS4AP}).IsAddPath() {
-		t.Error("msg addpath flag")
-	}
-	if (Record{Type: TypeBGP4MP, Subtype: SubMessageAS4}).IsAddPath() {
-		t.Error("plain msg addpath flag")
-	}
 }
 
 // TestEndToEndDump exercises a full write-then-read cycle of a small RIB
@@ -470,11 +461,11 @@ func TestEndToEndDump(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	u, err := bgp.ParseUpdate(gotMsg.Data, bgp.Options{AS4: true})
-	if err != nil {
+	u := new(bgp.Update)
+	if err := bgp.ParseUpdateInto(u, gotMsg.Data, bgp.Options{AS4: true}); err != nil {
 		t.Fatal(err)
 	}
-	if len(u.Reachable()) != 1 {
+	if len(u.Announced) != 1 {
 		t.Error("update lost NLRI")
 	}
 }

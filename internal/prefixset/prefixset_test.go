@@ -1,10 +1,8 @@
 package prefixset
 
 import (
-	"math/rand"
 	"net/netip"
 	"testing"
-	"testing/quick"
 )
 
 func TestAdmissible(t *testing.T) {
@@ -54,75 +52,6 @@ func TestCanonical(t *testing.T) {
 	}
 }
 
-func TestSetBasics(t *testing.T) {
-	s := NewSet(MustParse("10.0.0.0/8"), MustParse("10.0.0.0/8"), MustParse("192.168.0.0/16"))
-	if s.Len() != 2 {
-		t.Fatalf("Len = %d", s.Len())
-	}
-	if !s.Contains(MustParse("10.0.0.0/8")) || s.Contains(MustParse("11.0.0.0/8")) {
-		t.Error("Contains broken")
-	}
-	// Canonicalization on Add: host bits masked.
-	s.Add(netip.MustParsePrefix("172.16.5.5/12"))
-	if !s.Contains(MustParse("172.16.0.0/12")) {
-		t.Error("Add did not canonicalize")
-	}
-	s.Remove(MustParse("10.0.0.0/8"))
-	if s.Contains(MustParse("10.0.0.0/8")) {
-		t.Error("Remove broken")
-	}
-	s.Add(netip.Prefix{}) // ignored
-	if s.Len() != 2 {
-		t.Errorf("invalid Add changed Len = %d", s.Len())
-	}
-}
-
-func TestSetAlgebra(t *testing.T) {
-	a := NewSet(MustParse("10.0.0.0/8"), MustParse("20.0.0.0/8"), MustParse("30.0.0.0/8"))
-	b := NewSet(MustParse("20.0.0.0/8"), MustParse("30.0.0.0/8"), MustParse("40.0.0.0/8"))
-	if got := a.IntersectionLen(b); got != 2 {
-		t.Errorf("IntersectionLen = %d", got)
-	}
-	if got := b.IntersectionLen(a); got != 2 {
-		t.Errorf("IntersectionLen not symmetric = %d", got)
-	}
-	if a.Equal(b) {
-		t.Error("unequal sets Equal")
-	}
-	if !a.Equal(a.Clone()) {
-		t.Error("clone not Equal")
-	}
-	sub := NewSet(MustParse("20.0.0.0/8"))
-	if !sub.SubsetOf(a) || a.SubsetOf(sub) {
-		t.Error("SubsetOf broken")
-	}
-	if !NewSet().SubsetOf(a) {
-		t.Error("empty set should be subset")
-	}
-	c := a.Clone()
-	c.Remove(MustParse("10.0.0.0/8"))
-	if a.Len() != 3 {
-		t.Error("Clone aliases")
-	}
-}
-
-func TestSetIterationAndString(t *testing.T) {
-	a := NewSet(MustParse("10.0.0.0/8"), MustParse("9.0.0.0/8"))
-	n := 0
-	a.All(func(p netip.Prefix) bool { n++; return true })
-	if n != 2 {
-		t.Errorf("All visited %d", n)
-	}
-	n = 0
-	a.All(func(p netip.Prefix) bool { n++; return false })
-	if n != 1 {
-		t.Errorf("early stop visited %d", n)
-	}
-	if got := a.String(); got != "{9.0.0.0/8, 10.0.0.0/8}" {
-		t.Errorf("String = %q", got)
-	}
-}
-
 func TestSortAndCompare(t *testing.T) {
 	ps := []netip.Prefix{
 		MustParse("2001:db8::/32"),
@@ -152,151 +81,4 @@ func TestMustParsePanics(t *testing.T) {
 		}
 	}()
 	MustParse("not-a-prefix")
-}
-
-func TestTrieInsertContains(t *testing.T) {
-	var tr Trie
-	if !tr.Insert(MustParse("10.0.0.0/8")) {
-		t.Fatal("first insert false")
-	}
-	if tr.Insert(MustParse("10.0.0.0/8")) {
-		t.Fatal("duplicate insert true")
-	}
-	if tr.Insert(netip.Prefix{}) {
-		t.Fatal("invalid insert true")
-	}
-	tr.Insert(MustParse("10.1.0.0/16"))
-	tr.Insert(MustParse("2001:db8::/32"))
-	if tr.Len() != 3 {
-		t.Fatalf("Len = %d", tr.Len())
-	}
-	if !tr.Contains(MustParse("10.0.0.0/8")) || !tr.Contains(MustParse("2001:db8::/32")) {
-		t.Error("Contains broken")
-	}
-	if tr.Contains(MustParse("10.0.0.0/9")) {
-		t.Error("Contains matched non-stored intermediate")
-	}
-	if tr.Contains(MustParse("99.0.0.0/8")) || tr.Contains(netip.Prefix{}) {
-		t.Error("Contains false positives")
-	}
-}
-
-func TestTrieLongestMatch(t *testing.T) {
-	var tr Trie
-	tr.Insert(MustParse("10.0.0.0/8"))
-	tr.Insert(MustParse("10.1.0.0/16"))
-	tr.Insert(MustParse("0.0.0.0/0"))
-	lm, ok := tr.LongestMatch(MustParse("10.1.2.0/24"))
-	if !ok || lm.String() != "10.1.0.0/16" {
-		t.Errorf("LongestMatch = %v,%v", lm, ok)
-	}
-	lm, ok = tr.LongestMatch(MustParse("10.2.0.0/16"))
-	if !ok || lm.String() != "10.0.0.0/8" {
-		t.Errorf("LongestMatch = %v,%v", lm, ok)
-	}
-	lm, ok = tr.LongestMatch(MustParse("99.0.0.0/8"))
-	if !ok || lm.String() != "0.0.0.0/0" {
-		t.Errorf("default match = %v,%v", lm, ok)
-	}
-	if _, ok := tr.LongestMatch(MustParse("2001:db8::/32")); ok {
-		t.Error("v6 matched v4 trie")
-	}
-	if !tr.CoveredBy(MustParse("10.1.0.0/16")) {
-		t.Error("CoveredBy exact failed")
-	}
-	var empty Trie
-	if _, ok := empty.LongestMatch(MustParse("10.0.0.0/8")); ok {
-		t.Error("empty trie matched")
-	}
-	if _, ok := tr.LongestMatch(netip.Prefix{}); ok {
-		t.Error("invalid prefix matched")
-	}
-}
-
-func TestTrieCovers(t *testing.T) {
-	var tr Trie
-	for _, s := range []string{"10.0.0.0/8", "10.1.0.0/16", "10.1.2.0/24", "10.2.0.0/16", "11.0.0.0/8"} {
-		tr.Insert(MustParse(s))
-	}
-	got := tr.Covers(MustParse("10.1.0.0/16"))
-	if len(got) != 2 || got[0].String() != "10.1.0.0/16" || got[1].String() != "10.1.2.0/24" {
-		t.Errorf("Covers = %v", got)
-	}
-	if got := tr.Covers(MustParse("12.0.0.0/8")); got != nil {
-		t.Errorf("Covers(no subtree) = %v", got)
-	}
-	if got := tr.Covers(netip.Prefix{}); got != nil {
-		t.Errorf("Covers(invalid) = %v", got)
-	}
-	all := tr.All()
-	if len(all) != 5 {
-		t.Errorf("All = %v", all)
-	}
-	var empty Trie
-	if empty.Covers(MustParse("10.0.0.0/8")) != nil {
-		t.Error("empty trie Covers non-nil")
-	}
-}
-
-func randV4Prefix(r *rand.Rand) netip.Prefix {
-	var b [4]byte
-	r.Read(b[:])
-	bits := r.Intn(25)
-	return Canonical(netip.PrefixFrom(netip.AddrFrom4(b), bits))
-}
-
-func TestTrieMatchesSetQuick(t *testing.T) {
-	r := rand.New(rand.NewSource(7))
-	var tr Trie
-	set := NewSet()
-	for i := 0; i < 500; i++ {
-		p := randV4Prefix(r)
-		insertedTrie := tr.Insert(p)
-		insertedSet := !set.Contains(p)
-		set.Add(p)
-		if insertedTrie != insertedSet {
-			t.Fatalf("insert disagreement for %v", p)
-		}
-	}
-	if tr.Len() != set.Len() {
-		t.Fatalf("Len: trie %d set %d", tr.Len(), set.Len())
-	}
-	for i := 0; i < 500; i++ {
-		p := randV4Prefix(r)
-		if tr.Contains(p) != set.Contains(p) {
-			t.Fatalf("contains disagreement for %v", p)
-		}
-	}
-	// All() matches Sorted().
-	a, b := tr.All(), set.Sorted()
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("order mismatch at %d: %v vs %v", i, a[i], b[i])
-		}
-	}
-}
-
-func TestLongestMatchIsCoveringQuick(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		var tr Trie
-		for i := 0; i < 50; i++ {
-			tr.Insert(randV4Prefix(r))
-		}
-		for i := 0; i < 50; i++ {
-			q := randV4Prefix(r)
-			lm, ok := tr.LongestMatch(q)
-			if !ok {
-				continue
-			}
-			// lm must cover q.
-			if !lm.Contains(q.Addr()) || lm.Bits() > q.Bits() {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
-	}
 }
