@@ -204,15 +204,6 @@ func (s Seq) Origin() (uint32, bool) {
 	return s[len(s)-1], true
 }
 
-// First returns the AS adjacent to the vantage point and false for an
-// empty sequence.
-func (s Seq) First() (uint32, bool) {
-	if len(s) == 0 {
-		return 0, false
-	}
-	return s[0], true
-}
-
 // Equal reports element-wise equality.
 func (s Seq) Equal(o Seq) bool {
 	if len(s) != len(o) {
@@ -336,13 +327,6 @@ const (
 func IsPrivateASN(asn uint32) bool {
 	return (asn >= privateASN16Lo && asn <= privateASN16Hi) ||
 		(asn >= privateASN32Lo && asn <= privateASN32Hi)
-}
-
-// IsReservedASN reports whether asn is reserved (0, AS_TRANS handling
-// aside, 23456 itself is valid on the wire; 65535 and 4294967295 are
-// reserved, RFC 7300).
-func IsReservedASN(asn uint32) bool {
-	return asn == 0 || asn == 65535 || asn == 4294967295
 }
 
 // HasPrivateASN reports whether the sequence contains a private ASN —

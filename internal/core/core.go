@@ -109,17 +109,6 @@ func (s *Snapshot) Route(p, v int) aspath.Seq {
 	return s.Paths.Seq(s.RouteID(p, v))
 }
 
-// VisibleVPs counts VPs at which prefix p has a non-empty path.
-func (s *Snapshot) VisibleVPs(p int) int {
-	n := 0
-	for _, id := range s.Row(p) {
-		if id != aspath.Empty {
-			n++
-		}
-	}
-	return n
-}
-
 // Atom is one policy atom.
 type Atom struct {
 	ID int

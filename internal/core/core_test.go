@@ -179,13 +179,10 @@ func TestByOriginAndPrefixSet(t *testing.T) {
 	}
 }
 
-func TestVisibleVPs(t *testing.T) {
+func TestRouteLookup(t *testing.T) {
 	s := snapFrom(t, 3, [][]string{
 		{"100 1", "", "102 1"},
 	})
-	if got := s.VisibleVPs(0); got != 2 {
-		t.Errorf("VisibleVPs = %d", got)
-	}
 	if got := s.Route(0, 1); got != nil {
 		t.Errorf("missing route = %v", got)
 	}
@@ -351,7 +348,7 @@ func TestVPString(t *testing.T) {
 
 // TestFlatMatrixMatchesReference is the flat-layout property test: a
 // sequence of random SetRoute/SetRouteID writes must leave
-// Row/RouteID/VisibleVPs in exact agreement with a naive [][]ID
+// Row/RouteID in exact agreement with a naive [][]ID
 // reference model maintained alongside.
 func TestFlatMatrixMatchesReference(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
@@ -388,17 +385,10 @@ func TestFlatMatrixMatchesReference(t *testing.T) {
 			if !reflect.DeepEqual(s.Row(p), ref[p]) {
 				t.Fatalf("iter %d: Row(%d) = %v, want %v", iter, p, s.Row(p), ref[p])
 			}
-			vis := 0
 			for v := 0; v < nVP; v++ {
 				if s.RouteID(p, v) != ref[p][v] {
 					t.Fatalf("iter %d: RouteID(%d,%d) = %d, want %d", iter, p, v, s.RouteID(p, v), ref[p][v])
 				}
-				if ref[p][v] != aspath.Empty {
-					vis++
-				}
-			}
-			if got := s.VisibleVPs(p); got != vis {
-				t.Fatalf("iter %d: VisibleVPs(%d) = %d, want %d", iter, p, got, vis)
 			}
 		}
 		// Row must be a live view: writes through it land in the matrix.

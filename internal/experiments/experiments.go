@@ -9,7 +9,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"sort"
 
 	"repro/internal/longitudinal"
 	"repro/internal/topology"
@@ -61,16 +60,6 @@ func ByID(id string) (Experiment, bool) {
 		}
 	}
 	return Experiment{}, false
-}
-
-// IDs lists all experiment IDs.
-func IDs() []string {
-	var out []string
-	for _, e := range All() {
-		out = append(out, e.ID)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Eras used throughout.

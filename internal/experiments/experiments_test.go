@@ -34,9 +34,6 @@ func TestRegistry(t *testing.T) {
 	if _, ok := ByID("nope"); ok {
 		t.Error("ByID(nope) succeeded")
 	}
-	if len(IDs()) != len(all) {
-		t.Error("IDs() incomplete")
-	}
 }
 
 // runExperiment executes one experiment at tiny scale and returns output.

@@ -76,9 +76,3 @@ func ArchivePrefixes(clean []byte) []netip.Prefix {
 	}
 	return out
 }
-
-// NumRecords returns the archive's record count under the same framing
-// walk Plan uses — the denominator for Fault.Covered.
-func NumRecords(clean []byte) int {
-	return len(indexRecords(clean))
-}

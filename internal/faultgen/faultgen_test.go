@@ -215,8 +215,8 @@ func TestCoveredPrefixes(t *testing.T) {
 	if got := ArchivePrefixes(clean); len(got) != 6 {
 		t.Fatalf("ArchivePrefixes = %d prefixes, want 6", len(got))
 	}
-	if n := NumRecords(clean); n != 11 {
-		t.Fatalf("NumRecords = %d, want 11", n)
+	if n := len(indexRecords(clean)); n != 11 {
+		t.Fatalf("%d records, want 11", n)
 	}
 }
 

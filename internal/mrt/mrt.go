@@ -83,23 +83,6 @@ func (r Record) IsRIB() bool {
 	return r.Type == TypeTableDumpV2 && r.Subtype >= SubRIBIPv4Unicast && r.Subtype <= SubRIBIPv6MulticastAP && r.Subtype != SubRIBGeneric && r.Subtype != 7
 }
 
-// IsAddPath reports whether the record uses RFC 8050 ADD-PATH encoding.
-func (r Record) IsAddPath() bool {
-	switch r.Type {
-	case TypeTableDumpV2:
-		switch r.Subtype {
-		case SubRIBIPv4UnicastAP, SubRIBIPv4MulticastAP, SubRIBIPv6UnicastAP, SubRIBIPv6MulticastAP:
-			return true
-		}
-	case TypeBGP4MP, TypeBGP4MPET:
-		switch r.Subtype {
-		case SubMessageAP, SubMessageAS4AP, SubMessageLocalAP, SubMessageAS4LocAP:
-			return true
-		}
-	}
-	return false
-}
-
 // Writer emits MRT records to an io.Writer.
 type Writer struct {
 	w   *bufio.Writer

@@ -59,13 +59,6 @@ func (m *Mapper) PrefixRow(p netip.Prefix) (int, bool) {
 	return row, ok
 }
 
-// VPCol returns the matrix column of a vantage point, or ok=false when
-// the peer is not one.
-func (m *Mapper) VPCol(vp core.VP) (int, bool) {
-	col, ok := m.vpCol[vp]
-	return col, ok
-}
-
 // Map resolves one element to its cell. A SkipNone reason means (p, v,
 // id) are valid: announces and RIB entries carry their interned path,
 // withdraws the empty path. Any other reason leaves the coordinates

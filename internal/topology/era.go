@@ -61,9 +61,3 @@ func (e Era) t() float64 {
 	}
 	return f
 }
-
-// lerp interpolates a parameter between its 2004 and 2024 values.
-func (e Era) lerp(v2004, v2024 float64) float64 {
-	t := e.t()
-	return v2004 + (v2024-v2004)*t
-}

@@ -1,7 +1,5 @@
 package topology
 
-import "math"
-
 // Deterministic, label-addressed randomness. Every stochastic decision
 // in the generator is a pure function of (seed, labels...), so an AS
 // keeps its attributes as eras advance and regeneration is bit-stable.
@@ -80,23 +78,6 @@ func geometric(p float64, max int, vals ...uint64) int {
 			break
 		}
 		n++
-	}
-	return n
-}
-
-// pareto samples a discrete heavy-tailed value in [1, max] with shape
-// alpha (smaller alpha = heavier tail).
-func pareto(alpha float64, max int, vals ...uint64) int {
-	u := Unit(vals...)
-	if u < 1e-12 {
-		u = 1e-12
-	}
-	n := int(math.Pow(1.0/u, 1.0/alpha))
-	if n < 1 {
-		n = 1
-	}
-	if n > max {
-		n = max
 	}
 	return n
 }
