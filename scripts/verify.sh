@@ -41,6 +41,33 @@ check_coverage() {
 	echo "coverage: $pkg $pct% (floor $floor%)"
 }
 
+# race_run <pattern> <pkg>...: run the tests -run <pattern> selects in
+# the packages under the race detector. A -run pattern that matches
+# nothing passes silently, so first fail unless every package lists a
+# test for it and every |-separated alternative names a test somewhere:
+# renaming a gated test must not turn its step into a no-op.
+race_run() {
+	pattern="$1"; shift
+	all=""
+	for pkg in "$@"; do
+		list="$(go test -list "$pattern" "$pkg" 2>&1)" || { echo "$list"; exit 1; }
+		tests="$(echo "$list" | grep '^Test' || true)"
+		if [ -z "$tests" ]; then
+			echo "race_run: -run '$pattern' selects no test in $pkg"
+			exit 1
+		fi
+		all="$all
+$tests"
+	done
+	for alt in $(echo "$pattern" | tr '|' ' '); do
+		if ! echo "$all" | grep -q "$alt"; then
+			echo "race_run: '$alt' in -run '$pattern' selects no test in $*"
+			exit 1
+		fi
+	done
+	go test -race -count=1 -run "$pattern" "$@"
+}
+
 echo "== gofmt -l ."
 unformatted="$(gofmt -l .)"
 if [ -n "$unformatted" ]; then
@@ -84,21 +111,21 @@ echo "== go test -race (collector + routing engine + sanitize pool fan-out)"
 go test -race -count=1 ./internal/collector/ ./internal/routing/ ./internal/sanitize/
 
 echo "== go test -race (determinism at every worker count)"
-go test -race -count=1 -run 'Determinism' ./internal/core/ ./internal/longitudinal/
+race_run 'Determinism' ./internal/core/ ./internal/longitudinal/
 
 echo "== go test -race (decode fan-out: merge order, batch API, golden text across workers)"
-go test -race -count=1 -run 'TestStreamDeterministicAcrossWorkers|TestNextBatchMatchesNext' ./internal/bgpstream/
-go test -race -count=1 -run 'TestExperimentDeterministicAcrossDecodeWorkers' .
+race_run 'TestStreamDeterministicAcrossWorkers|TestNextBatchMatchesNext' ./internal/bgpstream/
+race_run 'TestExperimentDeterministicAcrossDecodeWorkers' .
 
 echo "== go test -race (fault-injection harness: absorb or contain, never silent)"
-go test -race -count=1 -run 'TestHarness' ./internal/faultgen/harness/
+race_run 'TestHarness' ./internal/faultgen/harness/
 
 echo "== go test -race (incremental atom maintenance: delta differential, incl. faultgen-damaged churn)"
 go test -race -count=1 ./internal/replay/
-go test -race -count=1 -run 'TestRunChurnReplayDifferential' ./internal/longitudinal/
+race_run 'TestRunChurnReplayDifferential' ./internal/longitudinal/
 
 echo "== go test -race (atomd: daemon-vs-batch differential, shutdown lifecycle, concurrent queries)"
-go test -race -count=1 -run 'TestDaemon|TestShutdown|TestRestart|TestConcurrent|TestRepliesShareOneGeneration' ./internal/atomd/
+race_run 'TestDaemon|TestShutdown|TestRestart|TestConcurrent|TestRepliesShareOneGeneration' ./internal/atomd/
 
 echo "== live observability smoke (atomrepro -listen: scrape /metrics, /healthz, /runreport; promlint)"
 go run scripts/obssmoke.go
