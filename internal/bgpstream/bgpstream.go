@@ -961,8 +961,7 @@ func (d *sourceDecoder) decodeUpdate(rec mrt.Record, msg *mrt.Message) {
 		d.warn(msg.PeerAS, rec.Subtype, WarnUpdateParse, fmt.Sprintf("UPDATE parse: %v", err))
 		return
 	}
-	// MP_REACH/MP_UNREACH NLRI are folded in without the copying
-	// Reachable/Unreachable helpers.
+	// MP_REACH/MP_UNREACH NLRI are folded in without copying.
 	var mpAnn, mpWdr []bgp.NLRI
 	if m, ok := u.Attr(bgp.AttrTypeMPReach).(bgp.MPReach); ok && m.SAFI == bgp.SAFIUnicast {
 		mpAnn = m.NLRI

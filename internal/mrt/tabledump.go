@@ -126,7 +126,7 @@ type RIBEntry struct {
 	PeerIndex  uint16
 	Originated uint32
 	PathID     uint32 // ADD-PATH subtypes only
-	Attrs      []byte // raw path-attribute block (bgp.ParseAttributes decodes)
+	Attrs      []byte // raw path-attribute block (bgp.AppendAttributes decodes)
 }
 
 // RIB is a TABLE_DUMP_V2 RIB record: every peer's route for one prefix.
