@@ -20,7 +20,9 @@ import (
 // equality is not expected — VP route shifts change snapshots without
 // emitting updates (a documented infidelity) — but path-changing policy
 // events, prefix moves, and flaps all travel through the stream, so the
-// replayed table must agree with t2 far better than t1 does.
+// replayed table must agree with t2 far better than t1 does. A
+// partial-feed peer's stream describes its own table: every prefix it
+// announces or withdraws, flaps included, is one the peer carries.
 func TestUpdatesTransformRIBs(t *testing.T) {
 	p := topology.DefaultParams(61)
 	p.Scale = 0.008
@@ -40,7 +42,38 @@ func TestUpdatesTransformRIBs(t *testing.T) {
 	updates := BuildUpdates(g, in, UpdateConfig{
 		Model: model, FromT: t1, ToT: t2, BaseTime: ts,
 		FullMessageProb: 1.0, // no chunk jitter for a crisp replay
+		FlapRate:        0.05,
 	})
+
+	partial := map[uint32]*Peer{}
+	for _, cp := range in.AllPeers() {
+		if !cp.Peer.FullFeed {
+			partial[cp.Peer.ASN] = cp.Peer
+		}
+	}
+	touched, foreign := 0, 0
+	for name, data := range updates {
+		elems, err := bgpstream.NewStream(nil, bgpstream.BytesSource(name, data, bgp.Options{})).All()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range elems {
+			p := partial[e.PeerASN]
+			if p == nil || (e.Type != bgpstream.ElemAnnounce && e.Type != bgpstream.ElemWithdraw) {
+				continue
+			}
+			touched++
+			if !carries(in, p, prefixLabel(e.Prefix)) {
+				foreign++
+			}
+		}
+	}
+	if touched == 0 {
+		t.Fatal("no partial-feed updates in the window")
+	}
+	if foreign > 0 {
+		t.Errorf("%d of %d partial-feed update elements name a prefix outside the peer's table", foreign, touched)
+	}
 
 	// Pick the busiest full-feed peer's feed at one collector.
 	var coll *Collector

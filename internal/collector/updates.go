@@ -63,6 +63,7 @@ type message struct {
 // followed after the (t, order) sort.
 type msgBuilder struct {
 	g    *topology.Graph
+	in   *Infra
 	cfg  *UpdateConfig
 	msgs []message
 	// lastAt maps an instant to the index of the last in-scope message
@@ -70,8 +71,8 @@ type msgBuilder struct {
 	lastAt map[float64]int
 }
 
-func newMsgBuilder(g *topology.Graph, cfg *UpdateConfig) *msgBuilder {
-	b := &msgBuilder{g: g, cfg: cfg}
+func newMsgBuilder(g *topology.Graph, in *Infra, cfg *UpdateConfig) *msgBuilder {
+	b := &msgBuilder{g: g, in: in, cfg: cfg}
 	if cfg.Peers != nil {
 		b.lastAt = map[float64]int{}
 	}
@@ -140,14 +141,14 @@ func (b *msgBuilder) unit(unitID int, t float64, peer *Peer, path aspath.Seq, pr
 	if !b.cfg.inScope(peer.ASN) {
 		n := 0
 		for _, pfx := range prefixes {
-			if streamCarries(b.g, peer, pfx) {
+			if carries(b.in, peer, prefixLabel(pfx)) {
 				n++
 			}
 		}
 		chunked(b.cfg, unitID, t, n, func(_, _ int, dt float64) { b.seal(t + dt) })
 		return
 	}
-	pfxs := peerPrefixes(b.g, peer, prefixes)
+	pfxs := peerPrefixes(b.in, peer, prefixes)
 	chunked(b.cfg, unitID, t, len(pfxs), func(lo, hi int, dt float64) {
 		b.add(t+dt, peer, path == nil, pfxs[lo:hi], path)
 	})
@@ -163,7 +164,7 @@ func BuildUpdates(g *topology.Graph, in *Infra, cfg UpdateConfig) map[string][]b
 	base := cfg.Model.OverlayAt(g, cfg.FromT, vps)
 	moves := routing.BuildMoveSet(base)
 	eng := routing.NewEngine(g, base)
-	b := newMsgBuilder(g, &cfg)
+	b := newMsgBuilder(g, in, &cfg)
 
 	// Unit policy events (clocked per policy signature, so identically
 	// configured sibling groups change and re-announce together).
@@ -400,7 +401,7 @@ func emitMoves(b *msgBuilder, eng *routing.Engine, vps []uint32, peers map[uint3
 						continue
 					}
 					peer := peers[vp]
-					if !streamCarries(g, peer, pfx) {
+					if !carries(b.in, peer, prefixLabel(pfx)) {
 						continue
 					}
 					b.single(t, peer, newPaths[i].Path == nil, pfx, newPaths[i].Path)
@@ -431,8 +432,12 @@ func emitFlaps(b *msgBuilder, eng *routing.Engine, vps []uint32, peers map[uint3
 				for j := 0; j < n; j++ {
 					vi := topology.ChainPick(len(vps), uint64(u.ID), 0xf1a3, uint64(pi), uint64(k), uint64(j))
 					peer := peers[vps[vi]]
-					// An out-of-scope observer matters only where it
+					// A peer flaps only prefixes it carries. An
+					// out-of-scope observer matters only where it
 					// seals an open instant.
+					if !carries(b.in, peer, prefixLabel(pfx)) {
+						continue
+					}
 					if !b.cfg.inScope(peer.ASN) && !b.open(t) && !b.open(back) {
 						continue
 					}
@@ -460,20 +465,14 @@ func flapVersion(rate, t float64, labels ...uint64) int {
 	return v
 }
 
-// streamCarries reports whether peer's update stream carries pfx: a
-// partial feed drops a hash-selected share of prefixes.
-func streamCarries(g *topology.Graph, peer *Peer, pfx netip.Prefix) bool {
-	return peer.FullFeed || topology.ChainUnit(g.Seed, 0xfeed, uint64(peer.ASN), prefixLabel(pfx)) < peer.PartialShare
-}
-
 // peerPrefixes filters a prefix batch to those a peer carries.
-func peerPrefixes(g *topology.Graph, peer *Peer, prefixes []netip.Prefix) []netip.Prefix {
+func peerPrefixes(in *Infra, peer *Peer, prefixes []netip.Prefix) []netip.Prefix {
 	if peer.FullFeed {
 		return prefixes
 	}
 	var out []netip.Prefix
 	for _, pfx := range prefixes {
-		if streamCarries(g, peer, pfx) {
+		if carries(in, peer, prefixLabel(pfx)) {
 			out = append(out, pfx)
 		}
 	}

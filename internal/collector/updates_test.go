@@ -27,7 +27,7 @@ func packedView(msgs []message) []string {
 // path, same refresh time) at every peer, in peer order, as
 // emitRefreshes does, and returns the packed messages.
 func buildSiblings(cfg *UpdateConfig, peers []*Peer) []message {
-	b := newMsgBuilder(&topology.Graph{}, cfg)
+	b := newMsgBuilder(&topology.Graph{}, &Infra{}, cfg)
 	path := aspath.Seq{64500, 64510, 64520}
 	const t = 10.25
 	units := [][]netip.Prefix{
