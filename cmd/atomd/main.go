@@ -53,7 +53,6 @@ func main() {
 	sources := cli.LoadSources(tool, flag.Args())
 	opts := sanitize.Defaults()
 	opts.Family = *family
-	opts.Workers = *workers
 	opts.Metrics = o.Registry
 	snap, rep, err := sanitize.Clean(sources, nil, opts)
 	if err != nil {

@@ -8,21 +8,20 @@
 //
 // The collector name for each archive is derived from the file name
 // (everything before the first dot). -workers bounds the worker pool
-// for sanitization and atom grouping (default one per CPU, 1 =
-// sequential); output is identical at any value. Update archives, when given, feed
+// for atom grouping (default one per CPU, 1 = sequential); output is
+// identical at any value. Update archives, when given, feed
 // the abnormal-peer detection (§A8.3) before atom computation; archives
 // that match the glob but decode zero elements are reported, since a
 // bad glob would otherwise silently disable the detection.
 //
 // -replay (requires -updates) churn-replays the update archives into
 // the snapshot through the incremental core.AtomIndex: every
-// announce/withdraw re-buckets just the touched prefix row, -workers
-// parallelizes the decode while deltas apply in the stream's
-// deterministic serve order, and the post-replay atom statistics are
-// printed next to the replay accounting. -replay-verify additionally
-// recomputes atoms from scratch on the final matrix and fails loudly
-// if the incrementally maintained partition differs — the CLI face of
-// the differential harness.
+// announce/withdraw re-buckets just the touched prefix row, deltas
+// apply in the stream's serve order, and the post-replay atom
+// statistics are printed next to the replay accounting.
+// -replay-verify additionally recomputes atoms from scratch on the
+// final matrix and fails loudly if the incrementally maintained
+// partition differs — the CLI face of the differential harness.
 //
 // -trace writes a JSON run report (stage span tree + stream/sanitize
 // counters); -v prints the same report as a text tree on stderr;
@@ -95,7 +94,6 @@ func main() {
 		updSources = cli.LoadSources(tool, paths)
 		us := bgpstream.NewStream(nil, updSources...)
 		us.SetMetrics(o.Registry)
-		us.SetWorkers(*workers)
 		if _, err := us.All(); err != nil {
 			cli.Fatal(tool, err)
 		}
@@ -127,7 +125,6 @@ func main() {
 		opts = sanitize.Afek2002()
 	}
 	opts.Family = *family
-	opts.Workers = *workers
 	opts.Span = o.Root
 	opts.Metrics = o.Registry
 	opts.SessionFlaps = flaps
@@ -193,7 +190,6 @@ func main() {
 	if *replayOn {
 		ix := core.NewAtomIndex(snap)
 		rst, err := replay.Run(ix, updSources, replay.Options{
-			Workers:  *workers,
 			Metrics:  o.Registry,
 			Span:     o.Root,
 			Progress: o.Progress,

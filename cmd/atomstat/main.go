@@ -5,11 +5,10 @@
 //
 // Usage:
 //
-//	atomstat [-family 4|6] [-grid] [-workers n] [-trace out.json] [-v] data/*.rib.mrt
+//	atomstat [-family 4|6] [-grid] [-trace out.json] [-v] data/*.rib.mrt
 //
-// -workers bounds the sanitization worker pool (default one per CPU,
-// 1 = sequential); the report is identical at any value. The shared
-// observability flags apply (-trace, -v, -listen, -sample, -trace-out).
+// The shared observability flags apply (-trace, -v, -listen, -sample,
+// -trace-out).
 package main
 
 import (
@@ -30,7 +29,6 @@ func main() {
 		family = flag.Int("family", 4, "address family: 4 or 6")
 		grid   = flag.Bool("grid", false, "print the Table 7 threshold sensitivity grid")
 	)
-	workers := cli.NewWorkers()
 	o := cli.NewObs(tool)
 	flag.Parse()
 	if flag.NArg() == 0 {
@@ -46,7 +44,6 @@ func main() {
 
 	opts := sanitize.Defaults()
 	opts.Family = *family
-	opts.Workers = *workers
 	opts.Span = o.Root
 	opts.Metrics = o.Registry
 	_, rep, err := sanitize.Clean(sources, nil, opts)

@@ -173,13 +173,11 @@ func TestGoldenExperiment(t *testing.T) {
 	checkGolden(t, "table1.txt", buf.Bytes())
 }
 
-// TestExperimentDeterministicAcrossDecodeWorkers renders Table 1 with
-// sequential decode and with the full fan-out (workers=8: per-source
-// decode, snapshot build, atom grouping all parallel) and demands
-// byte-identical text. This is the end-to-end face of the stream
-// merge-order contract: no worker count may move a single character of
-// a published table.
-func TestExperimentDeterministicAcrossDecodeWorkers(t *testing.T) {
+// TestExperimentDeterministicAcrossWorkers renders Table 1 fully
+// sequential and with the full fan-out (workers=8: snapshot offsets and
+// atom grouping parallel) and demands byte-identical text: no worker
+// count may move a single character of a published table.
+func TestExperimentDeterministicAcrossWorkers(t *testing.T) {
 	e, ok := experiments.ByID("table1")
 	if !ok {
 		t.Fatal("experiment table1 not registered")
@@ -201,6 +199,6 @@ func TestExperimentDeterministicAcrossDecodeWorkers(t *testing.T) {
 		for i < len(one) && i < len(eight) && one[i] == eight[i] {
 			i++
 		}
-		t.Errorf("table1 output diverges between decode workers 1 and 8 at byte %d\nworkers=1:\n%s\nworkers=8:\n%s", i, one, eight)
+		t.Errorf("table1 output diverges between workers 1 and 8 at byte %d\nworkers=1:\n%s\nworkers=8:\n%s", i, one, eight)
 	}
 }

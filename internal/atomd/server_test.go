@@ -132,7 +132,7 @@ func batchAtoms(t testing.TB, ribs, upds map[string][]byte, workers int) []byte 
 	for _, name := range sortedNames(upds) {
 		srcs = append(srcs, bgpstream.BytesSource(name, upds[name], bgp.Options{}))
 	}
-	if _, err := replay.Run(ix, srcs, replay.Options{Workers: workers}); err != nil {
+	if _, err := replay.Run(ix, srcs, replay.Options{}); err != nil {
 		t.Fatalf("batch replay: %v", err)
 	}
 	return RenderAtoms(ix.Materialize(workers))

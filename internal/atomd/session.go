@@ -217,7 +217,6 @@ func (srv *Server) decode(pr *io.PipeReader, collector string, src *SourceStats)
 	// teardown (the deferred Close and CloseWithError below).
 	var r io.Reader = pr
 	st := bgpstream.NewStream(nil, bgpstream.Source{Collector: collector, R: r})
-	st.SetWorkers(1)
 	st.SetIntern(srv.snap.Paths)
 	if srv.cfg.Metrics != nil {
 		st.SetMetrics(srv.cfg.Metrics)

@@ -11,19 +11,18 @@
 //
 // # Decode architecture
 //
-// Every source gets its own sourceDecoder: reader, peer table, scratch
-// buffers, warning list and degradation accounting all live per source,
-// so sources are independent decode units. The Stream is a deterministic
-// merge over those units: elements are served strictly in source order,
-// and within a source in record order, with MsgIndex rebased onto a
-// global sequence as batches are served. That makes the element stream
-// byte-identical at any worker count:
-//
-//   - workers <= 1 (default): classic streaming — one record of the
-//     current source is decoded per fill, buffers are recycled.
-//   - workers > 1 (SetWorkers): every source is decoded to completion on
-//     the parallel worker pool first (trading memory for throughput),
-//     then served in the same order the sequential mode would produce.
+// Every source gets its own sourceDecoder: reader, peer table, warning
+// list and degradation accounting live per source. The Stream serves
+// those decoders strictly in source order and decodes on demand: each
+// fill decodes one record of the current source into the stream's one
+// reused element buffer, so a source's reader is not opened until the
+// sources before it have been served, and memory holds one record's
+// elements, not an archive's. Within a source elements come in record
+// order; MsgIndex is rebased onto a global sequence as batches are
+// served, and each source's degradation budget is judged as the stream
+// moves past it. All decoders share one pooled attribute cache, and
+// paths are interned in serve order, so intern IDs are a pure function
+// of the sources.
 //
 // Byte-backed sources take the zero-copy fast path: records are read by
 // mrt.BytesReader, whose Record.Body sub-slices Source.Data with no
@@ -41,7 +40,6 @@ import (
 	"repro/internal/bgp"
 	"repro/internal/mrt"
 	"repro/internal/obs"
-	"repro/internal/parallel"
 )
 
 // ElemType classifies a stream element.
@@ -235,24 +233,21 @@ func (f *Filter) Match(e *Elem) bool {
 	return true
 }
 
-// sourceDecoder is one source's independent decode unit: reader, peer
-// table, scratch, warnings and degradation accounting. In parallel mode
-// each decoder runs to completion on its own worker; in sequential mode
-// the Stream steps the current decoder one record at a time.
+// sourceDecoder is one source's decode state: reader, peer table,
+// scratch, warnings and degradation accounting. The Stream steps the
+// current decoder one record at a time.
 type sourceDecoder struct {
 	src       Source
 	collector string
 	reader    recordReader
 	inited    bool
 	done      bool
-	judged    bool
 
 	peers []mrt.Peer
-	// elems is the decoded element buffer; head marks the first element
-	// not yet served by the Stream merge. MsgIndex values in elems are
-	// source-local (1-based); the merge rebases them.
+	// elems receives one record's elements; the Stream lends it its
+	// reused buffer for each step. MsgIndex values in elems are
+	// source-local (1-based); the Stream rebases them.
 	elems    []Elem
-	head     int
 	msgCount int
 
 	warnings    []Warning
@@ -272,9 +267,9 @@ type sourceDecoder struct {
 	ribSeqValid bool
 
 	// Decode scratch, reused across records: parsed attribute payloads
-	// are deduped through attrCache (archives repeat a small set of
-	// distinct paths/next-hops/communities), and msg/upd/ribAttrs absorb
-	// the per-record parse allocations.
+	// are deduped through the stream's attrCache (archives repeat a small
+	// set of distinct paths/next-hops/communities), and msg/upd/ribAttrs
+	// absorb the per-record parse allocations.
 	attrCache *bgp.AttrCache
 	msg       mrt.Message
 	upd       bgp.Update
@@ -285,7 +280,7 @@ type sourceDecoder struct {
 	seqBuf aspath.Seq
 
 	// Telemetry, snapshotted from the Stream before decoding starts so
-	// workers never build counter keys per record. All nil-safe.
+	// decode never builds counter keys per record. All nil-safe.
 	metrics     *obs.Registry
 	recordsC    *obs.Counter
 	elemC       [5]*obs.Counter
@@ -296,28 +291,28 @@ type sourceDecoder struct {
 type Stream struct {
 	sources []Source
 	filter  *Filter
-	workers int
 	intern  *aspath.Table
 
 	decs    []*sourceDecoder
 	running bool
 
-	// Merge cursor: decoders are served strictly in source order;
+	// Serve cursor: decoders are served strictly in source order;
 	// msgBase is the number of messages the already-served decoders
 	// produced, rebasing source-local MsgIndex onto a global sequence.
+	// batch is the one element buffer every record is decoded into.
 	cur       int
 	msgBase   int
 	batch     []Elem
 	batchHead int
 
-	// Degradation budget (SetDegradation) and the serve-side quarantine
-	// verdicts, judged in source order as the merge passes each source.
+	// Degradation budget (SetDegradation) and the quarantine verdicts,
+	// judged in source order as the cursor passes each source.
 	degradeMin  int
 	degradeMax  float64
 	quarantined map[string]bool
 
-	// attrCache is shared by all decoders in sequential mode (it is not
-	// safe for concurrent use; parallel decoders get their own).
+	// attrCache is shared by all decoders: pooled, attached on the first
+	// Next/NextBatch and handed back at EOF.
 	attrCache *bgp.AttrCache
 
 	// Telemetry (nil metrics = disabled; hot counters are cached so
@@ -339,22 +334,14 @@ func NewStream(filter *Filter, sources ...Source) *Stream {
 	}
 }
 
-// Buffer pools, shared by every Stream in the process. A longitudinal
-// run builds thousands of short-lived streams (one per archive set per
-// era); recycling the two big per-stream buffers — the parallel-mode
-// element buffers, whose growth dominated parallel decode's allocation
-// bill, and the attribute caches — keeps the steady-state cost of a
-// new stream near zero. AttrCache reuse is safe across streams: its
-// maps memoize by content and are insert-only, so entries from one
-// archive are either re-hit (same wire bytes → same attribute) or
-// simply ignored by the next.
-var (
-	elemsPool = sync.Pool{New: func() any {
-		buf := make([]Elem, 0, 4096)
-		return &buf
-	}}
-	attrCachePool = sync.Pool{New: func() any { return bgp.NewAttrCache() }}
-)
+// attrCachePool is shared by every Stream in the process. A
+// longitudinal run builds thousands of short-lived streams (one per
+// archive set per era); recycling their attribute caches keeps the
+// steady-state cost of a new stream near zero. AttrCache reuse is safe
+// across streams: its maps memoize by content and are insert-only, so
+// entries from one archive are either re-hit (same wire bytes → same
+// attribute) or simply ignored by the next.
+var attrCachePool = sync.Pool{New: func() any { return bgp.NewAttrCache() }}
 
 // Degradation-budget defaults: a source is quarantined when, having
 // produced at least DefaultDegradeMinRecords records (decoded plus
@@ -381,19 +368,16 @@ func (s *Stream) SetDegradation(minRecords int, maxSkipRatio float64) {
 	s.degradeMax = maxSkipRatio
 }
 
-// SetWorkers sets the decode fan-out. n > 1 decodes every source
-// concurrently (n caps the worker count) before elements are served;
-// n <= 0 means one worker per CPU, the repo-wide -workers convention;
-// n == 1 keeps the classic sequential streaming decode. The served
-// element order is byte-identical at every worker count. Must be called
-// before the first Next/NextBatch.
-func (s *Stream) SetWorkers(n int) { s.workers = parallel.Workers(n) }
+// SetWorkers does nothing: a Stream always decodes one record of the
+// current source at a time. It remains only because the benchmark
+// program calls SetWorkers(1).
+func (s *Stream) SetWorkers(int) {}
 
-// SetIntern gives the stream an AS-path intern table: decoders flatten
-// each RIB/announce element's path and intern it into t — concurrently
-// in parallel mode, which t's striped locks make safe — stamping
-// Elem.InternedPath/PathUnusable so consumers skip the flatten+intern
-// work entirely. Must be called before the first Next/NextBatch.
+// SetIntern gives the stream an AS-path intern table: the decoder
+// flattens each RIB/announce element's path and interns it into t, in
+// serve order, stamping Elem.InternedPath/PathUnusable so consumers skip
+// the flatten+intern work entirely. Must be called before the first
+// Next/NextBatch.
 func (s *Stream) SetIntern(t *aspath.Table) { s.intern = t }
 
 // Quarantined returns the collectors whose sources blew their
@@ -456,15 +440,11 @@ func (s *Stream) DecodedBytes() int64 {
 	return n
 }
 
-// judge applies the degradation budget to a finished decoder, exactly
-// once, as the merge cursor passes it — serve order, so the verdict
-// sequence (and the quarantine warning's position in Warnings) is
-// identical at every worker count.
+// judge applies the degradation budget to a finished decoder. fill
+// calls it once per source, as the serve cursor passes it, so verdicts
+// (and the quarantine warning's position in Warnings) follow source
+// order.
 func (s *Stream) judge(d *sourceDecoder) {
-	if d.judged {
-		return
-	}
-	d.judged = true
 	total := d.records + d.skipped
 	if s.degradeMin <= 0 || total < s.degradeMin {
 		return
@@ -546,134 +526,69 @@ func (s *Stream) ensureDecoders() {
 	}
 }
 
-// ensureRunning finalizes configuration (metrics snapshot, intern
-// table, attribute-cache sharing) and, in parallel mode, decodes every
-// source to completion on the worker pool. Serving then proceeds in
-// deterministic source order either way.
+// ensureRunning finalizes configuration: the metrics snapshot, the
+// intern table and the shared attribute cache. Decoding itself happens
+// on demand in fill.
 func (s *Stream) ensureRunning() {
 	if s.running {
 		return
 	}
 	s.running = true
 	s.ensureDecoders()
-	// Parallel materialization only pays off when the hardware can
-	// actually run decoders concurrently: it trades a full in-memory
-	// copy of every source's elements for decode overlap, and with one
-	// effective CPU (GOMAXPROCS clamped down, or a single-core host with
-	// GOMAXPROCS inflated past it) there is no overlap to buy — the
-	// sequential path is faster and far lighter on memory. The served
-	// element sequence is byte-identical either way, so this is purely a
-	// throughput decision, made by the pool's effective-CPU clamp (which
-	// race builds and parallel.ForceParallel bypass).
-	par := len(s.decs) > 1 && parallel.EffectiveWorkers(s.workers) > 1
-	if !par && s.attrCache == nil {
-		s.attrCache = attrCachePool.Get().(*bgp.AttrCache)
-	}
+	s.attrCache = attrCachePool.Get().(*bgp.AttrCache)
 	for _, d := range s.decs {
 		d.metrics = s.metrics
 		d.recordsC = s.recordsC
 		d.elemC = s.elemC
 		d.intern = s.intern
+		d.attrCache = s.attrCache
 		if s.metrics != nil {
 			d.sourceElemC = s.metrics.Counter("bgpstream.source_elems", "collector", d.collector)
 		}
-		if par {
-			// The attribute cache is not safe for concurrent use:
-			// parallel decoders each get their own (pooled). Their
-			// element buffers are pooled too — each will hold the whole
-			// source's decoded elements.
-			d.attrCache = attrCachePool.Get().(*bgp.AttrCache)
-			buf := elemsPool.Get().(*[]Elem)
-			// Right-size up front: the pool mixes buffers from sources of
-			// very different sizes, and growing a small recycled buffer to
-			// a big source's element count would reallocate the whole
-			// doubling chain on every reuse. Measured element densities
-			// sit around one element per 25-60 archive bytes (RIB entries
-			// are denser than update messages), so bytes/32 lands within
-			// ~1.3x of the real count either way — at worst one final
-			// append growth instead of a chain.
-			if est := len(d.src.Data) / 32; cap(*buf) < est {
-				*buf = make([]Elem, 0, est)
-			}
-			d.elems = (*buf)[:0]
-		} else {
-			d.attrCache = s.attrCache
-		}
-	}
-	if par {
-		parallel.ForEach(s.workers, len(s.decs), func(i int) error {
-			s.decs[i].drain()
-			return nil
-		})
 	}
 }
 
-// fill advances the merge cursor until a run of decoded elements is
-// staged in s.batch: strictly source order, record order within each
-// source, MsgIndex rebased — the served stream is byte-identical at any
-// worker count. Returns io.EOF when every source has drained.
+// fill decodes records of the current source into s.batch until one
+// yields elements: strictly source order, record order within each
+// source, MsgIndex rebased. The batch buffer is reused for every record,
+// which the NextBatch contract allows: the previous batch is invalid
+// once the call driving this fill was made. Returns io.EOF when every
+// source has drained.
 //
 //atomlint:hotpath
 func (s *Stream) fill() error {
-	for {
-		if s.cur >= len(s.decs) {
-			// Everything is served; hand the shared attribute cache back
-			// to the pool (parallel mode never attached one).
-			if s.attrCache != nil {
-				attrCachePool.Put(s.attrCache)
-				s.attrCache = nil
-			}
-			return io.EOF
-		}
+	for s.cur < len(s.decs) {
 		d := s.decs[s.cur]
-		if d.head < len(d.elems) {
-			run := d.elems[d.head:]
-			d.head = len(d.elems)
-			if s.msgBase != 0 {
-				for i := range run {
-					run[i].MsgIndex += s.msgBase
-				}
-			}
-			s.batch = run
-			s.batchHead = 0
-			return nil
-		}
-		if !d.done {
-			// Sequential streaming: recycle the served element buffer
-			// and decode the next record into it.
-			d.elems = d.elems[:0]
-			d.head = 0
-			d.step()
+		if d.done {
+			s.judge(d)
+			s.msgBase += d.msgCount
+			d.attrCache = nil
+			s.cur++
 			continue
 		}
-		s.judge(d)
-		s.msgBase += d.msgCount
-		s.release(d)
-		s.cur++
+		d.elems = s.batch[:0]
+		d.step()
+		s.batch, d.elems = d.elems, nil
+		s.batchHead = 0
+		if len(s.batch) == 0 {
+			continue
+		}
+		if s.msgBase != 0 {
+			for i := range s.batch {
+				s.batch[i].MsgIndex += s.msgBase
+			}
+		}
+		return nil
 	}
-}
-
-// release recycles a fully-served decoder's big buffers. Safe by the
-// NextBatch contract: the merge only advances past d once every one of
-// its elements has been served and the following Next/NextBatch call —
-// the one driving this fill — has already invalidated the previous
-// batch. The element buffer is zeroed before pooling so recycled
-// capacity does not pin Path/Communities backing arrays, and the
-// attribute cache goes back only in parallel mode (sequential decoders
-// borrow the stream's shared cache, released at EOF).
-func (s *Stream) release(d *sourceDecoder) {
-	if d.attrCache != nil && d.attrCache != s.attrCache {
-		attrCachePool.Put(d.attrCache)
+	// Everything is served: hand the shared attribute cache back to the
+	// pool and drop the buffer, which still points into the last
+	// record's paths.
+	if s.attrCache != nil {
+		attrCachePool.Put(s.attrCache)
+		s.attrCache = nil
 	}
-	d.attrCache = nil
-	if cap(d.elems) > 0 {
-		buf := d.elems[:cap(d.elems)]
-		clear(buf)
-		buf = buf[:0]
-		elemsPool.Put(&buf)
-		d.elems = nil
-		d.head = 0
-	}
+	s.batch = nil
+	return io.EOF
 }
 
 // Next returns the next element, or io.EOF when all sources drain.
@@ -749,16 +664,8 @@ func (s *Stream) All() ([]Elem, error) {
 	}
 }
 
-// drain decodes the whole source (parallel mode).
-func (d *sourceDecoder) drain() {
-	for !d.done {
-		d.step()
-	}
-}
-
 // step decodes one record: reader init on first use, EOF/resync
-// handling, then the type dispatch. Mirrors the classic sequential
-// loop exactly so degradation accounting is worker-count independent.
+// handling, then the type dispatch.
 func (d *sourceDecoder) step() {
 	if d.done {
 		return

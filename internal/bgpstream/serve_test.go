@@ -13,7 +13,7 @@ import (
 	"repro/internal/parallel"
 )
 
-// mixedSources builds a source set exercising every merge-order hazard:
+// mixedSources builds a source set exercising every serve-order hazard:
 // clean archives, a truncated one (warning + possible quarantine), one
 // with mid-stream garbage (resync), and a reader-backed source (bufio
 // path instead of zero-copy).
@@ -32,9 +32,9 @@ func mixedSources(t *testing.T) []Source {
 	}
 }
 
-// collectAll drains a stream element by element, copying retained
-// slices (batch memory is recycled), and returns everything observable:
-// elements, warnings, quarantine set, flaps, per-source counts.
+// streamResult is everything a drained stream lets a caller observe:
+// elements (copied out, since batch memory is reused), warnings,
+// quarantine set, flaps and per-source counts.
 type streamResult struct {
 	elems       []Elem
 	warnings    []Warning
@@ -43,36 +43,14 @@ type streamResult struct {
 	elemCounts  map[string]int
 }
 
-func runStream(t *testing.T, workers int, useBatch bool, intern *aspath.Table) streamResult {
+func runStream(t *testing.T, useBatch bool, intern *aspath.Table) streamResult {
 	t.Helper()
-	if workers > 1 {
-		// The effective-CPU gate would route workers>1 to the sequential
-		// path on a single-core host; these tests pin the parallel path
-		// itself, so bypass the gate.
-		parallel.ForceParallel(true)
-		defer parallel.ForceParallel(false)
-	}
 	s := NewStream(nil, mixedSources(t)...)
-	s.SetWorkers(workers)
+	// The fixture's archives are too small for the default budget; a
+	// zero-tolerance one quarantines every source that skipped a record.
+	s.SetDegradation(1, 0)
 	if intern != nil {
 		s.SetIntern(intern)
-	}
-	// Parallel materialization decodes every source to completion before
-	// serving; sequential streaming has decoded nothing yet. Pin which
-	// path ran, so a change that quietly serializes decode fails here.
-	// (workers <= 0 resolves per host, so either path is correct.)
-	s.ensureRunning()
-	drained := 0
-	for _, d := range s.decs {
-		if d.done {
-			drained++
-		}
-	}
-	if workers > 1 && drained != len(s.decs) {
-		t.Fatalf("workers=%d: %d of %d sources decoded up front; the parallel path did not run", workers, drained, len(s.decs))
-	}
-	if workers == 1 && drained != 0 {
-		t.Fatalf("workers=1: %d sources decoded up front; want sequential streaming", drained)
 	}
 	var elems []Elem
 	if useBatch {
@@ -107,69 +85,58 @@ func runStream(t *testing.T, workers int, useBatch bool, intern *aspath.Table) s
 	}
 }
 
-// sameElems compares element streams field by field. InternedPath is
-// compared through its table (raw IDs are interleaving-dependent under
-// concurrent interning — the PR2 invariant — so only the resolved
-// sequences are comparable across runs).
-func sameElems(t *testing.T, a []Elem, ta *aspath.Table, b []Elem, tb *aspath.Table) {
-	t.Helper()
-	if len(a) != len(b) {
-		t.Fatalf("element counts differ: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		x, y := a[i], b[i]
-		if ta != nil {
-			sx, sy := ta.Seq(x.InternedPath), tb.Seq(y.InternedPath)
-			if !reflect.DeepEqual(sx, sy) {
-				t.Fatalf("elem %d interned path: %v vs %v", i, sx, sy)
-			}
-		}
-		x.InternedPath, y.InternedPath = 0, 0
-		if !reflect.DeepEqual(x, y) {
-			t.Fatalf("elem %d differs:\n  %+v\n  %+v", i, x, y)
-		}
-	}
-}
-
-// TestStreamDeterministicAcrossWorkers is the merge-order contract:
-// the full observable output — every element in order, every warning in
-// order, quarantine decisions, flap counts — is identical whether
-// sources decode sequentially or fanned out across 8 workers. Run
-// under -race this also exercises the worker/merge synchronization.
-func TestStreamDeterministicAcrossWorkers(t *testing.T) {
-	t1, t8 := aspath.NewTable(), aspath.NewTable()
-	seq := runStream(t, 1, false, t1)
-	par := runStream(t, 8, false, t8)
-
-	sameElems(t, seq.elems, t1, par.elems, t8)
-	if !reflect.DeepEqual(seq.warnings, par.warnings) {
-		t.Errorf("warnings diverge:\n  workers=1: %+v\n  workers=8: %+v", seq.warnings, par.warnings)
-	}
-	if !reflect.DeepEqual(seq.quarantined, par.quarantined) {
-		t.Errorf("quarantine diverges: %v vs %v", seq.quarantined, par.quarantined)
-	}
-	if !reflect.DeepEqual(seq.flaps, par.flaps) {
-		t.Errorf("state flaps diverge: %v vs %v", seq.flaps, par.flaps)
-	}
-	if !reflect.DeepEqual(seq.elemCounts, par.elemCounts) {
-		t.Errorf("per-source counts diverge: %v vs %v", seq.elemCounts, par.elemCounts)
-	}
-	if len(seq.elems) == 0 {
+// TestNextBatchMatchesNext: the batch API is a view over the same
+// sequence. Batch iteration and element iteration must yield the same
+// elements in the same order, interned IDs included (paths are interned
+// in serve order, so fresh tables assign the same IDs), and the same
+// warnings, quarantine verdicts, flap counts and per-source counts.
+func TestNextBatchMatchesNext(t *testing.T) {
+	one := runStream(t, false, aspath.NewTable())
+	bat := runStream(t, true, aspath.NewTable())
+	if len(one.elems) == 0 {
 		t.Fatal("fixture produced no elements")
 	}
+	if len(one.elems) != len(bat.elems) {
+		t.Fatalf("element counts differ: %d vs %d", len(one.elems), len(bat.elems))
+	}
+	for i := range one.elems {
+		if !reflect.DeepEqual(one.elems[i], bat.elems[i]) {
+			t.Fatalf("elem %d differs:\n  Next:      %+v\n  NextBatch: %+v", i, one.elems[i], bat.elems[i])
+		}
+	}
+	if !reflect.DeepEqual(one.warnings, bat.warnings) {
+		t.Errorf("warnings diverge:\n  Next:      %+v\n  NextBatch: %+v", one.warnings, bat.warnings)
+	}
+	if len(one.quarantined) == 0 || !reflect.DeepEqual(one.quarantined, bat.quarantined) {
+		t.Errorf("quarantine: Next %v, NextBatch %v; want the same, non-empty", one.quarantined, bat.quarantined)
+	}
+	if !reflect.DeepEqual(one.flaps, bat.flaps) {
+		t.Errorf("state flaps diverge: %v vs %v", one.flaps, bat.flaps)
+	}
+	if !reflect.DeepEqual(one.elemCounts, bat.elemCounts) {
+		t.Errorf("per-source counts diverge: %v vs %v", one.elemCounts, bat.elemCounts)
+	}
 }
 
-// TestNextBatchMatchesNext: the batch API is a view over the same
-// merged sequence — batch iteration and element iteration must yield
-// identical streams at any worker count.
-func TestNextBatchMatchesNext(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		one := runStream(t, workers, false, nil)
-		bat := runStream(t, workers, true, nil)
-		sameElems(t, one.elems, nil, bat.elems, nil)
-		if !reflect.DeepEqual(one.warnings, bat.warnings) {
-			t.Errorf("workers=%d: warnings diverge between Next and NextBatch", workers)
+// TestStreamDecodesOnDemand: a stream decodes the current source one
+// record at a time, so serving the first batch opens only the first
+// source's reader. SetWorkers is a no-op and the pool clamp is lifted,
+// so neither may fan decode out across sources.
+func TestStreamDecodesOnDemand(t *testing.T) {
+	parallel.ForceParallel(true)
+	defer parallel.ForceParallel(false)
+	s := NewStream(nil, mixedSources(t)...)
+	s.SetWorkers(2)
+	if _, err := s.NextBatch(); err != nil {
+		t.Fatal(err)
+	}
+	for i, d := range s.decs[1:] {
+		if d.inited {
+			t.Errorf("source %d (%s) opened before source 0 was served", i+1, d.collector)
 		}
+	}
+	if d := s.decs[0]; !d.inited || d.done {
+		t.Errorf("source 0: inited=%v done=%v, want opened and not drained", d.inited, d.done)
 	}
 }
 
@@ -179,7 +146,7 @@ func TestNextBatchMatchesNext(t *testing.T) {
 // element types stay at Empty.
 func TestStreamInternStamping(t *testing.T) {
 	table := aspath.NewTable()
-	res := runStream(t, 1, true, table)
+	res := runStream(t, true, table)
 	stamped := 0
 	for i, e := range res.elems {
 		if e.Type != ElemRIB && e.Type != ElemAnnounce {
@@ -284,12 +251,4 @@ func TestUpdateInternsPathOncePerMessage(t *testing.T) {
 	if table.Len() != 2 {
 		t.Errorf("table holds %d paths, want the empty path and one more", table.Len())
 	}
-}
-
-// TestStreamWorkersZeroMeansAuto: SetWorkers(0) resolves to one worker
-// per CPU and still yields the canonical stream.
-func TestStreamWorkersZeroMeansAuto(t *testing.T) {
-	auto := runStream(t, 0, true, nil)
-	one := runStream(t, 1, false, nil)
-	sameElems(t, auto.elems, nil, one.elems, nil)
 }

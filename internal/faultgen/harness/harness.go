@@ -193,7 +193,6 @@ func runPipeline(cfg Config, ribs, upds map[string][]byte) *runOutcome {
 
 	reg := obs.NewRegistry()
 	opts := sanitize.Defaults()
-	opts.Workers = cfg.Workers
 	opts.Metrics = reg
 	opts.SessionFlaps = out.Flaps
 	opts.DegradationMinRecords = cfg.DegradationMinRecords

@@ -52,9 +52,8 @@ func TestHarnessInvariantAllClasses(t *testing.T) {
 	}
 
 	// Same seed at 8 workers: the parallel pipeline must not change a
-	// single byte of the verdict. Force the parallel decode path so the
-	// contract is exercised even on a single-core host, where the
-	// stream's effective-CPU gate would fall back to sequential decode.
+	// single byte of the verdict. Lift the pool's effective-CPU clamp so
+	// atom grouping really fans out even on a single-core host.
 	parallel.ForceParallel(true)
 	defer parallel.ForceParallel(false)
 	cfg8 := cfg

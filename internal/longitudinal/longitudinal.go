@@ -61,9 +61,8 @@ type Config struct {
 	// Workers bounds the worker pools used throughout the pipeline:
 	// each era's window and snapshots within RunTrend, the four
 	// snapshot offsets within RunEra, daily snapshots within RunSplits,
-	// the per-feed and row-range stages inside sanitization, and the
-	// origin fan-out of atom grouping. 0 = one worker per CPU, 1 =
-	// fully sequential. Every output is byte-identical at any value.
+	// and the origin fan-out of atom grouping. 0 = one worker per CPU,
+	// 1 = fully sequential. Every output is byte-identical at any value.
 	Workers int
 	// Trace, when non-nil, receives one child span per era and stage
 	// (generation, each snapshot, the update window, each analysis), so
@@ -199,9 +198,6 @@ func (r *EraRun) sanitizeOptions() sanitize.Options {
 	if opts.Family == 0 {
 		opts.Family = r.Cfg.Family
 	}
-	if opts.Workers == 0 {
-		opts.Workers = r.Cfg.Workers
-	}
 	if opts.Intern == nil {
 		opts.Intern = r.intern
 	}
@@ -315,7 +311,7 @@ func (r *EraRun) updateFilter() *bgpstream.Filter {
 func (r *EraRun) Updates(fromT, toT float64) ([]metrics.UpdateRecord, []bgpstream.Warning, error) {
 	sp, sources := r.buildUpdates(fromT, toT, nil)
 	defer sp.End()
-	return metrics.CollectRecords(sources, r.updateFilter(), r.Cfg.Workers, r.Cfg.Metrics, sp)
+	return metrics.CollectRecords(sources, r.updateFilter(), r.Cfg.Metrics, sp)
 }
 
 // buildUpdates opens an update window's "updates" span, which the
@@ -354,7 +350,6 @@ func (r *EraRun) updateWarnings() ([]bgpstream.Warning, error) {
 	defer dsp.End()
 	s := bgpstream.NewStream(r.updateFilter(), sources...)
 	s.SetMetrics(r.Cfg.Metrics)
-	s.SetWorkers(1)
 	for {
 		if _, err := s.NextBatch(); err == io.EOF {
 			break

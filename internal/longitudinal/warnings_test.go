@@ -78,7 +78,7 @@ func TestScopedWarningWindow(t *testing.T) {
 			r := NewEraRun(warningConfig(seed), era)
 			peers := r.Infra.WarningPeers()
 			full, _ := r.updateSources(OffsetBase, OffsetBase+UpdateHours, nil)
-			_, fullWarn, err := metrics.CollectRecords(full, r.updateFilter(), 1, nil, nil)
+			_, fullWarn, err := metrics.CollectRecords(full, r.updateFilter(), nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -24,19 +24,17 @@ type UpdateRecord struct {
 }
 
 // CollectRecords drains update sources into per-message prefix sets
-// (announcements and withdrawals together, deduplicated). workers sets
-// the stream's per-source decode parallelism (0 = one per CPU, 1 =
-// sequential; the record sequence is identical at any value); a non-nil
+// (announcements and withdrawals together, deduplicated). A non-nil
 // reg receives the stream's decode counters plus metrics.update_records
 // and a metrics.update_record_size histogram; a non-nil parent receives
 // a child span with source/record cardinalities. nil reg and parent
 // skip telemetry entirely.
-func CollectRecords(sources []bgpstream.Source, filter *bgpstream.Filter, workers int, reg *obs.Registry, parent *obs.Span) ([]UpdateRecord, []bgpstream.Warning, error) {
+func CollectRecords(sources []bgpstream.Source, filter *bgpstream.Filter, reg *obs.Registry, parent *obs.Span) ([]UpdateRecord, []bgpstream.Warning, error) {
 	if reg == nil && parent == nil {
-		return collectRecords(sources, filter, workers, nil)
+		return collectRecords(sources, filter, nil)
 	}
 	sp := parent.Child("metrics.collect_records")
-	out, warnings, err := collectRecords(sources, filter, workers, reg)
+	out, warnings, err := collectRecords(sources, filter, reg)
 	if reg != nil {
 		reg.Counter("metrics.update_records").Add(int64(len(out)))
 		h := reg.Histogram("metrics.update_record_size")
@@ -51,10 +49,9 @@ func CollectRecords(sources []bgpstream.Source, filter *bgpstream.Filter, worker
 	return out, warnings, err
 }
 
-func collectRecords(sources []bgpstream.Source, filter *bgpstream.Filter, workers int, reg *obs.Registry) ([]UpdateRecord, []bgpstream.Warning, error) {
+func collectRecords(sources []bgpstream.Source, filter *bgpstream.Filter, reg *obs.Registry) ([]UpdateRecord, []bgpstream.Warning, error) {
 	s := bgpstream.NewStream(filter, sources...)
 	s.SetMetrics(reg)
-	s.SetWorkers(workers)
 
 	// Elements of one message arrive contiguously with a strictly
 	// increasing MsgIndex, so grouping is a streaming comparison against

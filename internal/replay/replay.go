@@ -1,12 +1,11 @@
 // Package replay drives a core.AtomIndex from a BGP update stream: it
-// decodes update archives through bgpstream (honoring the worker pool
-// for decode), maps each announce/withdraw onto a (prefix row, VP
-// column) cell of the index's snapshot, and applies the deltas in the
-// stream's deterministic serve order. Because bgpstream serves a
-// byte-identical element sequence at any worker count and AtomIndex is
-// mutated only from this single goroutine, the resulting partition is
-// byte-identical at any worker count — the differential tests pin that,
-// including over faultgen-damaged archives.
+// decodes update archives through bgpstream, maps each announce/withdraw
+// onto a (prefix row, VP column) cell of the index's snapshot, and
+// applies the deltas in the stream's serve order. AtomIndex is mutated
+// only from this single goroutine, so the resulting partition is a pure
+// function of the sources, and the differential tests pin it against
+// batch recompute at every Materialize worker count, including over
+// faultgen-damaged archives.
 //
 // Elements that cannot land in the matrix are counted, never silently
 // dropped: prefixes outside the snapshot's admitted set, peers that are
@@ -25,8 +24,9 @@ import (
 // Options configures a replay run. The zero value replays everything
 // sequentially with no telemetry.
 type Options struct {
-	// Workers bounds the decode worker pool (bgpstream.SetWorkers).
-	// Deltas always apply in serve order regardless.
+	// Workers is ignored: the stream decodes a record at a time and
+	// deltas apply in serve order. The field remains only because the
+	// benchmark program sets it.
 	Workers int
 	// Filter narrows the element stream before replay.
 	Filter *bgpstream.Filter
@@ -74,7 +74,6 @@ func Run(ix *core.AtomIndex, sources []bgpstream.Source, opts Options) (Stats, e
 
 	mapper := NewMapper(snap)
 	st := bgpstream.NewStream(opts.Filter, sources...)
-	st.SetWorkers(opts.Workers)
 	st.SetIntern(snap.Paths)
 	if opts.Metrics != nil {
 		st.SetMetrics(opts.Metrics)

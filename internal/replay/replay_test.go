@@ -73,14 +73,14 @@ func buildIndex(t *testing.T, ribs map[string][]byte) *core.AtomIndex {
 func replayWorld(t *testing.T, ribs, upds map[string][]byte, workers int) (Stats, []byte) {
 	t.Helper()
 	if workers > 1 {
-		// Exercise the real parallel decode path even on a single-core
-		// host, where the stream's effective-CPU gate would otherwise
-		// fall back to sequential decode.
+		// Run Materialize and ComputeAtoms on the real worker pool even
+		// on a single-core host, where the pool's effective-CPU clamp
+		// would otherwise run them sequentially.
 		parallel.ForceParallel(true)
 		defer parallel.ForceParallel(false)
 	}
 	ix := buildIndex(t, ribs)
-	stats, err := Run(ix, sortedSources(upds), Options{Workers: workers})
+	stats, err := Run(ix, sortedSources(upds), Options{})
 	if err != nil {
 		t.Fatalf("replay (workers=%d): %v", workers, err)
 	}
@@ -164,7 +164,7 @@ func TestReplaySkipAccounting(t *testing.T) {
 	w := harness.BuildWorld(harness.DefaultConfig(3))
 	ix := buildIndex(t, w.Ribs)
 	reg := obs.NewRegistry()
-	stats, err := Run(ix, sortedSources(w.Upds), Options{Workers: 1, Metrics: reg})
+	stats, err := Run(ix, sortedSources(w.Upds), Options{Metrics: reg})
 	if err != nil {
 		t.Fatalf("replay: %v", err)
 	}

@@ -119,9 +119,10 @@ func TestCleanFeedsInternsNothing(t *testing.T) {
 	}
 }
 
-// Clean interns each RIB path once, in the stream's decode workers: the
-// table it decodes into ends up exactly as large as after a bare
-// bgpstream pass over the same sources.
+// Clean interns each RIB path once, in the stream: the table it decodes
+// into ends up exactly as after a bare bgpstream pass over the same
+// sources. The stream interns in serve order, so the two tables agree
+// ID for ID.
 func TestCleanInternsOnlyInTheStream(t *testing.T) {
 	sources, _, _, _ := buildScenario(t, topology.EraOf(2022, 1), true)
 	opts := sanitize.Defaults()
@@ -136,6 +137,11 @@ func TestCleanInternsOnlyInTheStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	if opts.Intern.Len() != bare.Len() {
-		t.Errorf("Clean's table holds %d paths, a bare decode's %d", opts.Intern.Len(), bare.Len())
+		t.Fatalf("Clean's table holds %d paths, a bare decode's %d", opts.Intern.Len(), bare.Len())
+	}
+	for id := aspath.ID(0); int(id) < bare.Len(); id++ {
+		if got, want := opts.Intern.Seq(id), bare.Seq(id); !slices.Equal(got, want) {
+			t.Fatalf("path ID %d: Clean interned %v, a bare decode %v", id, got, want)
+		}
 	}
 }

@@ -20,7 +20,6 @@ import (
 	"repro/internal/bgpstream"
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/parallel"
 	"repro/internal/prefixset"
 )
 
@@ -71,9 +70,9 @@ type Options struct {
 	// 4 = IPv4 only, 6 = IPv6 only. Atoms are computed per family, and
 	// full-feed inference runs within the family's own table sizes.
 	Family int
-	// Workers bounds the worker pool for the parallel pipeline stages
-	// (per-source MRT decode fan-out): 0 = one worker per CPU, 1 = fully
-	// sequential. Output is identical at any value.
+	// Workers is ignored: Clean decodes its sources as one stream, a
+	// record at a time. The field remains only because the benchmark
+	// program sets it.
 	Workers int
 	// Intern, when non-nil, is the AS-path intern table Clean decodes
 	// into instead of building a fresh one; CleanFeeds reads its feed
@@ -306,10 +305,9 @@ func Clean(sources []bgpstream.Source, updateWarnings []bgpstream.Warning, opts 
 	}
 	stream := bgpstream.NewStream(filter, sources...)
 	stream.SetMetrics(opts.Metrics)
-	stream.SetWorkers(opts.Workers)
-	// The stream's decode workers flatten and intern every RIB path into
-	// the pipeline's table, so ingest below just carries IDs — and any
-	// snapshot sharing this table (opts.Intern) hits the table warm.
+	// The stream flattens and interns every RIB path into the pipeline's
+	// table, so ingest below just carries IDs — and any snapshot sharing
+	// this table (opts.Intern) hits the table warm.
 	table := opts.Intern
 	if table == nil {
 		table = aspath.NewTable()
@@ -387,7 +385,6 @@ func Clean(sources []bgpstream.Source, updateWarnings []bgpstream.Warning, opts 
 	sp.SetAttr("sources", len(sources))
 	sp.SetAttr("rib_elems", elems)
 	sp.SetAttr("feeds", len(list))
-	sp.SetAttr("decode_workers", parallel.Workers(opts.Workers))
 	sp.SetAttr("decode_bytes", int(stream.DecodedBytes()))
 	sp.End()
 	return CleanFeeds(fs, updateWarnings, opts)

@@ -3,7 +3,7 @@
 # tests, vet and unit tests of the nested bench module (so an exported
 # API change cannot silently break the benchmark), a race-detector smoke of the concurrency-sensitive packages
 # (the obs instruments are lock-free atomics; bgpstream caches counters;
-# collector, routing and sanitize fan work out to the pool), the fault-injection
+# collector, routing and sanitize run inside the era pool), the fault-injection
 # harness under -race, the incremental atom-maintenance differential
 # (replay vs batch recompute, incl. faultgen-damaged churn) under -race
 # plus a churn-bench smoke, the atomd daemon-vs-batch differential and
@@ -41,31 +41,52 @@ check_coverage() {
 	echo "coverage: $pkg $pct% (floor $floor%)"
 }
 
-# race_run <pattern> <pkg>...: run the tests -run <pattern> selects in
-# the packages under the race detector. A -run pattern that matches
-# nothing passes silently, so first fail unless every package lists a
-# test for it and every |-separated alternative names a test somewhere:
-# renaming a gated test must not turn its step into a no-op.
-race_run() {
-	pattern="$1"; shift
+# require_listed <kind> <pattern> <pkg>...: fail unless every package
+# lists a <kind> (Test, Fuzz or Benchmark) that <pattern> matches and
+# every |-separated alternative names one somewhere. A -run, -fuzz or
+# -bench pattern that matches nothing passes silently, so renaming a
+# gated target must not turn its step into a no-op.
+require_listed() {
+	kind="$1"; pattern="$2"; shift 2
 	all=""
 	for pkg in "$@"; do
 		list="$(go test -list "$pattern" "$pkg" 2>&1)" || { echo "$list"; exit 1; }
-		tests="$(echo "$list" | grep '^Test' || true)"
-		if [ -z "$tests" ]; then
-			echo "race_run: -run '$pattern' selects no test in $pkg"
+		found="$(echo "$list" | grep "^$kind" || true)"
+		if [ -z "$found" ]; then
+			echo "require_listed: '$pattern' selects no $kind in $pkg"
 			exit 1
 		fi
 		all="$all
-$tests"
+$found"
 	done
 	for alt in $(echo "$pattern" | tr '|' ' '); do
 		if ! echo "$all" | grep -q "$alt"; then
-			echo "race_run: '$alt' in -run '$pattern' selects no test in $*"
+			echo "require_listed: '$alt' in '$pattern' selects no $kind in $*"
 			exit 1
 		fi
 	done
+}
+
+# race_run <pattern> <pkg>...: run the tests -run <pattern> selects in
+# the packages under the race detector.
+race_run() {
+	pattern="$1"; shift
+	require_listed Test "$pattern" "$@"
 	go test -race -count=1 -run "$pattern" "$@"
+}
+
+# fuzz_run <target> <pkg>: fuzz one target for 5 seconds.
+fuzz_run() {
+	require_listed Fuzz "^$1\$" "$2"
+	go test -fuzz "^$1\$" -fuzztime 5s -run '^$' "$2"
+}
+
+# bench_run <pattern> <benchtime> <pkg>...: run the benchmarks -bench
+# <pattern> selects, with allocation reporting and no tests.
+bench_run() {
+	pattern="$1"; benchtime="$2"; shift 2
+	require_listed Benchmark "$pattern" "$@"
+	go test -run '^$' -bench "$pattern" -benchtime "$benchtime" -benchmem "$@"
 }
 
 echo "== gofmt -l ."
@@ -107,15 +128,15 @@ go test -race -count=1 ./internal/obs/ ./internal/bgpstream/
 echo "== go test -race (worker pool + striped intern table)"
 go test -race -count=1 ./internal/parallel/ ./internal/aspath/
 
-echo "== go test -race (collector + routing engine + sanitize pool fan-out)"
+echo "== go test -race (collector + routing engine + sanitize, which run inside the era pool)"
 go test -race -count=1 ./internal/collector/ ./internal/routing/ ./internal/sanitize/
 
 echo "== go test -race (determinism at every worker count)"
 race_run 'Determinism' ./internal/core/ ./internal/longitudinal/
 
-echo "== go test -race (decode fan-out: merge order, batch API, golden text across workers)"
-race_run 'TestStreamDeterministicAcrossWorkers|TestNextBatchMatchesNext' ./internal/bgpstream/
-race_run 'TestExperimentDeterministicAcrossDecodeWorkers' .
+echo "== go test -race (stream serve order, batch API, golden text across workers)"
+race_run 'TestNextBatchMatchesNext' ./internal/bgpstream/
+race_run 'TestExperimentDeterministicAcrossWorkers' .
 
 echo "== go test -race (fault-injection harness: absorb or contain, never silent)"
 race_run 'TestHarness' ./internal/faultgen/harness/
@@ -143,32 +164,32 @@ check_coverage internal/lintkit 85
 check_coverage internal/atomd 85
 
 echo "== fuzz smoke (5s per wire codec + reader resync loop)"
-go test -fuzz FuzzParseMessage -fuzztime 5s -run '^$' ./internal/mrt/
-go test -fuzz FuzzReadRecord -fuzztime 5s -run '^$' ./internal/mrt/
-go test -fuzz FuzzParseUpdate -fuzztime 5s -run '^$' ./internal/bgp/
-go test -fuzz FuzzIngestFrame -fuzztime 5s -run '^$' ./internal/atomd/
+fuzz_run FuzzParseMessage ./internal/mrt/
+fuzz_run FuzzReadRecord ./internal/mrt/
+fuzz_run FuzzParseUpdate ./internal/bgp/
+fuzz_run FuzzIngestFrame ./internal/atomd/
 
 echo "== bench smoke (-benchtime=1x: bench code must compile and run)"
-go test -run xxx -bench . -benchtime 1x -benchmem . ./internal/core/ ./internal/aspath/
+bench_run . 1x . ./internal/core/ ./internal/aspath/
 
 echo "== sanitize bench smoke (CleanFeeds over one 2024Q1 snapshot at benchmark scale)"
-go test -run xxx -bench 'BenchmarkCleanFeeds$' -benchtime 1x -benchmem ./internal/sanitize/
+bench_run 'BenchmarkCleanFeeds$' 1x ./internal/sanitize/
 
 echo "== collector bench smoke (BuildRIBs and BuildFeeds over one 2024Q1 snapshot at benchmark scale)"
-go test -run '^$' -bench 'BuildRIBs|BuildFeeds' -benchtime 1x ./internal/collector/
+bench_run 'BuildRIBs|BuildFeeds' 1x ./internal/collector/
 
 echo "== abnormal-peer window bench smoke (2024Q1 update window scoped to ADD-PATH peers)"
-go test -run xxx -bench 'BenchmarkUpdateWarnings$' -benchtime 1x -benchmem ./internal/longitudinal/
+bench_run 'BenchmarkUpdateWarnings$' 1x ./internal/longitudinal/
 
-echo "== decode bench smoke (zero-copy reader + stream fan-out)"
-go test -run xxx -bench 'BenchmarkBytesReader$|BenchmarkReader$' -benchtime 1x -benchmem ./internal/mrt/
-go test -run xxx -bench 'BenchmarkStreamDecode' -benchtime 1x -benchmem ./internal/bgpstream/
+echo "== decode bench smoke (zero-copy reader + stream decode)"
+bench_run 'BenchmarkBytesReader$|BenchmarkReader$' 1x ./internal/mrt/
+bench_run 'BenchmarkStreamDecode$' 1x ./internal/bgpstream/
 
 echo "== churn bench smoke (delta kernel: p99 + updates/s metrics must report)"
-go test -run xxx -bench 'BenchmarkChurnReplay$' -benchtime 100x -benchmem .
-go test -run xxx -bench 'BenchmarkApplyUpdate$' -benchtime 100x -benchmem ./internal/core/
+bench_run 'BenchmarkChurnReplay$' 100x .
+bench_run 'BenchmarkApplyUpdate$' 100x ./internal/core/
 
 echo "== daemon bench smoke (query hot path + TCP ingest throughput)"
-go test -run xxx -bench 'BenchmarkAtomd' -benchtime 1x -benchmem ./internal/atomd/
+bench_run 'BenchmarkAtomd' 1x ./internal/atomd/
 
 echo "verify: OK"
