@@ -9,7 +9,8 @@ test:
 	$(GO) test ./...
 
 # Static analysis: the stdlib-only atomlint suite (cmd/atomlint) —
-# determinism, hotpath, wiresafety, locks, aliasing, lifecycle.
+# determinism, locks, lifecycle: the defects the tests cannot
+# see (DESIGN.md "Static analysis").
 lint:
 	$(GO) run ./cmd/atomlint ./...
 

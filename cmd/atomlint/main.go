@@ -1,16 +1,18 @@
 // Command atomlint runs the project's static-analysis suite
-// (internal/lintkit) over the module: determinism, hotpath, wiresafety,
-// locks, aliasing, and lifecycle. It loads every package with the
-// standard library's go/parser + go/types only — no external analysis
-// frameworks.
+// (internal/lintkit) over the module: determinism, locks, and lifecycle
+// — the checks that catch defects the tests cannot see. It loads every
+// package with the standard library's go/parser + go/types only — no
+// external analysis frameworks.
 //
 // Usage:
 //
-//	atomlint [-C dir] [-only analyzer[,analyzer]] [-json] [packages]
+//	atomlint [-list] [-json] [-v] [packages]
 //
-// Packages are import-path patterns relative to the module
-// ("./...", "./internal/bgp", "repro/internal/mrt/..."); none means the
-// whole module. Exit status: 0 clean, 1 findings, 2 load error.
+// It runs in the module root. Packages are import-path patterns
+// relative to the module ("./...", "./internal/bgp", "./internal/atomd/",
+// "repro/internal/mrt/..."); none means the whole module. Exit status:
+// 0 clean, 1 findings, 2 load error or a pattern that matches no
+// package.
 //
 // Standard-library imports are read from the toolchain's export data,
 // and the analyzers run over the packages in one sequential pass. -json
@@ -26,7 +28,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"repro/internal/cli"
 	"repro/internal/lintkit"
@@ -35,8 +36,6 @@ import (
 const tool = "atomlint"
 
 func main() {
-	dir := flag.String("C", ".", "module root directory")
-	only := flag.String("only", "", "comma-separated analyzer subset (default: all)")
 	list := flag.Bool("list", false, "list analyzers and exit")
 	jsonOut := flag.Bool("json", false, "emit findings as a JSON array (for CI artifacts)")
 	o := cli.NewObs(tool)
@@ -49,25 +48,6 @@ func main() {
 		return
 	}
 
-	analyzers := lintkit.All
-	if *only != "" {
-		analyzers = nil
-		for _, name := range strings.Split(*only, ",") {
-			name = strings.TrimSpace(name)
-			found := false
-			for _, a := range lintkit.All {
-				if a.Name == name {
-					analyzers = append(analyzers, a)
-					found = true
-				}
-			}
-			if !found {
-				fmt.Fprintf(os.Stderr, "atomlint: unknown analyzer %q\n", name)
-				os.Exit(lintkit.ExitError)
-			}
-		}
-	}
-
 	opts := lintkit.Options{JSON: *jsonOut}
 	if o.Verbose {
 		opts.Timings = os.Stderr
@@ -76,8 +56,8 @@ func main() {
 	// os.Exit skips defers, so the obs lifecycle brackets the run
 	// explicitly: trace/report/trace-out are written before exiting.
 	o.Start()
-	o.Root.SetAttr("analyzers", len(analyzers))
-	code := lintkit.Main(os.Stdout, *dir, flag.Args(), analyzers, opts)
+	o.Root.SetAttr("analyzers", len(lintkit.All))
+	code := lintkit.Main(os.Stdout, ".", flag.Args(), lintkit.All, opts)
 	o.Root.SetAttr("exit", code)
 	o.Finish()
 	os.Exit(code)

@@ -13,7 +13,7 @@ import (
 	"repro/internal/lintkit"
 )
 
-// The driver's flag surface (-C, -list, -only, -json) and
+// The driver's flag surface (-list, -json, -v), pattern matching and
 // exit-code contract are process-level behavior: cli.NewObs binds the
 // shared observability flags onto the default FlagSet, so the binary is
 // exercised end-to-end via os/exec rather than by calling main twice.
@@ -56,9 +56,11 @@ func TestMain(m *testing.M) {
 	os.Exit(code)
 }
 
-func runLint(t *testing.T, args ...string) (stdout, stderr string, exit int) {
+// runLint runs the binary in dir (the module root it lints).
+func runLint(t *testing.T, dir string, args ...string) (stdout, stderr string, exit int) {
 	t.Helper()
 	cmd := exec.Command(lintBinary(t), args...)
+	cmd.Dir = dir
 	var out, errb bytes.Buffer
 	cmd.Stdout, cmd.Stderr = &out, &errb
 	err := cmd.Run()
@@ -72,8 +74,7 @@ func runLint(t *testing.T, args ...string) (stdout, stderr string, exit int) {
 }
 
 // findingModule writes a module with exactly one deterministic finding
-// (internal/metrics is determinism-scoped but absent from the hotpath
-// and aliasing required tables).
+// (a time.Now in the determinism-scoped internal/metrics).
 func findingModule(t *testing.T) string {
 	t.Helper()
 	dir := t.TempDir()
@@ -94,7 +95,7 @@ func findingModule(t *testing.T) string {
 }
 
 func TestListFlag(t *testing.T) {
-	stdout, _, exit := runLint(t, "-list")
+	stdout, _, exit := runLint(t, "", "-list")
 	if exit != lintkit.ExitClean {
 		t.Fatalf("-list exit = %d, want 0", exit)
 	}
@@ -108,43 +109,44 @@ func TestListFlag(t *testing.T) {
 	}
 }
 
-func TestOnlyUnknownAnalyzer(t *testing.T) {
-	_, stderr, exit := runLint(t, "-only", "nosuch")
-	if exit != lintkit.ExitError {
-		t.Fatalf("-only nosuch exit = %d, want %d", exit, lintkit.ExitError)
-	}
-	if !strings.Contains(stderr, "unknown analyzer") {
-		t.Errorf("stderr missing unknown-analyzer message:\n%s", stderr)
-	}
-}
-
-func TestChdirFindingsAndOnlyFilter(t *testing.T) {
-	dir := findingModule(t)
-	stdout, _, exit := runLint(t, "-C", dir)
+func TestFindingsExit(t *testing.T) {
+	stdout, _, exit := runLint(t, findingModule(t))
 	if exit != lintkit.ExitFindings {
-		t.Fatalf("-C exit = %d, want %d; output:\n%s", exit, lintkit.ExitFindings, stdout)
+		t.Fatalf("exit = %d, want %d; output:\n%s", exit, lintkit.ExitFindings, stdout)
 	}
 	if !strings.Contains(stdout, "time.Now") || !strings.Contains(stdout, "finding(s)") {
 		t.Errorf("findings output missing diagnostic or summary:\n%s", stdout)
 	}
+}
 
-	// Restricting to an analyzer that has nothing to say exits clean.
-	stdout, _, exit = runLint(t, "-C", dir, "-only", "locks")
-	if exit != lintkit.ExitClean {
-		t.Errorf("-only locks exit = %d, want 0; output:\n%s", exit, stdout)
+// A scoped run must check what it names: a trailing slash still names
+// the package, and a pattern that matches nothing is an error rather
+// than a clean pass over zero packages.
+func TestPatternMatchingNothing(t *testing.T) {
+	dir := findingModule(t)
+	if stdout, _, exit := runLint(t, dir, "./internal/metrics/"); exit != lintkit.ExitFindings {
+		t.Errorf("./internal/metrics/ exit = %d, want %d; output:\n%s", exit, lintkit.ExitFindings, stdout)
+	}
+	for _, pat := range []string{"./internal/nosuchpkg", "./internal/nosuchpkg/...", "./internal/metrics/x/"} {
+		stdout, _, exit := runLint(t, dir, pat)
+		if exit != lintkit.ExitError {
+			t.Errorf("%s exit = %d, want %d; output:\n%s", pat, exit, lintkit.ExitError, stdout)
+		}
+		if !strings.Contains(stdout, "matches no package") {
+			t.Errorf("%s output does not say the pattern matched nothing:\n%s", pat, stdout)
+		}
 	}
 }
 
 func TestLoadErrorExit(t *testing.T) {
-	_, _, exit := runLint(t, "-C", t.TempDir())
+	_, _, exit := runLint(t, t.TempDir())
 	if exit != lintkit.ExitError {
 		t.Errorf("non-module dir exit = %d, want %d", exit, lintkit.ExitError)
 	}
 }
 
 func TestJSONFlag(t *testing.T) {
-	dir := findingModule(t)
-	stdout, _, exit := runLint(t, "-C", dir, "-json")
+	stdout, _, exit := runLint(t, findingModule(t), "-json")
 	if exit != lintkit.ExitFindings {
 		t.Fatalf("-json exit = %d, want %d", exit, lintkit.ExitFindings)
 	}
@@ -161,8 +163,7 @@ func TestJSONFlag(t *testing.T) {
 }
 
 func TestVerboseTimings(t *testing.T) {
-	dir := findingModule(t)
-	_, stderr, _ := runLint(t, "-C", dir, "-v")
+	_, stderr, _ := runLint(t, findingModule(t), "-v")
 	for _, a := range lintkit.All {
 		if !strings.Contains(stderr, a.Name) {
 			t.Errorf("-v stderr missing per-analyzer timing for %s:\n%s", a.Name, stderr)

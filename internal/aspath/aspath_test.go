@@ -576,6 +576,14 @@ func TestInternHitPathAllocs(t *testing.T) {
 		{3356, 1299, 1299, 1299, 65002},
 		{64512, 3356, 174, 2914, 1239, 701, 7018, 65003},
 	}
+	// The longest path the stack key buffer holds (32 hops, 128 bytes):
+	// past 32 bytes a string conversion of the key no longer fits the
+	// compiler's stack temporary, so only a long path shows a copy.
+	long := make(Seq, keyStackBytes/4)
+	for i := range long {
+		long[i] = uint32(64512 + i)
+	}
+	seqs = append(seqs, long)
 	for _, s := range seqs {
 		tbl.Intern(s)
 	}
@@ -594,14 +602,19 @@ func TestInternHitPathAllocs(t *testing.T) {
 // TestLookupAllocs holds Lookup to the same zero-allocation bar.
 func TestLookupAllocs(t *testing.T) {
 	tbl := NewTable()
-	s := Seq{3356, 1299, 65001}
-	tbl.Intern(s)
-	if got := testing.AllocsPerRun(1000, func() {
-		if _, ok := tbl.Lookup(s); !ok {
-			t.Fatal("lookup missed")
+	long := make(Seq, keyStackBytes/4)
+	for i := range long {
+		long[i] = uint32(64512 + i)
+	}
+	for _, s := range []Seq{{3356, 1299, 65001}, long} {
+		tbl.Intern(s)
+		if got := testing.AllocsPerRun(1000, func() {
+			if _, ok := tbl.Lookup(s); !ok {
+				t.Fatal("lookup missed")
+			}
+		}); got != 0 {
+			t.Errorf("Lookup allocs/op = %v for %d hops, want 0", got, len(s))
 		}
-	}); got != 0 {
-		t.Errorf("Lookup allocs/op = %v, want 0", got)
 	}
 	missing := Seq{9999, 8888}
 	if got := testing.AllocsPerRun(1000, func() {

@@ -90,8 +90,6 @@ func shardOf(k []byte) uint32 {
 // encoded into a stack buffer and the map lookup uses the compiler's
 // non-escaping map[string(buf)] form, so only genuinely new sequences
 // pay for a key copy (TestInternHitPathAllocs locks this in).
-//
-//atomlint:hotpath
 func (t *Table) Intern(seq Seq) ID {
 	if len(seq) == 0 {
 		return Empty
@@ -153,8 +151,6 @@ func (t *Table) store(seq Seq) Seq {
 // Lookup returns the ID for seq without interning, and false if the
 // sequence has not been interned. Allocation-free like Intern's hit
 // path.
-//
-//atomlint:hotpath
 func (t *Table) Lookup(seq Seq) (ID, bool) {
 	if len(seq) == 0 {
 		return Empty, true
@@ -170,8 +166,6 @@ func (t *Table) Lookup(seq Seq) (ID, bool) {
 
 // Seq returns the sequence for id. The returned slice is owned by the
 // table and must not be mutated. Seq(Empty) returns nil. Lock-free.
-//
-//atomlint:borrowed table-owned: the slice aliases the intern arena and must not be mutated; it is stable for the table's lifetime
 func (t *Table) Seq(id ID) Seq {
 	seqs := *t.seqs.Load()
 	if int(id) >= len(seqs) {

@@ -1,11 +1,9 @@
 //go:build !race
 
 // The query hot path — view.Load plus flat-array indexing — must not
-// allocate, even while a live ingest session is mid-stream. This is
-// the acceptance pin behind the //atomlint:hotpath annotations in
-// view.go; the hotpath analyzer bans allocation *syntax*, this test
-// pins the *behavior*. Race instrumentation allocates, so the pin runs
-// only in the non-race pass.
+// allocate, even while a live ingest session is mid-stream. Race
+// instrumentation allocates, so the pin runs only in the non-race
+// pass.
 package atomd
 
 import (

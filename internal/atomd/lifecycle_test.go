@@ -106,7 +106,7 @@ func TestShutdownMidIngestJoinsEverything(t *testing.T) {
 	if err := srv.Shutdown(); err != nil {
 		t.Fatalf("second shutdown: %v", err)
 	}
-	waitGoroutines(t, baseline+2)
+	waitGoroutines(t, baseline)
 }
 
 // TestShutdownQuiescentServer covers the boring-but-mandatory path: a
@@ -121,7 +121,7 @@ func TestShutdownQuiescentServer(t *testing.T) {
 	if err := srv.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
-	waitGoroutines(t, baseline+2)
+	waitGoroutines(t, baseline)
 }
 
 // TestRestartConverges kills a daemon mid-ingest, boots a fresh one

@@ -36,8 +36,6 @@ func (q *QueryClient) Close() error { return q.conn.Close() }
 // Do sends one request frame and returns the reply frame. The reply's
 // payload aliases the client's parse buffer — valid until the next Do.
 // A FrameError reply is returned as a Go error carrying its text.
-//
-//atomlint:borrowed Frame.Payload aliases the client's parse buffer, valid until the next Do
 func (q *QueryClient) Do(typ byte, payload []byte) (Frame, error) {
 	q.seq++
 	q.fbuf = AppendFrame(q.fbuf[:0], typ, q.seq, payload)

@@ -20,8 +20,6 @@ type view struct {
 
 // sameAtom reports whether prefix rows p and q share an atom in this
 // generation. Out-of-range rows never panic; they simply share nothing.
-//
-//atomlint:hotpath
 func (v *view) sameAtom(p, q int) bool {
 	bp := v.part.ByPrefix
 	if p < 0 || q < 0 || p >= len(bp) || q >= len(bp) {
@@ -32,8 +30,6 @@ func (v *view) sameAtom(p, q int) bool {
 
 // memberCount returns the size of prefix row p's atom in this
 // generation (0 for out-of-range rows).
-//
-//atomlint:hotpath
 func (v *view) memberCount(p int) int {
 	bp := v.part.ByPrefix
 	if p < 0 || p >= len(bp) {
@@ -44,8 +40,6 @@ func (v *view) memberCount(p int) int {
 
 // prefixAtom returns prefix row p's canonical atom ID in this
 // generation, or -1 for out-of-range rows.
-//
-//atomlint:hotpath
 func (v *view) prefixAtom(p int) int32 {
 	bp := v.part.ByPrefix
 	if p < 0 || p >= len(bp) {

@@ -144,8 +144,6 @@ func (fp *FrameParser) Skipped() uint64 { return fp.total }
 // Next returns the next complete frame. ok=false with a nil error
 // means more bytes are needed; ErrDesync (sticky) means the scan
 // budget is exhausted and the stream is unrecoverable.
-//
-//atomlint:borrowed Frame.Payload aliases the parse buffer, valid until the next Feed/Next
 func (fp *FrameParser) Next() (Frame, bool, error) {
 	if fp.desync {
 		return Frame{}, false, ErrDesync

@@ -5,12 +5,15 @@ import (
 	"fmt"
 	"net/netip"
 	"testing"
+
+	"repro/internal/aspath"
 )
 
-// Regression tests for the wire-safety findings the atomlint suite
-// surfaced: parsers trusting the header length over the buffer length
-// (panic on truncated input), and marshalers narrowing section lengths
-// without range checks (silent truncation on the wire).
+// Regression tests for wire-safety bugs: parsers trusting the header
+// length over the buffer length (panic on truncated input), and
+// marshalers narrowing section lengths without range checks (silent
+// truncation on the wire). Every length the encoder narrows to one or
+// two bytes has a case here that must fail with an error.
 
 // headerOverclaim returns msg cut short so the header's length field
 // claims more bytes than the slice holds — the shape a truncated read
@@ -93,6 +96,20 @@ func TestMPReachNextHopTooLong(t *testing.T) {
 	bad.NextHop = make([]byte, 256) // length field is one byte
 	if _, err := MarshalAttributes([]Attr{bad}, Options{}); !errors.Is(err, ErrBadAttr) {
 		t.Errorf("256-byte next hop: err = %v, want ErrBadAttr", err)
+	}
+}
+
+// An AS_PATH segment's ASN count is one byte: 255 ASNs encode, 256
+// must be an error rather than a count that wraps to 0.
+func TestASPathSegmentOverflow(t *testing.T) {
+	seg := func(n int) ASPath {
+		return ASPath{Path: aspath.Path{Segments: []aspath.Segment{{Type: aspath.SegSequence, ASNs: make([]uint32, n)}}}}
+	}
+	if _, err := MarshalAttributes([]Attr{seg(255)}, Options{AS4: true}); err != nil {
+		t.Fatalf("255-ASN segment: %v", err)
+	}
+	if _, err := MarshalAttributes([]Attr{seg(256)}, Options{AS4: true}); !errors.Is(err, ErrBadAttr) {
+		t.Errorf("256-ASN segment: err = %v, want ErrBadAttr", err)
 	}
 }
 

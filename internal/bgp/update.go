@@ -18,8 +18,6 @@ type Update struct {
 }
 
 // Attr returns the first attribute of the given type, or nil.
-//
-//atomlint:borrowed cache-shared: decoded attributes may be AttrCache entries shared by every element with the same attribute bytes; mutating one corrupts them all
 func (u *Update) Attr(t AttrType) Attr {
 	for _, a := range u.Attrs {
 		if a.Type() == t {
@@ -34,8 +32,6 @@ func (u *Update) Attr(t AttrType) Attr {
 // if AS4_PATH is present and no longer than AS_PATH, the trailing
 // portion of AS_PATH is replaced by AS4_PATH (the leading AS_TRANS
 // hops contributed by old speakers are kept).
-//
-//atomlint:borrowed cache-shared: the merged path's segments alias the decoded (possibly cache-shared) attributes
 func (u *Update) ASPathAttr() (aspath.Path, bool) {
 	ap, ok := u.Attr(AttrTypeASPath).(ASPath)
 	if !ok {
@@ -161,8 +157,6 @@ func (u *Update) AppendMessage(dst []byte, opt Options) ([]byte, error) {
 // with near-zero per-message allocations (combine with Options.Cache to
 // also dedupe attribute payloads). On error u is left in an undefined
 // state.
-//
-//atomlint:hotpath
 func ParseUpdateInto(u *Update, b []byte, opt Options) error {
 	h, err := ParseHeader(b)
 	if err != nil {

@@ -163,7 +163,6 @@ type recordReader interface {
 	// Next returns the next record; the Body may alias reader-owned
 	// storage and is valid only until the following Next/Resync call.
 	//
-	//atomlint:borrowed view into reader-owned storage, valid until the next Next/Resync
 	Next() (mrt.Record, error)
 	Resync(maxScan int) (int, error)
 }
@@ -554,8 +553,6 @@ func (s *Stream) ensureRunning() {
 // which the NextBatch contract allows: the previous batch is invalid
 // once the call driving this fill was made. Returns io.EOF when every
 // source has drained.
-//
-//atomlint:hotpath
 func (s *Stream) fill() error {
 	for s.cur < len(s.decs) {
 		d := s.decs[s.cur]
@@ -617,9 +614,6 @@ func (s *Stream) Next() (Elem, error) {
 // Next/NextBatch call — consume (or copy) it before advancing. When the
 // backing source is byte-backed, element payloads may alias Source.Data
 // (see DESIGN.md "Zero-copy ownership").
-//
-//atomlint:hotpath
-//atomlint:borrowed batch is valid until the next Next/NextBatch call; copy what outlives the window
 func (s *Stream) NextBatch() ([]Elem, error) {
 	s.ensureRunning()
 	for {
@@ -835,7 +829,6 @@ func (d *sourceDecoder) decode(rec mrt.Record) {
 				OldState: sc.OldState, NewState: sc.NewState, MsgIndex: d.msgCount,
 			})
 		case mrt.SubMessage, mrt.SubMessageAS4, mrt.SubMessageAP, mrt.SubMessageAS4AP:
-			//atomlint:scratch d.msg is per-decoder scratch, overwritten on every record; its views never cross a record boundary
 			if err := mrt.ParseMessageInto(&d.msg, rec.Subtype, rec.Body); err != nil {
 				d.warn(0, rec.Subtype, WarnBGP4MPMessage, fmt.Sprintf("BGP4MP message: %v", err))
 				return
@@ -947,6 +940,5 @@ func applyAttrs(e *Elem, attrs []bgp.Attr) {
 	// The attrs handed in are cache-owned (content-memoized, immutable,
 	// stream-lifetime) — storing their views in the batch Elem is the
 	// documented NextBatch window, not an escape.
-	//atomlint:owned cache-owned attributes are immutable and outlive the batch window
 	e.Path = path
 }

@@ -160,8 +160,6 @@ func (ix *AtomIndex) MemberCount(p int) int {
 //
 // A duplicate update (the cell already holds id) is a guaranteed
 // no-op: no allocation, no counter flap, no bucket movement.
-//
-//atomlint:hotpath
 func (ix *AtomIndex) ApplyUpdate(p, v int, id aspath.ID) Delta {
 	ix.stats.Updates++
 	old := ix.snap.RouteID(p, v)
@@ -180,8 +178,6 @@ func (ix *AtomIndex) ApplyUpdate(p, v int, id aspath.ID) Delta {
 
 // rowHash hashes prefix p's current row (the batch grouping's encoding
 // and seed, so index and batch agree on bucket keys).
-//
-//atomlint:hotpath
 func (ix *AtomIndex) rowHash(row []aspath.ID) uint64 {
 	if ix.testHash != nil {
 		return ix.testHash(row)
@@ -192,8 +188,6 @@ func (ix *AtomIndex) rowHash(row []aspath.ID) uint64 {
 
 // detach removes p from its atom, retiring the atom when p was the
 // last member. Reports whether a retirement happened.
-//
-//atomlint:hotpath
 func (ix *AtomIndex) detach(p int) bool {
 	a := ix.byPrefix[p]
 	rec := &ix.atoms[a]
@@ -222,8 +216,6 @@ func (ix *AtomIndex) detach(p int) bool {
 // unlink removes atom a from its bucket chain — the bucket-move half
 // of retirement. The map key is deleted when the chain empties so the
 // bucket table tracks live vectors, not historical ones.
-//
-//atomlint:hotpath
 func (ix *AtomIndex) unlink(a int32, rec *atomRec) {
 	head := ix.buckets[rec.hash]
 	if head == a {
@@ -248,8 +240,6 @@ func (ix *AtomIndex) unlink(a int32, rec *atomRec) {
 // row, creating the atom if the vector is new. Reports whether an atom
 // was created. Equality is verified on the raw rows (against the
 // candidate atom's head member), never on the hash alone.
-//
-//atomlint:hotpath
 func (ix *AtomIndex) rebucket(p int) bool {
 	row := ix.snap.Row(p)
 	hv := ix.rowHash(row)

@@ -35,7 +35,8 @@ func requireEqualBatch(t *testing.T, ix *AtomIndex, workers int) {
 }
 
 // churnSeq returns a deterministic pseudo-random uint64 stream (SplitMix64)
-// for exercising the index without math/rand (forbidden here by atomlint).
+// for exercising the index: the same seed replays the same churn on
+// every run and Go version.
 func churnSeq(seed uint64) func() uint64 {
 	state := seed
 	return func() uint64 {

@@ -73,25 +73,18 @@ func NewSnapshotWith(time uint32, vps []VP, prefixes []netip.Prefix, paths *aspa
 // Row returns prefix p's per-VP path vector — a view into the flat
 // backing array (capacity-clipped so appends never bleed into the next
 // row). Mutations write through to the snapshot.
-//
-//atomlint:hotpath
-//atomlint:borrowed view into the snapshot's flat route matrix; valid while the snapshot lives
 func (s *Snapshot) Row(p int) []aspath.ID {
 	lo := p * s.stride
 	return s.routes[lo : lo+s.stride : lo+s.stride]
 }
 
 // RouteID returns the interned path ID at (prefix index, vp index).
-//
-//atomlint:hotpath
 func (s *Snapshot) RouteID(p, v int) aspath.ID {
 	return s.routes[p*s.stride+v]
 }
 
 // SetRouteID stores an already-interned path ID at (prefix index, vp
 // index).
-//
-//atomlint:hotpath
 func (s *Snapshot) SetRouteID(p, v int, id aspath.ID) {
 	s.routes[p*s.stride+v] = id
 }
@@ -103,8 +96,6 @@ func (s *Snapshot) SetRoute(p, v int, seq aspath.Seq) {
 
 // Route returns the path sequence at (prefix index, vp index); nil if
 // missing.
-//
-//atomlint:borrowed aliases the intern table's arena via Paths.Seq
 func (s *Snapshot) Route(p, v int) aspath.Seq {
 	return s.Paths.Seq(s.RouteID(p, v))
 }
@@ -259,7 +250,6 @@ func finalizeAtoms(as *AtomSet, reps []int32, workers int) {
 		// Atom.Vector aliases the snapshot's route matrix; AtomSet.Snap
 		// pins that snapshot, so the view lives exactly as long as the
 		// atoms that reference it.
-		//atomlint:owned AtomSet.Snap pins the snapshot backing these row views
 		as.Atoms[i] = Atom{
 			ID:       i,
 			Prefixes: backing[lo:hi:hi],

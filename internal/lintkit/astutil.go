@@ -69,21 +69,6 @@ func pkgFunc(info *types.Info, call *ast.CallExpr, pkg, name string) bool {
 	return ok && pn.Imported().Path() == pkg
 }
 
-// pkgSel reports whether sel is a reference to pkg.name where pkg is an
-// imported package — unlike pkgFunc it matches bare references too
-// (`f := time.Now`), not only call sites.
-func pkgSel(info *types.Info, sel *ast.SelectorExpr, pkg, name string) bool {
-	if sel.Sel.Name != name {
-		return false
-	}
-	id, ok := sel.X.(*ast.Ident)
-	if !ok {
-		return false
-	}
-	pn, ok := info.Uses[id].(*types.PkgName)
-	return ok && pn.Imported().Path() == pkg
-}
-
 // pkgOf returns the imported-package path of a selector call's
 // qualifier, or "" when the callee is not a package-qualified function.
 func pkgOf(info *types.Info, call *ast.CallExpr) string {
@@ -101,46 +86,6 @@ func pkgOf(info *types.Info, call *ast.CallExpr) string {
 	return ""
 }
 
-// isTypeConversion reports whether the call is a conversion T(x),
-// returning the target type.
-func isTypeConversion(info *types.Info, call *ast.CallExpr) (types.Type, bool) {
-	if len(call.Args) != 1 {
-		return nil, false
-	}
-	tv, ok := info.Types[call.Fun]
-	if !ok || !tv.IsType() {
-		return nil, false
-	}
-	return tv.Type, true
-}
-
-// containsLenCall scans e for a len(x) call and returns the text of the
-// first argument found ("" if none).
-func containsLenCall(fset *token.FileSet, info *types.Info, e ast.Expr) (string, bool) {
-	var argText string
-	found := false
-	ast.Inspect(e, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok || len(call.Args) != 1 {
-			return true
-		}
-		id, ok := call.Fun.(*ast.Ident)
-		if !ok || id.Name != "len" {
-			return true
-		}
-		if _, isBuiltin := info.Uses[id].(*types.Builtin); !isBuiltin {
-			return true
-		}
-		argText = exprText(fset, call.Args[0])
-		found = true
-		return false
-	})
-	return argText, found
-}
-
 // hasSuffixPath reports whether the import path ends with one of the
 // given "internal/<name>" suffixes.
 func hasSuffixPath(path string, names []string, under string) bool {
@@ -152,17 +97,52 @@ func hasSuffixPath(path string, names []string, under string) bool {
 	return false
 }
 
-// funcHasAnnotation reports whether the function's doc comment (or any
-// comment line inside the doc group) carries the given //atomlint:
-// directive, e.g. "hotpath".
-func funcHasAnnotation(fd *ast.FuncDecl, directive string) bool {
-	if fd.Doc == nil {
-		return false
-	}
-	for _, c := range fd.Doc.List {
-		if strings.TrimSpace(c.Text) == "//atomlint:"+directive {
-			return true
+// calleeFunc resolves a call's target to its *types.Func (plain
+// function, method, or interface method), or nil for indirect calls.
+func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
+	switch f := unparen(call.Fun).(type) {
+	case *ast.Ident:
+		fn, _ := info.Uses[f].(*types.Func)
+		return fn
+	case *ast.SelectorExpr:
+		fn, _ := info.Uses[f.Sel].(*types.Func)
+		return fn
+	case *ast.IndexExpr:
+		if inner, ok := f.X.(*ast.Ident); ok {
+			fn, _ := info.Uses[inner].(*types.Func)
+			return fn
 		}
 	}
-	return false
+	return nil
+}
+
+// declaredWithin reports whether obj's declaration lies inside the
+// given node's source range — i.e. it is the closure's own local, not a
+// capture.
+func declaredWithin(obj types.Object, n ast.Node) bool {
+	return obj.Pos() >= n.Pos() && obj.Pos() < n.End()
+}
+
+// localVarObj resolves e to a function-local (non-package-level)
+// variable's object, or nil.
+func localVarObj(info *types.Info, e ast.Expr) types.Object {
+	id, ok := unparen(e).(*ast.Ident)
+	if !ok {
+		return nil
+	}
+	vr, ok := info.ObjectOf(id).(*types.Var)
+	if !ok || vr.Parent() == nil || vr.Parent().Parent() == types.Universe {
+		return nil
+	}
+	return vr
+}
+
+func unparen(e ast.Expr) ast.Expr {
+	for {
+		p, ok := e.(*ast.ParenExpr)
+		if !ok {
+			return e
+		}
+		e = p.X
+	}
 }

@@ -8,48 +8,25 @@ import (
 
 // deterministicPkgs names the packages whose outputs must be
 // byte-identical at any worker count — the pipeline from raw feeds to
-// atoms. internal/obs and internal/cli are not held to that bar — wall
-// clocks are their job — but they get the clock-seam sweep below
-// instead of a blanket pass.
+// atoms.
 var deterministicPkgs = []string{
 	"core", "metrics", "longitudinal", "sanitize",
 	"routing", "topology", "collector", "aspath",
 	"replay",
 }
 
-// clockScopedPkgs names the packages where the wall clock may be read
-// only through internal/obs's clockNow seam: tests swap the seam to pin
-// trace/progress output byte for byte, so a stray direct time.Now or
-// time.Since would silently escape the fake clock. Environment reads
-// are flagged too — commands take configuration as flags.
-var clockScopedPkgs = []string{"obs", "cli"}
-
-// clockExemptDecls lists, as "<pkg>.<top-level decl>", the declarations
-// allowed to reference the wall clock inside clockScopedPkgs, each with
-// the reason it exists. This is the explicit, tested alternative to
-// sprinkling //atomlint:ignore on intentional time.Now uses: one table,
-// one seam, everything else is a finding.
-var clockExemptDecls = map[string]string{
-	"obs.clockNow": "the package's single wall-clock seam (internal/obs/span.go)",
-}
-
 // Determinism forbids ambient-nondeterminism sources (time.Now,
-// math/rand, os.Getenv) inside the deterministic packages, restricts
-// wall-clock reads in the clock-scoped packages to the exempted seam
-// declarations, and flags map iteration whose results feed an ordered
-// sink — an append to an outer slice with no subsequent sort, direct
-// fmt output, or a Write call — since Go randomizes map iteration
-// order per run.
+// math/rand, os.Getenv) inside the deterministic packages, and flags
+// map iteration whose results feed an ordered sink — an append to an
+// outer slice with no subsequent sort, direct fmt output, or a Write
+// call — since Go randomizes map iteration order per run.
 var Determinism = &Analyzer{
 	Name: "determinism",
-	Doc:  "forbid time.Now/math∕rand/os.Getenv and unsorted map iteration in deterministic packages; restrict clock reads in obs/cli to the clockNow seam",
+	Doc:  "forbid time.Now/math∕rand/os.Getenv and unsorted map iteration in deterministic packages",
 	Run:  runDeterminism,
 }
 
 func runDeterminism(pass *Pass) {
-	if hasSuffixPath(pass.Pkg.Path, clockScopedPkgs, "internal") {
-		runClockSeam(pass)
-	}
 	if !hasSuffixPath(pass.Pkg.Path, deterministicPkgs, "internal") {
 		return
 	}

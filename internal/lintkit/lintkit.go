@@ -1,10 +1,10 @@
 // Package lintkit is the project's static-analysis framework: a
-// stdlib-only (go/ast + go/parser + go/types) analyzer harness that
-// mechanically enforces the invariants the pipeline's correctness rests
-// on — determinism of the atom computation, allocation-freedom of the
-// annotated hot paths, bounds discipline in the wire codecs, and lock
-// hygiene. cmd/atomlint is the command-line driver; scripts/verify.sh
-// gates every merge on a clean run.
+// stdlib-only (go/ast + go/parser + go/types) analyzer harness for the
+// defects the tests cannot see — ambient inputs and map-order leaks in
+// the deterministic packages, locks left held on untested return paths,
+// and goroutines or tickers nothing stops. cmd/atomlint is the
+// command-line driver; scripts/verify.sh gates every merge on a clean
+// run.
 //
 // Findings are suppressed per line with
 //
@@ -61,7 +61,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 }
 
 // All is the full analyzer suite, in output order.
-var All = []*Analyzer{Determinism, Hotpath, WireSafety, Locks, Aliasing, Lifecycle}
+var All = []*Analyzer{Determinism, Locks, Lifecycle}
 
 // byName resolves an analyzer name, for directive validation.
 func byName(name string) *Analyzer {
@@ -194,7 +194,12 @@ func Main(w io.Writer, dir string, patterns []string, analyzers []*Analyzer, opt
 		fmt.Fprintf(w, "atomlint: %v\n", err)
 		return ExitError
 	}
-	diags, wall := Run(filterPackages(pkgs, loader.ModPath, patterns), analyzers)
+	pkgs, err = filterPackages(pkgs, loader.ModPath, patterns)
+	if err != nil {
+		fmt.Fprintf(w, "atomlint: %v\n", err)
+		return ExitError
+	}
+	diags, wall := Run(pkgs, analyzers)
 	if opts.Timings != nil {
 		for j, a := range analyzers {
 			fmt.Fprintf(opts.Timings, "atomlint: %-12s %s\n", a.Name, wall[j].Round(time.Millisecond))
@@ -240,36 +245,42 @@ func writeDiagsJSON(w io.Writer, diags []Diag) {
 
 // filterPackages selects the packages matching the command-line
 // patterns. "./..." and "..." match everything; "./x/..." matches the
-// subtree; "./x" or "mod/x" matches one package.
-func filterPackages(pkgs []*Package, modPath string, patterns []string) []*Package {
+// subtree; "./x", "./x/" or "mod/x" matches one package. A pattern that
+// matches no package is an error, so a scoped run cannot pass while
+// checking nothing.
+func filterPackages(pkgs []*Package, modPath string, patterns []string) ([]*Package, error) {
 	if len(patterns) == 0 {
-		return pkgs
+		return pkgs, nil
 	}
-	match := func(p *Package) bool {
-		for _, pat := range patterns {
-			pat = strings.TrimPrefix(pat, "./")
-			if pat == "..." || pat == "." {
-				return true
-			}
-			if sub, ok := strings.CutSuffix(pat, "/..."); ok {
-				full := modPath + "/" + sub
-				if p.Path == full || strings.HasPrefix(p.Path, full+"/") ||
-					p.Path == sub || strings.HasPrefix(p.Path, sub+"/") {
-					return true
-				}
-				continue
-			}
-			if p.Path == pat || p.Path == modPath+"/"+pat {
-				return true
-			}
+	matches := func(pat string, p *Package) bool {
+		pat = strings.TrimSuffix(strings.TrimPrefix(pat, "./"), "/")
+		if pat == "..." || pat == "." || pat == "" {
+			return true
 		}
-		return false
+		if sub, ok := strings.CutSuffix(pat, "/..."); ok {
+			full := modPath + "/" + sub
+			return p.Path == full || strings.HasPrefix(p.Path, full+"/") ||
+				p.Path == sub || strings.HasPrefix(p.Path, sub+"/")
+		}
+		return p.Path == pat || p.Path == modPath+"/"+pat
 	}
+	hit := make([]bool, len(patterns))
 	var out []*Package
 	for _, p := range pkgs {
-		if match(p) {
+		matched := false
+		for i, pat := range patterns {
+			if matches(pat, p) {
+				hit[i], matched = true, true
+			}
+		}
+		if matched {
 			out = append(out, p)
 		}
 	}
-	return out
+	for i, pat := range patterns {
+		if !hit[i] {
+			return nil, fmt.Errorf("pattern %q matches no package", pat)
+		}
+	}
+	return out, nil
 }

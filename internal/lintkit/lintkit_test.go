@@ -88,37 +88,10 @@ func checkFixture(t *testing.T, dir, importPath string, analyzers []*Analyzer) {
 // bleed into each other's fixtures, and the target analyzer must produce
 // exactly the marked findings.
 
-// The determinism fixture loads as internal/metrics: a deterministic-
-// scope package with no requiredHotpaths entry, so the hotpath sweep's
-// per-package kernel table (which now pins internal/core's AtomIndex
-// kernels) cannot bleed findings into this fixture.
+// The determinism fixture loads as internal/metrics, a
+// deterministic-scope package.
 func TestDeterminismFixture(t *testing.T) {
 	checkFixture(t, "determinism", "repro/internal/metrics", All)
-}
-
-func TestHotpathFixture(t *testing.T) {
-	checkFixture(t, "hotpath", "repro/internal/hotfix", All)
-}
-
-func TestHotpathRequiredFixture(t *testing.T) {
-	checkFixture(t, "hotreq", "repro/internal/bgpstream", All)
-}
-
-// TestHotpathRequiredScope pins the required-kernel sweep's package
-// matching: the same fixture under an unlisted path is silent — the
-// table binds names to specific packages, not the whole tree.
-func TestHotpathRequiredScope(t *testing.T) {
-	pkg := loadFixtureT(t, "hotreq", "repro/internal/textplot")
-	if diags := runDiags([]*Package{pkg}, []*Analyzer{Hotpath}); len(diags) != 0 {
-		t.Errorf("hotreq fixture under internal/textplot: %d diagnostic(s), want 0 (first: %s)", len(diags), diags[0])
-	}
-}
-
-// The wiresafety fixture loads as internal/bgp (also in the wire
-// scope): under internal/mrt the hotpath analyzer's required-kernel
-// table would demand (*BytesReader).Next.
-func TestWireSafetyFixture(t *testing.T) {
-	checkFixture(t, "wiresafety", "repro/internal/bgp", All)
 }
 
 func TestLocksFixture(t *testing.T) {
@@ -176,93 +149,8 @@ func TestVetFlagsLockCopies(t *testing.T) {
 	}
 }
 
-func TestAliasingFixture(t *testing.T) {
-	checkFixture(t, "aliasing", "repro/internal/aliasfix", All)
-}
-
-// The required-producer fixture loads as internal/bgp — a package the
-// requiredBorrowed table pins — with one registered producer present but
-// unannotated and one absent entirely.
-func TestAliasingRequiredFixture(t *testing.T) {
-	checkFixture(t, "borrowedreq", "repro/internal/bgp", All)
-}
-
 func TestLifecycleFixture(t *testing.T) {
 	checkFixture(t, "lifecycle", "repro/internal/lifefix", All)
-}
-
-// TestAliasingDirectives pins the owned/scratch directive grammar and
-// the one-directive-many-findings ignore contract. Checked without want
-// markers: a malformed directive's finding lands on the directive's own
-// comment line, which cannot carry a marker comment too.
-func TestAliasingDirectives(t *testing.T) {
-	pkg := loadFixtureT(t, "aliasdir", "repro/internal/aliasfix")
-	diags := runDiags([]*Package{pkg}, All)
-
-	var malformed, escapes int
-	for _, d := range diags {
-		if d.Analyzer != "aliasing" {
-			t.Errorf("unexpected analyzer %q in %s", d.Analyzer, d)
-			continue
-		}
-		switch {
-		case strings.Contains(d.Message, "malformed atomlint:"):
-			malformed++
-		case strings.Contains(d.Message, "heap-reachable"):
-			escapes++
-		default:
-			t.Errorf("unexpected aliasing diagnostic: %s", d)
-		}
-		// The ignored() line held a field store and a package-var store;
-		// one //atomlint:ignore aliasing must have silenced both.
-		if strings.Contains(d.Message, "package variable") {
-			t.Errorf("ignore directive failed to suppress: %s", d)
-		}
-	}
-	if malformed != 2 {
-		t.Errorf("malformed-directive diagnostics = %d, want 2 (bare owned + bare scratch): %v", malformed, diags)
-	}
-	// Malformed directives register nothing, so the escapes they sat
-	// above must still be reported.
-	if escapes != 2 {
-		t.Errorf("surviving escape diagnostics = %d, want 2: %v", escapes, diags)
-	}
-
-	// Inversion: with aliasing disabled the fixture is silent.
-	var rest []*Analyzer
-	for _, a := range All {
-		if a != Aliasing {
-			rest = append(rest, a)
-		}
-	}
-	if diags := runDiags([]*Package{pkg}, rest); len(diags) != 0 {
-		t.Errorf("aliasdir fixture with aliasing disabled: %d diagnostic(s), want 0 (first: %s)", len(diags), diags[0])
-	}
-}
-
-func TestClockSeamFixture(t *testing.T) {
-	checkFixture(t, "clockseam", "repro/internal/obs", All)
-}
-
-// TestClockSeamScope pins the sweep's package allowlist: the same
-// violation-riddled fixture under internal/cli is swept, under an
-// unscoped path it is silent.
-func TestClockSeamScope(t *testing.T) {
-	pkg := loadFixtureT(t, "clockseam", "repro/internal/cli")
-	if diags := runDiags([]*Package{pkg}, []*Analyzer{Determinism}); len(diags) == 0 {
-		t.Error("clockseam fixture under internal/cli: no diagnostics, want findings")
-	} else {
-		// The exemption key is "obs.clockNow", so under internal/cli even
-		// the seam declaration itself is a finding.
-		want := 7
-		if len(diags) != want {
-			t.Errorf("clockseam fixture under internal/cli: %d diagnostic(s), want %d", len(diags), want)
-		}
-	}
-	pkg = loadFixtureT(t, "clockseam", "repro/internal/textplot")
-	if diags := runDiags([]*Package{pkg}, []*Analyzer{Determinism}); len(diags) != 0 {
-		t.Errorf("clockseam fixture under internal/textplot: %d diagnostic(s), want 0 (first: %s)", len(diags), diags[0])
-	}
 }
 
 // TestFixtureSilentWithAnalyzerDisabled is the golden inversion: running
@@ -275,13 +163,7 @@ func TestFixtureSilentWithAnalyzerDisabled(t *testing.T) {
 		disabled  *Analyzer
 	}{
 		{"determinism", "repro/internal/metrics", Determinism},
-		{"clockseam", "repro/internal/obs", Determinism},
-		{"hotpath", "repro/internal/hotfix", Hotpath},
-		{"hotreq", "repro/internal/bgpstream", Hotpath},
-		{"wiresafety", "repro/internal/bgp", WireSafety},
 		{"locks", "repro/internal/lockfix", Locks},
-		{"aliasing", "repro/internal/aliasfix", Aliasing},
-		{"borrowedreq", "repro/internal/bgp", Aliasing},
 		{"lifecycle", "repro/internal/lifefix", Lifecycle},
 	}
 	for _, tc := range cases {
@@ -301,21 +183,11 @@ func TestFixtureSilentWithAnalyzerDisabled(t *testing.T) {
 
 // TestScopedAnalyzersRespectPackagePaths loads the violation-riddled
 // fixture sources under paths outside the analyzer's scope: the
-// allowlist must silence everything. (internal/obs is no longer a
-// silent path for determinism — the clock-seam sweep covers it — so
-// the determinism fixture relocates to internal/textplot.)
+// allowlist must silence everything.
 func TestScopedAnalyzersRespectPackagePaths(t *testing.T) {
 	pkg := loadFixtureT(t, "determinism", "repro/internal/textplot")
 	if diags := runDiags([]*Package{pkg}, []*Analyzer{Determinism}); len(diags) != 0 {
 		t.Errorf("determinism fixture under internal/textplot: %d diagnostic(s), want 0 (first: %s)", len(diags), diags[0])
-	}
-	pkg = loadFixtureT(t, "wiresafety", "repro/internal/obs")
-	if diags := runDiags([]*Package{pkg}, []*Analyzer{WireSafety}); len(diags) != 0 {
-		t.Errorf("wiresafety fixture under internal/obs: %d diagnostic(s), want 0 (first: %s)", len(diags), diags[0])
-	}
-	pkg = loadFixtureT(t, "aliasing", "repro/internal/textplot")
-	if diags := runDiags([]*Package{pkg}, []*Analyzer{Aliasing}); len(diags) != 0 {
-		t.Errorf("aliasing fixture under internal/textplot: %d diagnostic(s), want 0 (first: %s)", len(diags), diags[0])
 	}
 	pkg = loadFixtureT(t, "lifecycle", "repro/internal/textplot")
 	if diags := runDiags([]*Package{pkg}, []*Analyzer{Lifecycle}); len(diags) != 0 {
@@ -417,20 +289,25 @@ func TestMainExitFindings(t *testing.T) {
 	}
 
 	// Pattern filtering: naming the offending package still finds it,
-	// a disjoint pattern filters everything out and exits clean.
-	out.Reset()
-	if got := Main(&out, dir, []string{"./internal/core"}, All, Options{}); got != ExitFindings {
-		t.Errorf("Main(./internal/core) = %d, want %d", got, ExitFindings)
+	// with or without a trailing slash; a pattern that matches no
+	// package is an error, not a clean pass over nothing.
+	for _, pat := range []string{"./internal/core", "./internal/core/", "fixturemod/internal/..."} {
+		out.Reset()
+		if got := Main(&out, dir, []string{pat}, All, Options{}); got != ExitFindings {
+			t.Errorf("Main(%s) = %d, want %d", pat, got, ExitFindings)
+		}
 	}
 	out.Reset()
-	if got := Main(&out, dir, []string{"./internal/other/..."}, All, Options{}); got != ExitClean {
-		t.Errorf("Main(./internal/other/...) = %d, want %d; output:\n%s", got, ExitClean, out.String())
+	if got := Main(&out, dir, []string{"./internal/core", "./internal/other/..."}, All, Options{}); got != ExitError {
+		t.Errorf("Main(./internal/other/...) = %d, want %d; output:\n%s", got, ExitError, out.String())
+	}
+	if !strings.Contains(out.String(), `"./internal/other/..." matches no package`) {
+		t.Errorf("no-match output does not name the pattern:\n%s", out.String())
 	}
 }
 
 // findingsTree is a small module with deterministic findings spread
-// over three scoped packages. The package names sit in the determinism scope but outside the
-// hotpath/aliasing required tables, so the count is exact.
+// over three packages in the determinism scope.
 func findingsTree(t *testing.T) string {
 	dir := t.TempDir()
 	writeTree(t, dir, map[string]string{

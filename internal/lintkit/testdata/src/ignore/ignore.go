@@ -19,7 +19,7 @@ func unsuppressed() int64 {
 }
 
 func wrongAnalyzer() int64 {
-	//atomlint:ignore hotpath a directive for another analyzer must not suppress
+	//atomlint:ignore lifecycle a directive for another analyzer must not suppress
 	return time.Now().Unix()
 }
 

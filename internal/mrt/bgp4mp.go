@@ -51,8 +51,6 @@ func (m *Message) Marshal() ([]byte, error) {
 
 // AppendMarshal appends the encoded BGP4MP message body to dst — a
 // caller looping over messages can reuse one scratch buffer.
-//
-//atomlint:hotpath
 func (m *Message) AppendMarshal(dst []byte) ([]byte, error) {
 	afi := afiFor(m.PeerAddr)
 	if afiFor(m.LocalAddr) != afi {
@@ -99,9 +97,6 @@ func ParseMessage(subtype uint16, b []byte) (*Message, error) {
 // ParseMessageInto decodes a BGP4MP MESSAGE-family body into m without
 // copying: m.Data aliases b and is only valid until b's backing buffer
 // is reused. Allocation-free hot path for streaming decoders.
-//
-//atomlint:hotpath
-//atomlint:borrowed m.Data aliases b; the out-param slot must be a local or a declared scratch
 func ParseMessageInto(m *Message, subtype uint16, b []byte) error {
 	*m = Message{}
 	switch subtype {

@@ -1,8 +1,8 @@
 // Zero-copy record iteration over in-memory archives. BytesReader is
 // the byte-slice counterpart of Reader: Next returns Records whose Body
 // sub-slices the backing array directly — no bufio layer, no per-record
-// copy, zero allocations per record (pinned by TestBytesReaderZeroAlloc
-// and enforced by the atomlint hotpath analyzer). Error and Resync
+// copy, zero allocations per record (pinned by TestBytesReaderZeroAlloc).
+// Error and Resync
 // semantics deliberately mirror Reader so the bgpstream degradation
 // machinery (skip accounting, resync budgets, quarantine) behaves
 // identically whichever reader backs a source.
@@ -37,9 +37,6 @@ func (r *BytesReader) Offset() int { return r.off }
 // stream ending mid-record returns ErrTruncated. Consumed-byte
 // positioning on every error path matches Reader.Next over the same
 // bytes, so Resync recovers from the same place either way.
-//
-//atomlint:hotpath
-//atomlint:borrowed Record.Body aliases the archive bytes handed to NewBytesReader
 func (r *BytesReader) Next() (Record, error) {
 	rest := r.data[r.off:]
 	if len(rest) == 0 {
@@ -133,8 +130,6 @@ func countRecords(data []byte) int {
 // *bytes.Reader the archive is decoded in place: a first-pass header
 // scan sizes the output slice exactly, and record bodies alias one
 // backing buffer instead of being copied record by record.
-//
-//atomlint:borrowed on the *bytes.Reader fast path the record bodies alias one backing buffer owned by the returned slice
 func ReadAll(rd io.Reader) ([]Record, error) {
 	if br, ok := rd.(*bytes.Reader); ok {
 		data := make([]byte, br.Len())

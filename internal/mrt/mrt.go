@@ -159,8 +159,6 @@ func (r *Reader) SetReuseBuffer(on bool) { r.reuse = on }
 
 // Next returns the next record, or io.EOF at a clean end of stream. A
 // stream ending mid-record returns ErrTruncated.
-//
-//atomlint:borrowed under SetReuseBuffer the Record.Body aliases the reused decode buffer, valid until the next call
 func (r *Reader) Next() (Record, error) {
 	hdr := r.hdr[:]
 	if _, err := io.ReadFull(r.r, hdr); err != nil {

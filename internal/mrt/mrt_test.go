@@ -7,6 +7,7 @@ import (
 	"net/netip"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -159,6 +160,27 @@ func TestPeerIndexTableErrors(t *testing.T) {
 	bad := &PeerIndexTable{CollectorID: netip.MustParseAddr("2001:db8::1")}
 	if _, err := bad.Marshal(); !errors.Is(err, ErrBadRecord) {
 		t.Errorf("v6 collector id: %v", err)
+	}
+}
+
+// Every length the TABLE_DUMP_V2 encoders narrow to 16 bits must be
+// range-checked: one past 0xffff is an error, not a wrapped count.
+func TestTableDumpLengthOverflow(t *testing.T) {
+	id := netip.MustParseAddr("1.2.3.4")
+	pfx := netip.MustParsePrefix("10.0.0.0/8")
+	peers := make([]Peer, 0x10000)
+	for i := range peers {
+		peers[i] = Peer{BGPID: id, Addr: netip.MustParseAddr("2.2.2.2"), ASN: 1}
+	}
+	for name, marshal := range map[string]func() ([]byte, error){
+		"view name":       (&PeerIndexTable{CollectorID: id, ViewName: strings.Repeat("v", 0x10000)}).Marshal,
+		"peer count":      (&PeerIndexTable{CollectorID: id, Peers: peers}).Marshal,
+		"entry count":     (&RIB{Prefix: pfx, Entries: make([]RIBEntry, 0x10000)}).Marshal,
+		"attribute block": (&RIB{Prefix: pfx, Entries: []RIBEntry{{Attrs: make([]byte, 0x10000)}}}).Marshal,
+	} {
+		if _, err := marshal(); !errors.Is(err, ErrBadRecord) {
+			t.Errorf("%s over 0xffff: err = %v, want ErrBadRecord", name, err)
+		}
 	}
 }
 
@@ -357,6 +379,35 @@ func TestBGP4MPMessageErrors(t *testing.T) {
 	body := []byte{0, 1, 0, 2, 0, 0, 0, 9}
 	if _, err := ParseMessage(SubMessage, body); !errors.Is(err, ErrBadRecord) {
 		t.Errorf("afi: %v", err)
+	}
+
+	// Every cut of a valid header-and-addresses body (no BGP payload,
+	// so the addresses end the body) is truncated, in both ASN widths
+	// and both address families, and never panics.
+	for _, tc := range []struct {
+		as4         bool
+		peer, local string
+	}{
+		{false, "192.0.2.10", "192.0.2.20"},
+		{true, "192.0.2.10", "192.0.2.20"},
+		{false, "2001:db8::10", "2001:db8::20"},
+		{true, "2001:db8::10", "2001:db8::20"},
+	} {
+		m := &Message{PeerAS: 3356, LocalAS: 65000, AS4: tc.as4,
+			PeerAddr: netip.MustParseAddr(tc.peer), LocalAddr: netip.MustParseAddr(tc.local)}
+		full, err := m.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var into Message
+		if err := ParseMessageInto(&into, m.Subtype(), full); err != nil || into.LocalAddr != m.LocalAddr {
+			t.Fatalf("%+v: full body: %v (local %v)", tc, err, into.LocalAddr)
+		}
+		for n := 0; n < len(full); n++ {
+			if err := ParseMessageInto(&into, m.Subtype(), full[:n:n]); !errors.Is(err, ErrTruncated) {
+				t.Errorf("%+v: body cut to %d of %d bytes: got %v, want ErrTruncated", tc, n, len(full), err)
+			}
+		}
 	}
 }
 

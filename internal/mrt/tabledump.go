@@ -161,8 +161,6 @@ func (r *RIB) Marshal() ([]byte, error) {
 // AppendTo appends the RIB record body to dst, so a caller encoding
 // many records can reuse one buffer. On error dst is returned
 // unextended.
-//
-//atomlint:hotpath
 func (r *RIB) AppendTo(dst []byte) ([]byte, error) {
 	if !r.Prefix.IsValid() {
 		return dst, fmt.Errorf("%w: invalid prefix", ErrBadRecord)

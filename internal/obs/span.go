@@ -10,9 +10,7 @@ import (
 // dependent obs feature (spans, progress events, the debug server's
 // uptime) reads the clock through it, so tests swap in a fake clock and
 // pin otherwise time-dependent output (trace export, progress lines)
-// byte for byte. atomlint's determinism analyzer sweeps internal/obs
-// and internal/cli for wall-clock reads and allows time.Now only here
-// (see internal/lintkit/determinism.go, clockExemptDecls).
+// byte for byte; a read that bypasses it fails those golden tests.
 var clockNow = time.Now
 
 // Attr is one span attribute. Values should be JSON-serializable

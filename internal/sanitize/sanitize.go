@@ -216,8 +216,6 @@ func NewFeedSet(time uint32, paths *aspath.Table, prefixes []netip.Prefix, feeds
 
 // Row returns prefix p's route at every feed, indexed like Feeds — a
 // view into the matrix, so writes fill the set.
-//
-//atomlint:borrowed view into the feed set's flat route matrix; valid while the set lives
 func (fs *FeedSet) Row(p int) []aspath.ID {
 	lo, hi := p*len(fs.Feeds), (p+1)*len(fs.Feeds)
 	return fs.cells[lo:hi:hi]

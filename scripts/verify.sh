@@ -100,7 +100,7 @@ fi
 echo "== go vet ./..."
 go vet ./...
 
-echo "== atomlint ./... (determinism, hotpath, wiresafety, locks, aliasing, lifecycle)"
+echo "== atomlint ./... (determinism, locks, lifecycle)"
 lint_start="$(date +%s)"
 go run ./cmd/atomlint ./...
 lint_elapsed="$(( $(date +%s) - lint_start ))"
