@@ -2,6 +2,7 @@ package aspath
 
 import (
 	"errors"
+	"hash/maphash"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -544,6 +545,64 @@ func TestTableConcurrentReaders(t *testing.T) {
 	readers.Wait()
 }
 
+// TestTableIDsIndependentOfSeed interns one sequence of paths into two
+// tables keyed by different seeds: probe order differs, IDs must not.
+func TestTableIDsIndependentOfSeed(t *testing.T) {
+	a, b := NewTable(), NewTable()
+	for a.seed == b.seed {
+		b.seed = maphash.MakeSeed()
+	}
+	r := rand.New(rand.NewSource(7))
+	for i := 0; i < 5000; i++ {
+		s := make(Seq, 1+r.Intn(8))
+		for j := range s {
+			s[j] = uint32(r.Intn(64))
+		}
+		if ia, ib := a.Intern(s), b.Intern(s); ia != ib {
+			t.Fatalf("intern %d of %v: seed A gave ID %d, seed B %d", i, s, ia, ib)
+		}
+	}
+	if a.Len() != b.Len() {
+		t.Fatalf("Len %d vs %d", a.Len(), b.Len())
+	}
+}
+
+// TestTableConcurrentGrowth interns enough distinct paths from several
+// goroutines that every shard resizes several times while the others
+// probe it; every ID must round-trip to the sequence interned for it.
+func TestTableConcurrentGrowth(t *testing.T) {
+	tbl := NewTable()
+	const workers, perWorker = 4, 6000
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			// Overlapping ranges: each path is interned by two workers.
+			for i := 0; i < perWorker; i++ {
+				k := uint32(w*perWorker/2 + i)
+				s := Seq{k % 97, k, 64512 + k%7}
+				if got := tbl.Seq(tbl.Intern(s)); !got.Equal(s) {
+					t.Errorf("Seq(Intern(%v)) = %v", s, got)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	distinct := (workers + 1) * perWorker / 2
+	if tbl.Len() != distinct+1 {
+		t.Fatalf("Len = %d, want %d", tbl.Len(), distinct+1)
+	}
+	for i := range tbl.shards {
+		// 16 slots to start; ~230 paths a shard need 256 or more, four
+		// doublings.
+		if n := len(tbl.shards[i].slots); n < 256 {
+			t.Fatalf("shard %d has %d slots, want at least 256", i, n)
+		}
+	}
+}
+
 // Seq8 is a fixed-size comparable stand-in for short sequences in tests.
 type Seq8 struct {
 	n int
@@ -564,11 +623,10 @@ func TestSeqStringAndReflectEqual(t *testing.T) {
 	}
 }
 
-// TestInternHitPathAllocs is the PR's allocation-regression guard for
-// the interning fast path: re-interning an already-known sequence (the
-// steady state of snapshot assembly) must not allocate — the key is
-// encoded into a stack buffer and looked up via the compiler's
-// non-escaping map[string(buf)] form.
+// TestInternHitPathAllocs is the allocation-regression guard for the
+// interning fast path: re-interning an already-known sequence (the
+// steady state of snapshot assembly) must not allocate — the words are
+// hashed in place and probed against the table's stored copies.
 func TestInternHitPathAllocs(t *testing.T) {
 	tbl := NewTable()
 	seqs := []Seq{
@@ -576,10 +634,10 @@ func TestInternHitPathAllocs(t *testing.T) {
 		{3356, 1299, 1299, 1299, 65002},
 		{64512, 3356, 174, 2914, 1239, 701, 7018, 65003},
 	}
-	// The longest path the stack key buffer holds (32 hops, 128 bytes):
-	// past 32 bytes a string conversion of the key no longer fits the
-	// compiler's stack temporary, so only a long path shows a copy.
-	long := make(Seq, keyStackBytes/4)
+	// A 32-hop path: an implementation that copies the words into a
+	// key shows the copy here, where it no longer fits a stack
+	// temporary.
+	long := make(Seq, 32)
 	for i := range long {
 		long[i] = uint32(64512 + i)
 	}
@@ -602,7 +660,7 @@ func TestInternHitPathAllocs(t *testing.T) {
 // TestLookupAllocs holds Lookup to the same zero-allocation bar.
 func TestLookupAllocs(t *testing.T) {
 	tbl := NewTable()
-	long := make(Seq, keyStackBytes/4)
+	long := make(Seq, 32)
 	for i := range long {
 		long[i] = uint32(64512 + i)
 	}

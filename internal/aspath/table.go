@@ -1,8 +1,10 @@
 package aspath
 
 import (
+	"hash/maphash"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
 // ID is an interned path identifier. ID 0 is reserved for the empty path
@@ -12,13 +14,19 @@ type ID uint32
 // Empty is the ID of the empty path.
 const Empty ID = 0
 
-// numShards stripes the intern map so concurrent snapshot-build workers
-// don't serialize on one lock. Must be a power of two.
+// numShards stripes the intern index so concurrent snapshot-build
+// workers don't serialize on one lock. Must be a power of two.
 const numShards = 64
 
+// tableShard is one stripe of the sequence→ID index: an open-addressed,
+// linearly probed []uint64 whose slots pack the upper 32 bits of the
+// sequence's hash (the tag, whose low bits also pick the home slot)
+// over its ID. A zero slot is empty; ID 0 (the empty path) is never
+// stored.
 type tableShard struct {
-	mu  sync.RWMutex
-	ids map[string]ID
+	mu    sync.RWMutex
+	slots []uint64
+	n     int
 }
 
 // Table interns AS-path sequences, mapping each distinct sequence to a
@@ -27,14 +35,19 @@ type tableShard struct {
 // of path contents.
 //
 // A Table is safe for concurrent use and built for it: the sequence→ID
-// map is striped across numShards locks (an Intern of an already-known
+// index is striped across numShards locks (an Intern of an already-known
 // path only takes one shard's read lock), and the ID→sequence side is
 // an append-only slice published through an atomic pointer, so Seq,
-// Origin and Len never lock at all. ID values depend on interleaving
-// when multiple goroutines intern new paths — callers must treat IDs as
-// opaque within one table (the pipeline's outputs never depend on raw
-// ID values, only on ID equality, which interning guarantees).
+// Origin and Len never lock at all. IDs are handed out in first-seen
+// order and never depend on the hash seed; when several goroutines
+// intern new paths at once the order depends on interleaving, so
+// callers must treat IDs as opaque within one table (the pipeline's
+// outputs never depend on raw ID values, only on ID equality, which
+// interning guarantees).
 type Table struct {
+	// seed keys the index hash per table, so no input can steer every
+	// table's probe sequences.
+	seed   maphash.Seed
 	shards [numShards]tableShard
 	seqMu  sync.Mutex            // serializes appends to the seqs slice
 	seqs   atomic.Pointer[[]Seq] // index = ID; (*seqs)[0] is nil (the empty path)
@@ -44,41 +57,40 @@ type Table struct {
 	arena []uint32
 }
 
-// NewTable returns an empty table containing only the empty path.
+// NewTable returns an empty table containing only the empty path. The
+// shards allocate their slots on first insert.
 func NewTable() *Table {
-	t := &Table{}
-	for i := range t.shards {
-		t.shards[i].ids = make(map[string]ID, 32)
-	}
+	t := &Table{seed: maphash.MakeSeed()}
 	seqs := make([]Seq, 1, 1024)
 	t.seqs.Store(&seqs)
 	return t
 }
 
-// keyStackBytes sizes the on-stack key buffer used by Intern and
-// Lookup: paths up to 32 hops (far beyond any sane AS path) encode
-// without touching the heap.
-const keyStackBytes = 128
-
-// appendKey encodes a sequence onto buf as big-endian uint32s — the
-// compact form used as the intern-map key. It only appends, so callers
-// pass a stack-backed buf and pay a heap allocation solely for
-// pathological >32-hop paths.
-func appendKey(buf []byte, s Seq) []byte {
-	for _, a := range s {
-		buf = append(buf, byte(a>>24), byte(a>>16), byte(a>>8), byte(a))
-	}
-	return buf
+// locate hashes seq's words in place and returns its shard and tag.
+func (t *Table) locate(seq Seq) (*tableShard, uint64) {
+	b := unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(seq))), len(seq)*4)
+	h := maphash.Bytes(t.seed, b)
+	return &t.shards[h&(numShards-1)], h >> 32
 }
 
-// shardOf maps a key to its stripe (FNV-1a over the key bytes).
-func shardOf(k []byte) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(k); i++ {
-		h ^= uint32(k[i])
-		h *= 16777619
+// find probes sh for seq (called under sh.mu), comparing tag matches
+// against the table's stored sequences. It returns the ID, or Empty and
+// the empty slot where seq belongs.
+func (t *Table) find(sh *tableShard, seq Seq, tag uint64) (ID, int) {
+	if len(sh.slots) == 0 {
+		return Empty, -1
 	}
-	return h & (numShards - 1)
+	seqs := *t.seqs.Load()
+	mask := uint64(len(sh.slots) - 1)
+	for i := tag & mask; ; i = (i + 1) & mask {
+		v := sh.slots[i]
+		if v == 0 {
+			return Empty, int(i)
+		}
+		if v>>32 == tag && seqs[uint32(v)].Equal(seq) {
+			return ID(uint32(v)), -1
+		}
+	}
 }
 
 // Intern returns the ID for seq, allocating one if it is new. The empty
@@ -86,33 +98,33 @@ func shardOf(k []byte) uint32 {
 // may reuse seq's backing array.
 //
 // The hit path — an already-interned sequence, the overwhelmingly
-// common case once a table warms up — is allocation-free: the key is
-// encoded into a stack buffer and the map lookup uses the compiler's
-// non-escaping map[string(buf)] form, so only genuinely new sequences
-// pay for a key copy (TestInternHitPathAllocs locks this in).
+// common case once a table warms up — hashes the words in place and
+// probes under one shard's read lock, so it never allocates
+// (TestInternHitPathAllocs locks this in).
 func (t *Table) Intern(seq Seq) ID {
 	if len(seq) == 0 {
 		return Empty
 	}
-	var stack [keyStackBytes]byte
-	buf := appendKey(stack[:0], seq)
-	sh := &t.shards[shardOf(buf)]
+	sh, tag := t.locate(seq)
 	sh.mu.RLock()
-	id, ok := sh.ids[string(buf)]
+	id, _ := t.find(sh, seq, tag)
 	sh.mu.RUnlock()
-	if ok {
+	if id != Empty {
 		return id
 	}
-	return t.internSlow(sh, buf, seq)
+	return t.internSlow(sh, seq, tag)
 }
 
-// internSlow is Intern's miss path: take the write lock, re-check, and
-// allocate the next dense ID. Split out so the hit path stays small
-// enough to keep its key buffer on the stack.
-func (t *Table) internSlow(sh *tableShard, buf []byte, seq Seq) ID {
+// internSlow is Intern's miss path: take the write lock, re-probe, and
+// allocate the next dense ID, doubling the shard's slots past 3/4 load.
+func (t *Table) internSlow(sh *tableShard, seq Seq, tag uint64) ID {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if id, ok := sh.ids[string(buf)]; ok {
+	if 4*(sh.n+1) > 3*len(sh.slots) {
+		sh.grow()
+	}
+	id, slot := t.find(sh, seq, tag)
+	if id != Empty {
 		return id
 	}
 	// Appending in place is safe for the lock-free readers: a reader
@@ -121,12 +133,30 @@ func (t *Table) internSlow(sh *tableShard, buf []byte, seq Seq) ID {
 	// is written.
 	t.seqMu.Lock()
 	cur := *t.seqs.Load()
-	id := ID(len(cur))
+	id = ID(len(cur))
 	next := append(cur, t.store(seq))
 	t.seqs.Store(&next)
 	t.seqMu.Unlock()
-	sh.ids[string(buf)] = id
+	sh.slots[slot] = tag<<32 | uint64(id)
+	sh.n++
 	return id
+}
+
+// grow doubles the shard's slots (16 to start), re-placing each entry
+// by its stored tag: no sequence is re-hashed.
+func (sh *tableShard) grow() {
+	old := sh.slots
+	sh.slots = make([]uint64, max(16, 2*len(old)))
+	mask := uint64(len(sh.slots) - 1)
+	for _, v := range old {
+		if v != 0 {
+			i := (v >> 32) & mask
+			for sh.slots[i] != 0 {
+				i = (i + 1) & mask
+			}
+			sh.slots[i] = v
+		}
+	}
 }
 
 // seqArenaBlock sizes the arena blocks backing stored sequences.
@@ -155,13 +185,11 @@ func (t *Table) Lookup(seq Seq) (ID, bool) {
 	if len(seq) == 0 {
 		return Empty, true
 	}
-	var stack [keyStackBytes]byte
-	buf := appendKey(stack[:0], seq)
-	sh := &t.shards[shardOf(buf)]
+	sh, tag := t.locate(seq)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	id, ok := sh.ids[string(buf)]
-	return id, ok
+	id, _ := t.find(sh, seq, tag)
+	return id, id != Empty
 }
 
 // Seq returns the sequence for id. The returned slice is owned by the

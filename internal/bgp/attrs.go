@@ -226,13 +226,6 @@ func appendASPathData(dst []byte, p aspath.Path, four bool) ([]byte, error) {
 	return dst, nil
 }
 
-func b2i(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
-}
-
 // pathNeedsAS4 reports whether any ASN in the path does not fit in 2 octets.
 func pathNeedsAS4(p aspath.Path) bool {
 	for _, s := range p.Segments {
@@ -445,36 +438,16 @@ func parseAttrBody(flags uint8, typ AttrType, data []byte, opt Options) (Attr, e
 		}
 		return Origin(data[0]), nil
 	case AttrTypeASPath:
-		var m map[string]Attr
-		if opt.Cache != nil {
-			m = opt.Cache.paths[b2i(opt.AS4)]
-			if a, ok := m[string(data)]; ok {
-				return a, nil
-			}
-		}
 		p, err := parseASPathData(data, opt.AS4)
 		if err != nil {
 			return nil, err
 		}
-		a := ASPath{Path: p}
-		if m != nil {
-			m[string(data)] = a
-		}
-		return a, nil
+		return ASPath{Path: p}, nil
 	case AttrTypeNextHop:
 		if len(data) != 4 {
 			return nil, fmt.Errorf("%w: NEXT_HOP length %d", ErrBadAttr, len(data))
 		}
-		addr := netip.AddrFrom4([4]byte(data))
-		if c := opt.Cache; c != nil {
-			if a, ok := c.nextHops[addr]; ok {
-				return a, nil
-			}
-			a := NextHop(addr)
-			c.nextHops[addr] = a
-			return a, nil
-		}
-		return NextHop(addr), nil
+		return NextHop(netip.AddrFrom4([4]byte(data))), nil
 	case AttrTypeMED:
 		if len(data) != 4 {
 			return nil, fmt.Errorf("%w: MED length %d", ErrBadAttr, len(data))
@@ -511,17 +484,9 @@ func parseAttrBody(flags uint8, typ AttrType, data []byte, opt Options) (Attr, e
 		if len(data)%4 != 0 {
 			return nil, fmt.Errorf("%w: COMMUNITIES length %d", ErrBadAttr, len(data))
 		}
-		if c := opt.Cache; c != nil {
-			if a, ok := c.comms[string(data)]; ok {
-				return a, nil
-			}
-		}
 		cs := make(Communities, len(data)/4)
 		for i := range cs {
 			cs[i] = binary.BigEndian.Uint32(data[i*4:])
-		}
-		if c := opt.Cache; c != nil {
-			c.comms[string(data)] = cs
 		}
 		return cs, nil
 	case AttrTypeLargeCommunities:
@@ -569,20 +534,11 @@ func parseAttrBody(flags uint8, typ AttrType, data []byte, opt Options) (Attr, e
 		m.NLRI = nlri
 		return m, nil
 	case AttrTypeAS4Path:
-		if c := opt.Cache; c != nil {
-			if a, ok := c.paths4[string(data)]; ok {
-				return a, nil
-			}
-		}
 		p, err := parseASPathData(data, true)
 		if err != nil {
 			return nil, err
 		}
-		a := AS4Path{Path: p}
-		if c := opt.Cache; c != nil {
-			c.paths4[string(data)] = a
-		}
-		return a, nil
+		return AS4Path{Path: p}, nil
 	case AttrTypeAS4Aggregator:
 		if len(data) != 8 {
 			return nil, fmt.Errorf("%w: AS4_AGGREGATOR length %d", ErrBadAttr, len(data))

@@ -14,7 +14,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"net/netip"
 )
 
 // Message types (RFC 4271 §4.1).
@@ -107,29 +106,4 @@ type Options struct {
 	// AddPath selects RFC 7911 NLRI encoding (a 4-byte path identifier
 	// precedes every prefix) for both IPv4 NLRI and MP-BGP NLRI.
 	AddPath bool
-	// Cache, when non-nil, dedupes decoded AS_PATH, NEXT_HOP, and
-	// COMMUNITIES attributes across messages (archives repeat a small set
-	// of distinct values millions of times). Cached attributes are shared
-	// between messages and MUST be treated as read-only by callers.
-	Cache *AttrCache
-}
-
-// AttrCache memoizes decoded attributes keyed by their raw wire bytes.
-// One cache serves one stream of messages; it is not safe for concurrent
-// use. The zero value is not usable — call NewAttrCache.
-type AttrCache struct {
-	paths    [2]map[string]Attr // AS_PATH, indexed by AS4 flag
-	paths4   map[string]Attr    // AS4_PATH (always 4-octet)
-	nextHops map[netip.Addr]Attr
-	comms    map[string]Attr
-}
-
-// NewAttrCache returns an empty attribute cache.
-func NewAttrCache() *AttrCache {
-	return &AttrCache{
-		paths:    [2]map[string]Attr{{}, {}},
-		paths4:   map[string]Attr{},
-		nextHops: map[netip.Addr]Attr{},
-		comms:    map[string]Attr{},
-	}
 }

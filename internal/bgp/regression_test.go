@@ -115,9 +115,9 @@ func TestASPathSegmentOverflow(t *testing.T) {
 
 func TestAppendMessageSectionOverflow(t *testing.T) {
 	// ~14k /32 withdrawals encode to ~70000 bytes: past the 16-bit
-	// withdrawn-routes length. The section guard must reject this before
-	// the length field is patched (the message-size check alone would
-	// also fire, but only after the uint16 had silently wrapped).
+	// withdrawn-routes length. The message-size check rejects it: no
+	// section can outgrow its 16-bit length field inside a message
+	// capped at MaxMsgLen, so a wrapped field is never returned.
 	u := &Update{}
 	for i := 0; i < 14000; i++ {
 		p := netip.MustParsePrefix(fmt.Sprintf("10.%d.%d.%d/32", i>>16&0xff, i>>8&0xff, i&0xff))

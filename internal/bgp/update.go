@@ -86,7 +86,9 @@ func (u *Update) Marshal(opt Options) ([]byte, error) {
 // AppendMessage appends the encoded UPDATE (header included) to dst and
 // returns the extended slice. Encoding is single-pass: section lengths
 // are back-patched, so a caller looping over messages can reuse one
-// scratch buffer and encode with zero per-message allocations.
+// scratch buffer and encode with zero per-message allocations. A
+// section past 65535 bytes wraps its length field, but the message
+// then exceeds MaxMsgLen and is rejected.
 func (u *Update) AppendMessage(dst []byte, opt Options) ([]byte, error) {
 	start := len(dst)
 	var zero [HeaderLen]byte
@@ -103,9 +105,6 @@ func (u *Update) AppendMessage(dst []byte, opt Options) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-	}
-	if len(dst)-wStart > 0xffff {
-		return nil, fmt.Errorf("%w: withdrawn routes %d bytes", ErrBadLength, len(dst)-wStart)
 	}
 	binary.BigEndian.PutUint16(dst[wStart-2:], uint16(len(dst)-wStart))
 
@@ -129,9 +128,6 @@ func (u *Update) AppendMessage(dst []byte, opt Options) ([]byte, error) {
 			}
 		}
 	}
-	if len(dst)-aStart > 0xffff {
-		return nil, fmt.Errorf("%w: path attributes %d bytes", ErrBadLength, len(dst)-aStart)
-	}
 	binary.BigEndian.PutUint16(dst[aStart-2:], uint16(len(dst)-aStart))
 
 	for _, n := range u.Announced {
@@ -154,10 +150,17 @@ func (u *Update) AppendMessage(dst []byte, opt Options) ([]byte, error) {
 
 // ParseUpdateInto decodes a full BGP UPDATE message into u, reusing the
 // capacity of u's slices — a caller looping over messages can decode
-// with near-zero per-message allocations (combine with Options.Cache to
-// also dedupe attribute payloads). On error u is left in an undefined
-// state.
+// with near-zero per-message allocations. On error u is left in an
+// undefined state.
 func ParseUpdateInto(u *Update, b []byte, opt Options) error {
+	return ParseUpdateWith(u, b, opt, nil)
+}
+
+// ParseUpdateWith is ParseUpdateInto with the raw path-attribute block
+// (aliasing b) handed to a non-nil attrs instead of parsed into u.Attrs.
+// attrs runs between the withdrawn routes and the NLRI, so a malformed
+// message fails with the error ParseUpdateInto would return.
+func ParseUpdateWith(u *Update, b []byte, opt Options, attrs func(block []byte) error) error {
 	h, err := ParseHeader(b)
 	if err != nil {
 		return err
@@ -168,13 +171,13 @@ func ParseUpdateInto(u *Update, b []byte, opt Options) error {
 	if int(h.Len) > len(b) {
 		return fmt.Errorf("%w: header claims %d bytes, have %d", ErrTruncated, h.Len, len(b))
 	}
-	return parseUpdateBody(u, b[HeaderLen:h.Len], opt)
+	return parseUpdateBody(u, b[HeaderLen:h.Len], opt, attrs)
 }
 
 // parseUpdateBody decodes the UPDATE payload (header stripped) into u.
 // MRT BGP4MP records carry full messages; TABLE_DUMP_V2 RIB entries
 // carry bare attribute blocks, which use parseAttrs directly.
-func parseUpdateBody(u *Update, b []byte, opt Options) error {
+func parseUpdateBody(u *Update, b []byte, opt Options, attrs func([]byte) error) error {
 	u.Withdrawn = u.Withdrawn[:0]
 	u.Attrs = u.Attrs[:0]
 	u.Announced = u.Announced[:0]
@@ -202,11 +205,14 @@ func parseUpdateBody(u *Update, b []byte, opt Options) error {
 	if len(b) < alen {
 		return fmt.Errorf("%w: path attributes", ErrTruncated)
 	}
-	if alen > 0 {
+	switch {
+	case attrs != nil:
+		err = attrs(b[:alen])
+	case alen > 0:
 		u.Attrs, err = parseAttrs(u.Attrs, b[:alen], opt)
-		if err != nil {
-			return err
-		}
+	}
+	if err != nil {
+		return err
 	}
 	b = b[alen:]
 	if len(b) > 0 {

@@ -20,9 +20,10 @@
 // elements, not an archive's. Within a source elements come in record
 // order; MsgIndex is rebased onto a global sequence as batches are
 // served, and each source's degradation budget is judged as the stream
-// moves past it. All decoders share one pooled attribute cache, and
-// paths are interned in serve order, so intern IDs are a pure function
-// of the sources.
+// moves past it. All decoders share the stream's one attribute-block
+// memo (see blockMemo), so each distinct block is parsed, flattened and
+// interned once, and paths are interned in serve order, so intern IDs
+// are a pure function of the sources.
 //
 // Byte-backed sources take the zero-copy fast path: records are read by
 // mrt.BytesReader, whose Record.Body sub-slices Source.Data with no
@@ -31,10 +32,10 @@ package bgpstream
 
 import (
 	"fmt"
+	"hash/maphash"
 	"io"
 	"net/netip"
 	"sort"
-	"sync"
 
 	"repro/internal/aspath"
 	"repro/internal/bgp"
@@ -162,7 +163,6 @@ func BytesSource(collector string, data []byte, opt bgp.Options) Source {
 type recordReader interface {
 	// Next returns the next record; the Body may alias reader-owned
 	// storage and is valid only until the following Next/Resync call.
-	//
 	Next() (mrt.Record, error)
 	Resync(maxScan int) (int, error)
 }
@@ -180,8 +180,8 @@ func (s *Source) open() recordReader {
 	}
 	r := mrt.NewReader(s.R)
 	// Everything decode retains is either copied out of the record body
-	// or owned by the attribute cache, so the reader can hand every
-	// record the same body buffer.
+	// or owned by the attribute-block memo, which copies its keys, so
+	// the reader can hand every record the same body buffer.
 	r.SetReuseBuffer(true)
 	return r
 }
@@ -265,14 +265,16 @@ type sourceDecoder struct {
 	ribSeqNext  uint32
 	ribSeqValid bool
 
-	// Decode scratch, reused across records: parsed attribute payloads
-	// are deduped through the stream's attrCache (archives repeat a small
-	// set of distinct paths/next-hops/communities), and msg/upd/ribAttrs
-	// absorb the per-record parse allocations.
-	attrCache *bgp.AttrCache
-	msg       mrt.Message
-	upd       bgp.Update
-	ribAttrs  []bgp.Attr
+	// Decode scratch, reused across records: msg/upd/rib/attrs absorb
+	// the per-record parse allocations, memo (the stream's) holds what
+	// each distinct attribute block decodes to, and mp what an
+	// unmemoized MP_REACH/MP_UNREACH block does.
+	memo  *blockMemo
+	msg   mrt.Message
+	upd   bgp.Update
+	rib   mrt.RIB
+	attrs []bgp.Attr
+	mp    memoEntry
 
 	// Interning (optional): flattened-path scratch and the shared table.
 	intern *aspath.Table
@@ -310,9 +312,8 @@ type Stream struct {
 	degradeMax  float64
 	quarantined map[string]bool
 
-	// attrCache is shared by all decoders: pooled, attached on the first
-	// Next/NextBatch and handed back at EOF.
-	attrCache *bgp.AttrCache
+	// memo is shared by all decoders and dropped at EOF.
+	memo blockMemo
 
 	// Telemetry (nil metrics = disabled; hot counters are cached so
 	// the enabled path skips per-record key building).
@@ -323,24 +324,14 @@ type Stream struct {
 }
 
 // NewStream builds a stream over the sources, applying the filter (nil
-// passes all). The attribute cache is pooled and attached lazily on the
-// first Next/NextBatch, so constructing a stream allocates no decode
-// state.
+// passes all). The attribute-block memo is allocated on first use, so
+// constructing a stream allocates no decode state.
 func NewStream(filter *Filter, sources ...Source) *Stream {
 	return &Stream{
 		sources: sources, filter: filter,
 		degradeMin: DefaultDegradeMinRecords, degradeMax: DefaultDegradeMaxSkipRatio,
 	}
 }
-
-// attrCachePool is shared by every Stream in the process. A
-// longitudinal run builds thousands of short-lived streams (one per
-// archive set per era); recycling their attribute caches keeps the
-// steady-state cost of a new stream near zero. AttrCache reuse is safe
-// across streams: its maps memoize by content and are insert-only, so
-// entries from one archive are either re-hit (same wire bytes → same
-// attribute) or simply ignored by the next.
-var attrCachePool = sync.Pool{New: func() any { return bgp.NewAttrCache() }}
 
 // Degradation-budget defaults: a source is quarantined when, having
 // produced at least DefaultDegradeMinRecords records (decoded plus
@@ -526,21 +517,20 @@ func (s *Stream) ensureDecoders() {
 }
 
 // ensureRunning finalizes configuration: the metrics snapshot, the
-// intern table and the shared attribute cache. Decoding itself happens
-// on demand in fill.
+// intern table and the shared memo. Decoding itself happens on demand
+// in fill.
 func (s *Stream) ensureRunning() {
 	if s.running {
 		return
 	}
 	s.running = true
 	s.ensureDecoders()
-	s.attrCache = attrCachePool.Get().(*bgp.AttrCache)
 	for _, d := range s.decs {
 		d.metrics = s.metrics
 		d.recordsC = s.recordsC
 		d.elemC = s.elemC
 		d.intern = s.intern
-		d.attrCache = s.attrCache
+		d.memo = &s.memo
 		if s.metrics != nil {
 			d.sourceElemC = s.metrics.Counter("bgpstream.source_elems", "collector", d.collector)
 		}
@@ -559,7 +549,7 @@ func (s *Stream) fill() error {
 		if d.done {
 			s.judge(d)
 			s.msgBase += d.msgCount
-			d.attrCache = nil
+			d.memo = nil
 			s.cur++
 			continue
 		}
@@ -577,13 +567,9 @@ func (s *Stream) fill() error {
 		}
 		return nil
 	}
-	// Everything is served: hand the shared attribute cache back to the
-	// pool and drop the buffer, which still points into the last
-	// record's paths.
-	if s.attrCache != nil {
-		attrCachePool.Put(s.attrCache)
-		s.attrCache = nil
-	}
+	// Everything is served: drop the memo and the buffer, which still
+	// points into the last record's paths.
+	s.memo = blockMemo{}
 	s.batch = nil
 	return io.EOF
 }
@@ -713,21 +699,6 @@ func (d *sourceDecoder) finish() {
 	}
 }
 
-// internPath stamps e with the intern ID of its flattened path, or
-// marks the path unusable, when the stream was given an intern table.
-func (d *sourceDecoder) internPath(e *Elem) {
-	if d.intern == nil {
-		return
-	}
-	seq, err := e.Path.AppendSequence(d.seqBuf[:0])
-	if err != nil {
-		e.PathUnusable = true
-		return
-	}
-	d.seqBuf = seq
-	e.InternedPath = d.intern.Intern(seq)
-}
-
 // emit queues an element and does the per-element accounting.
 func (d *sourceDecoder) emit(e Elem) {
 	d.elems = append(d.elems, e)
@@ -772,8 +743,8 @@ func (d *sourceDecoder) decode(rec mrt.Record) {
 			}
 			d.peers = pit.Peers
 		case rec.IsRIB():
-			rib, err := mrt.ParseRIB(rec.Subtype, rec.Body)
-			if err != nil {
+			rib := &d.rib
+			if err := mrt.ParseRIBInto(rib, rec.Subtype, rec.Body); err != nil {
 				d.warn(0, rec.Subtype, WarnRIBRecord, fmt.Sprintf("RIB record: %v", err))
 				return
 			}
@@ -783,28 +754,32 @@ func (d *sourceDecoder) decode(rec mrt.Record) {
 			}
 			d.ribSeqNext, d.ribSeqValid = rib.Sequence+1, true
 			d.msgCount++
+			// RIB attribute blocks always use 4-octet ASNs (RFC 6396
+			// §4.3.4); ADD-PATH follows the record subtype.
+			opt := bgp.Options{AS4: true, AddPath: rib.AddPath}
 			for _, entry := range rib.Entries {
 				if int(entry.PeerIndex) >= len(d.peers) {
 					d.warn(0, rec.Subtype, WarnPeerIndexRange, fmt.Sprintf("peer index %d out of range", entry.PeerIndex))
 					continue
 				}
 				peer := d.peers[entry.PeerIndex]
-				// RIB attribute blocks always use 4-octet ASNs (RFC 6396
-				// §4.3.4); ADD-PATH follows the record subtype.
-				attrs, err := bgp.AppendAttributes(d.ribAttrs[:0], entry.Attrs,
-					bgp.Options{AS4: true, AddPath: rib.AddPath, Cache: d.attrCache})
-				if err != nil {
-					d.warn(peer.ASN, rec.Subtype, WarnRIBAttrs, fmt.Sprintf("RIB attributes: %v", err))
-					continue
+				m := d.memo.get(entry.Attrs, opt, true)
+				if m == nil {
+					attrs, err := bgp.AppendAttributes(d.attrs[:0], entry.Attrs, opt)
+					if err != nil {
+						d.warn(peer.ASN, rec.Subtype, WarnRIBAttrs, fmt.Sprintf("RIB attributes: %v", err))
+						continue
+					}
+					d.attrs = attrs[:0]
+					m = d.memo.put(entry.Attrs, opt, true)
+					d.derive(m, attrs)
 				}
-				d.ribAttrs = attrs[:0]
 				e := Elem{
 					Type: ElemRIB, Timestamp: rec.Timestamp, Collector: d.collector,
 					PeerAddr: peer.Addr, PeerASN: peer.ASN, Prefix: rib.Prefix,
 					PathID: entry.PathID, MsgIndex: d.msgCount,
 				}
-				applyAttrs(&e, attrs)
-				d.internPath(&e)
+				m.stamp(&e)
 				d.emit(e)
 			}
 		default:
@@ -852,22 +827,31 @@ func (d *sourceDecoder) decodeUpdate(rec mrt.Record, msg *mrt.Message) {
 		// Keepalives etc. are legal in archives; ignore silently.
 		return
 	}
-	opt := d.src.Options
-	opt.AS4 = msg.AS4
-	opt.AddPath = msg.AddPath
-	opt.Cache = d.attrCache
+	opt := bgp.Options{AS4: msg.AS4, AddPath: msg.AddPath}
 	u := &d.upd
-	if err := bgp.ParseUpdateInto(u, msg.Data, opt); err != nil {
+	// Only a memo miss parses the attribute block. It is memoized, and
+	// its path interned, once the message turns out to announce, unless
+	// it carries MP_REACH/MP_UNREACH, whose NLRI differ per message.
+	var m *memoEntry
+	var block []byte
+	err = bgp.ParseUpdateWith(u, msg.Data, opt, func(b []byte) (err error) {
+		if m = d.memo.get(b, opt, false); m == nil {
+			block = b
+			u.Attrs, err = bgp.AppendAttributes(u.Attrs[:0], b, opt)
+		}
+		return err
+	})
+	if err != nil {
 		d.warn(msg.PeerAS, rec.Subtype, WarnUpdateParse, fmt.Sprintf("UPDATE parse: %v", err))
 		return
 	}
 	// MP_REACH/MP_UNREACH NLRI are folded in without copying.
 	var mpAnn, mpWdr []bgp.NLRI
-	if m, ok := u.Attr(bgp.AttrTypeMPReach).(bgp.MPReach); ok && m.SAFI == bgp.SAFIUnicast {
-		mpAnn = m.NLRI
+	if r, ok := u.Attr(bgp.AttrTypeMPReach).(bgp.MPReach); ok && r.SAFI == bgp.SAFIUnicast {
+		mpAnn = r.NLRI
 	}
-	if m, ok := u.Attr(bgp.AttrTypeMPUnreach).(bgp.MPUnreach); ok && m.SAFI == bgp.SAFIUnicast {
-		mpWdr = m.NLRI
+	if w, ok := u.Attr(bgp.AttrTypeMPUnreach).(bgp.MPUnreach); ok && w.SAFI == bgp.SAFIUnicast {
+		mpWdr = w.NLRI
 	}
 	// ADD-PATH mismatch signature: reading ADD-PATH NLRI as plain NLRI
 	// turns the 4-byte path identifiers into phantom default routes.
@@ -885,13 +869,14 @@ func (d *sourceDecoder) decodeUpdate(rec mrt.Record, msg *mrt.Message) {
 	ann := wdr
 	ann.Type = ElemAnnounce
 	if len(u.Announced)+len(mpAnn) > 0 {
-		if p, ok := u.ASPathAttr(); ok {
-			ann.Path = p
+		if m == nil {
+			m, d.mp = &d.mp, memoEntry{}
+			if u.Attr(bgp.AttrTypeMPReach) == nil && u.Attr(bgp.AttrTypeMPUnreach) == nil {
+				m = d.memo.put(block, opt, false)
+			}
+			d.derive(m, u.Attrs)
 		}
-		if c, ok := u.Attr(bgp.AttrTypeCommunities).(bgp.Communities); ok {
-			ann.Communities = c
-		}
-		d.internPath(&ann)
+		m.stamp(&ann)
 	}
 	emitAll := func(base Elem, nlri []bgp.NLRI) {
 		for _, n := range nlri {
@@ -918,27 +903,106 @@ func zeroLen(nlri []bgp.NLRI) int {
 	return n
 }
 
-func applyAttrs(e *Elem, attrs []bgp.Attr) {
-	var path, path4 aspath.Path
-	var have4 bool
-	for _, a := range attrs {
-		switch v := a.(type) {
-		case bgp.ASPath:
-			path = v.Path
-		case bgp.AS4Path:
-			path4, have4 = v.Path, true
-		case bgp.Communities:
-			e.Communities = v
+// derive fills a fresh memo entry from a decoded attribute block: the
+// AS path, communities and, when the stream interns, the path's ID.
+func (d *sourceDecoder) derive(m *memoEntry, attrs []bgp.Attr) {
+	u := bgp.Update{Attrs: attrs}
+	m.path, _ = u.ASPathAttr()
+	m.comms, _ = u.Attr(bgp.AttrTypeCommunities).(bgp.Communities)
+	if d.intern == nil {
+		return
+	}
+	seq, err := m.path.AppendSequence(d.seqBuf[:0])
+	if err != nil {
+		m.unusable = true
+		return
+	}
+	d.seqBuf = seq
+	m.id = d.intern.Intern(seq)
+}
+
+// Memo slots start at memoMinSlots and double at 1/2 load up to
+// memoMaxSlots, so a one-record stream stays small. A full memo starts
+// over empty, so a daemon session's memo stays bounded.
+const (
+	memoMinSlots = 64
+	memoMaxSlots = 1 << 18
+)
+
+// blockMemo maps a raw attribute block, keyed also by the AS4 and
+// ADD-PATH options it was decoded under and by whether it came from a
+// RIB entry (whose MP_REACH carries no NLRI the element needs), to what
+// every element decoded from it shares: a linearly probed table of
+// entries that copy their keys. A block that fails to parse is never
+// stored, so each record carrying it warns. Entries are shared,
+// read-only views; an evicted one is dropped, never reused.
+type blockMemo struct {
+	slots []*memoEntry
+	n     int
+}
+
+// memoEntry is one memoized attribute block.
+type memoEntry struct {
+	key      string
+	hash     uint64
+	opt      bgp.Options
+	rib      bool
+	path     aspath.Path
+	comms    []uint32
+	id       aspath.ID
+	unusable bool
+}
+
+// stamp copies the entry's shared fields onto an element.
+func (m *memoEntry) stamp(e *Elem) {
+	e.Path, e.Communities = m.path, m.comms
+	e.InternedPath, e.PathUnusable = m.id, m.unusable
+}
+
+// memoSeed keys every memo's hash.
+var memoSeed = maphash.MakeSeed()
+
+// get returns the entry for block, or nil. The first call allocates the
+// memo.
+func (t *blockMemo) get(block []byte, opt bgp.Options, rib bool) *memoEntry {
+	if t.slots == nil {
+		t.slots = make([]*memoEntry, memoMinSlots)
+	}
+	h := maphash.Bytes(memoSeed, block)
+	for i := h; ; i++ {
+		m := t.slots[i&uint64(len(t.slots)-1)]
+		if m == nil || m.hash == h && m.opt == opt && m.rib == rib && m.key == string(block) {
+			return m
 		}
 	}
-	if have4 {
-		u := bgp.Update{Attrs: []bgp.Attr{bgp.ASPath{Path: path}, bgp.AS4Path{Path: path4}}}
-		if p, ok := u.ASPathAttr(); ok {
-			path = p
+}
+
+// put stores a new entry for block (which get just missed) and returns
+// it for the caller to fill.
+func (t *blockMemo) put(block []byte, opt bgp.Options, rib bool) *memoEntry {
+	m := &memoEntry{key: string(block), hash: maphash.Bytes(memoSeed, block), opt: opt, rib: rib}
+	if 2*(t.n+1) > len(t.slots) {
+		old := t.slots
+		if len(old) == memoMaxSlots {
+			old = nil // full: start over empty
+		}
+		t.slots, t.n = make([]*memoEntry, min(2*len(t.slots), memoMaxSlots)), 0
+		for _, o := range old {
+			if o != nil {
+				t.place(o)
+			}
 		}
 	}
-	// The attrs handed in are cache-owned (content-memoized, immutable,
-	// stream-lifetime) — storing their views in the batch Elem is the
-	// documented NextBatch window, not an escape.
-	e.Path = path
+	t.place(m)
+	return m
+}
+
+// place puts m in the first free slot from its home on.
+func (t *blockMemo) place(m *memoEntry) {
+	i := m.hash
+	for t.slots[i&uint64(len(t.slots)-1)] != nil {
+		i++
+	}
+	t.slots[i&uint64(len(t.slots)-1)] = m
+	t.n++
 }

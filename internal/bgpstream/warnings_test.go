@@ -14,7 +14,7 @@ import (
 )
 
 // writeRecord appends one MRT record to buf, failing the test on error.
-func writeRecord(t *testing.T, buf *bytes.Buffer, rec mrt.Record) {
+func writeRecord(t testing.TB, buf *bytes.Buffer, rec mrt.Record) {
 	t.Helper()
 	w := mrt.NewWriter(buf)
 	if err := w.WriteRecord(rec); err != nil {
@@ -26,7 +26,7 @@ func writeRecord(t *testing.T, buf *bytes.Buffer, rec mrt.Record) {
 }
 
 // marshalPIT builds a peer index table body with n peers.
-func marshalPIT(t *testing.T, n int) []byte {
+func marshalPIT(t testing.TB, n int) []byte {
 	t.Helper()
 	pit := &mrt.PeerIndexTable{CollectorID: netip.MustParseAddr("198.51.100.1")}
 	for i := 0; i < n; i++ {

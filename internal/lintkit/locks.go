@@ -8,8 +8,9 @@ import (
 
 // Locks enforces lock pairing everywhere: every Lock/RLock call must
 // have a matching Unlock/RUnlock on the same receiver within the
-// function, and a non-deferred unlock must not have a return between
-// the lock and the unlock. By-value copies of lock-bearing types are go
+// function, and no return may sit between the lock and its first
+// unlock, deferred or not: a defer placed after an early return leaves
+// that return holding the lock. By-value copies of lock-bearing types are go
 // vet's copylocks check, which verify.sh runs beside atomlint.
 //
 // Cross-function lock handoffs are rare and deliberate — suppress those
@@ -109,20 +110,14 @@ func checkLockPairing(pass *Pass, fd *ast.FuncDecl) {
 			pass.Reportf(l.pos, "%s.%s is only unlocked before it is taken", l.recv, kind)
 			continue
 		}
-		// A deferred unlock covers every return path. Otherwise no return
-		// may sit between the lock and its first subsequent unlock.
-		deferred := false
+		// No return may sit between the lock and the first unlock after
+		// it. A deferred unlock covers only the returns that follow the
+		// defer statement; one deferred before the lock covers them all.
 		first := token.Pos(-1)
 		for _, u := range after {
-			if u.deferred {
-				deferred = true
+			if p := max(u.pos, l.pos); first == -1 || p < first {
+				first = p
 			}
-			if !u.deferred && (first == -1 || u.pos < first) {
-				first = u.pos
-			}
-		}
-		if deferred {
-			continue
 		}
 		for _, r := range returns {
 			if r > l.pos && r < first {

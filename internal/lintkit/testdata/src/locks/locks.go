@@ -35,6 +35,16 @@ func lockDeferOK(s *S) {
 	s.n++
 }
 
+func lockDeferAfterReturn(s *S, c bool) int {
+	s.mu.Lock()
+	if c {
+		return 1 // want "leaves the lock held"
+	}
+	defer s.mu.Unlock()
+	s.n++
+	return 0
+}
+
 // R pairs a read-write mutex with the map it guards.
 type R struct {
 	mu sync.RWMutex
@@ -58,4 +68,4 @@ func (r *R) readEarlyReturn(k string, skip bool) int {
 	return v
 }
 
-var _ = []any{lockNoUnlock, lockReturnBetween, unlockBeforeLock, lockDeferOK, (*R).readOK, (*R).readEarlyReturn}
+var _ = []any{lockNoUnlock, lockReturnBetween, unlockBeforeLock, lockDeferOK, lockDeferAfterReturn, (*R).readOK, (*R).readEarlyReturn}

@@ -150,11 +150,13 @@ func NewReader(r io.Reader) *Reader {
 }
 
 // SetReuseBuffer makes Next decode every record body into one reused
-// buffer: each returned Record.Body is only valid until the following
-// Next call. Streaming consumers that fully process (or copy out of)
-// each record before advancing read the whole archive with near-zero
-// per-record allocations. Off by default — ReadAll and other callers
-// that retain records need per-record bodies.
+// buffer: each returned Record.Body, and every view parsed from it
+// (ParseMessageInto's Data, ParseRIBInto's entry Attrs), is only valid
+// until the following Next call. Streaming consumers that fully process
+// (or copy out of) each record before advancing read the whole archive
+// with near-zero per-record allocations; bgpstream's attribute-block
+// memo copies the blocks it keeps. Off by default — ReadAll and other
+// callers that retain records need per-record bodies.
 func (r *Reader) SetReuseBuffer(on bool) { r.reuse = on }
 
 // Next returns the next record, or io.EOF at a clean end of stream. A

@@ -126,7 +126,7 @@ type RIBEntry struct {
 	PeerIndex  uint16
 	Originated uint32
 	PathID     uint32 // ADD-PATH subtypes only
-	Attrs      []byte // raw path-attribute block (bgp.AppendAttributes decodes)
+	Attrs      []byte // raw path-attribute block, aliasing the record body (bgp.AppendAttributes decodes)
 }
 
 // RIB is a TABLE_DUMP_V2 RIB record: every peer's route for one prefix.
@@ -194,9 +194,23 @@ func (r *RIB) AppendTo(dst []byte) ([]byte, error) {
 	return out, nil
 }
 
-// ParseRIB decodes a RIB record body. The subtype selects the family and
-// ADD-PATH mode.
+// ParseRIB decodes a RIB record body into a new RIB. The subtype
+// selects the family and ADD-PATH mode. Entry attribute blocks alias b,
+// as ParseRIBInto documents.
 func ParseRIB(subtype uint16, b []byte) (*RIB, error) {
+	r := new(RIB)
+	if err := ParseRIBInto(r, subtype, b); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// ParseRIBInto decodes a RIB record body into r, reusing the capacity of
+// r.Entries, so a caller looping over records decodes without
+// per-record allocations. Each entry's Attrs is a capacity-capped
+// sub-slice of b, valid for as long as b is. On error r is left in an
+// undefined state.
+func ParseRIBInto(r *RIB, subtype uint16, b []byte) error {
 	var v6, addPath bool
 	switch subtype {
 	case SubRIBIPv4Unicast, SubRIBIPv4Multicast:
@@ -207,45 +221,43 @@ func ParseRIB(subtype uint16, b []byte) (*RIB, error) {
 	case SubRIBIPv6UnicastAP, SubRIBIPv6MulticastAP:
 		v6, addPath = true, true
 	default:
-		return nil, fmt.Errorf("%w: TABLE_DUMP_V2 subtype %d", ErrUnsupported, subtype)
+		return fmt.Errorf("%w: TABLE_DUMP_V2 subtype %d", ErrUnsupported, subtype)
 	}
 	if len(b) < 5 {
-		return nil, fmt.Errorf("%w: RIB header", ErrTruncated)
+		return fmt.Errorf("%w: RIB header", ErrTruncated)
 	}
-	r := &RIB{Sequence: binary.BigEndian.Uint32(b[:4]), AddPath: addPath}
+	r.Sequence, r.AddPath = binary.BigEndian.Uint32(b[:4]), addPath
 	bits := int(b[4])
 	b = b[5:]
-	maxBits, addrLen := 32, 4
+	maxBits := 32
 	if v6 {
-		maxBits, addrLen = 128, 16
+		maxBits = 128
 	}
 	if bits > maxBits {
-		return nil, fmt.Errorf("%w: prefix length %d", ErrBadRecord, bits)
+		return fmt.Errorf("%w: prefix length %d", ErrBadRecord, bits)
 	}
 	nbytes := (bits + 7) / 8
 	if len(b) < nbytes+2 {
-		return nil, fmt.Errorf("%w: RIB prefix", ErrTruncated)
+		return fmt.Errorf("%w: RIB prefix", ErrTruncated)
 	}
-	buf := make([]byte, addrLen)
-	copy(buf, b[:nbytes])
-	var addr netip.Addr
-	if v6 {
-		addr = netip.AddrFrom16([16]byte(buf))
-	} else {
-		addr = netip.AddrFrom4([4]byte(buf))
+	var buf [16]byte
+	copy(buf[:], b[:nbytes])
+	addr := netip.AddrFrom16(buf)
+	if !v6 {
+		addr = netip.AddrFrom4([4]byte(buf[:4]))
 	}
 	r.Prefix = netip.PrefixFrom(addr, bits)
 	b = b[nbytes:]
 	count := int(binary.BigEndian.Uint16(b[:2]))
 	b = b[2:]
-	r.Entries = make([]RIBEntry, 0, count)
+	r.Entries = r.Entries[:0]
 	for i := 0; i < count; i++ {
 		need := 8
 		if addPath {
 			need += 4
 		}
 		if len(b) < need {
-			return nil, fmt.Errorf("%w: RIB entry %d", ErrTruncated, i)
+			return fmt.Errorf("%w: RIB entry %d", ErrTruncated, i)
 		}
 		e := RIBEntry{
 			PeerIndex:  binary.BigEndian.Uint16(b[:2]),
@@ -259,14 +271,14 @@ func ParseRIB(subtype uint16, b []byte) (*RIB, error) {
 		alen := int(binary.BigEndian.Uint16(b[:2]))
 		b = b[2:]
 		if len(b) < alen {
-			return nil, fmt.Errorf("%w: RIB entry %d attributes", ErrTruncated, i)
+			return fmt.Errorf("%w: RIB entry %d attributes", ErrTruncated, i)
 		}
-		e.Attrs = append([]byte(nil), b[:alen]...)
+		e.Attrs = b[:alen:alen]
 		b = b[alen:]
 		r.Entries = append(r.Entries, e)
 	}
 	if len(b) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes after RIB entries", ErrBadRecord, len(b))
+		return fmt.Errorf("%w: %d trailing bytes after RIB entries", ErrBadRecord, len(b))
 	}
-	return r, nil
+	return nil
 }

@@ -163,10 +163,11 @@ check_coverage internal/obs 85
 check_coverage internal/lintkit 85
 check_coverage internal/atomd 85
 
-echo "== fuzz smoke (5s per wire codec + reader resync loop)"
+echo "== fuzz smoke (5s per wire codec + reader resync loop + stream memo)"
 fuzz_run FuzzParseMessage ./internal/mrt/
 fuzz_run FuzzReadRecord ./internal/mrt/
 fuzz_run FuzzParseUpdate ./internal/bgp/
+fuzz_run FuzzStreamDecode ./internal/bgpstream/
 fuzz_run FuzzIngestFrame ./internal/atomd/
 
 echo "== bench smoke (-benchtime=1x: bench code must compile and run)"
