@@ -259,10 +259,3 @@ func sameAtoms(a, b *core.AtomSet) bool {
 	}
 	return true
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -88,25 +88,17 @@ func main() {
 	rsp.End()
 
 	usp := o.Root.Child("build_updates")
-	ucfg := collector.UpdateConfig{
-		Model:           r.Model,
-		FromT:           longitudinal.OffsetBase,
-		ToT:             longitudinal.OffsetBase + *hours/24,
-		BaseTime:        ts,
-		FullMessageProb: cfg.FullMessageProb.At(era),
-		FlapRate:        cfg.FlapRate.At(era),
-	}
-	updates := collector.BuildUpdates(r.Graph, r.Infra, ucfg)
+	updates := r.UpdateSources(longitudinal.OffsetBase, longitudinal.OffsetBase+*hours/24)
 	updateBytes := 0
-	for name, data := range updates {
-		path := filepath.Join(*out, name+".updates.mrt")
-		if err := os.WriteFile(path, data, 0o644); err != nil {
+	for _, src := range updates {
+		path := filepath.Join(*out, src.Collector+".updates.mrt")
+		if err := os.WriteFile(path, src.Data, 0o644); err != nil {
 			cli.Fatal(tool, err)
 		}
-		archives[name+".updates.mrt"] = data
-		total += len(data)
-		updateBytes += len(data)
-		fmt.Printf("wrote %s (%d bytes)\n", path, len(data))
+		archives[src.Collector+".updates.mrt"] = src.Data
+		total += len(src.Data)
+		updateBytes += len(src.Data)
+		fmt.Printf("wrote %s (%d bytes)\n", path, len(src.Data))
 	}
 	usp.SetAttr("archives", len(updates))
 	usp.SetAttr("bytes", updateBytes)

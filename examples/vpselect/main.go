@@ -2,7 +2,7 @@
 // observations (the paper's §4.4.1 and §7.1). Most atom splits are
 // visible at very few VPs; tracking which VP keeps "breaking" atoms
 // identifies feeds whose local policy churn would otherwise masquerade
-// as network-wide events.
+// as network-wide events. The ranking is internal/vptrust's.
 //
 //	go run ./examples/vpselect
 package main
@@ -10,12 +10,12 @@ package main
 import (
 	"fmt"
 	"os"
-	"sort"
+	"strings"
 
-	"repro/internal/core"
 	"repro/internal/longitudinal"
 	"repro/internal/textplot"
 	"repro/internal/topology"
+	"repro/internal/vptrust"
 )
 
 func main() {
@@ -36,44 +36,24 @@ func main() {
 	}
 	fmt.Println("(paper: ~60% of events visible to one VP, ~80% to at most three)")
 
-	// Rank VPs by how many single-observer splits they alone reported.
-	blame := map[core.VP]int{}
-	total := 0
-	for _, d := range study.Days {
-		blame[d.TopVP] += d.TopVPEvents
-		blame[d.SecondVP] += d.SecondVPEvents
-		total += d.SingleObserver
-	}
-	delete(blame, core.VP{})
-	type kv struct {
-		vp core.VP
-		n  int
-	}
-	var ranked []kv
-	for vp, n := range blame {
-		ranked = append(ranked, kv{vp, n})
-	}
-	sort.Slice(ranked, func(i, j int) bool { return ranked[i].n > ranked[j].n })
-
+	// Rank VPs by how many split events each one alone observed (§7.1).
+	rep := vptrust.Analyze(study.Events)
 	tbl := &textplot.Table{Title: "\nVPs ranked by single-observer split events",
 		Headers: []string{"vantage point", "events", "share of single-VP splits"}}
-	for i, e := range ranked {
-		if i == 5 {
-			break
-		}
-		tbl.AddRow(e.vp.String(), fmt.Sprint(e.n), textplot.Percent(float64(e.n)/float64(max(1, total))))
+	for _, s := range rep.Scores[:min(5, len(rep.Scores))] {
+		tbl.AddRow(s.VP.String(), fmt.Sprint(s.SoloSplits),
+			textplot.Percent(float64(s.SoloSplits)/float64(max(1, rep.SoloEvents))))
 	}
 	tbl.Render(os.Stdout)
-	if len(ranked) > 0 && total > 0 {
-		fmt.Printf("\nrecommendation: for global routing-policy studies, exclude %v —\n", ranked[0].vp)
-		fmt.Println("its local policy churn dominates the split signal; for coverage-maximizing")
+	if bad := rep.Unreliable(3); len(bad) > 0 {
+		vps := make([]string, len(bad))
+		for i, s := range bad {
+			vps[i] = s.VP.String()
+		}
+		fmt.Printf("\nrecommendation: for global routing-policy studies, exclude the %d VPs whose\n", len(bad))
+		fmt.Println("solo splits exceed 3x the median (vptrust.Unreliable) —")
+		fmt.Printf("  %s\n", strings.Join(vps, ", "))
+		fmt.Println("their local policy churn dominates the split signal; for coverage-maximizing")
 		fmt.Println("uses (probing per atom instead of per prefix), keep every VP.")
 	}
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

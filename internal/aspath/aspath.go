@@ -278,22 +278,6 @@ func (s Seq) StripPrepending() Seq {
 	return out
 }
 
-// UniqueLen returns the number of ASes in the sequence after collapsing
-// consecutive duplicates — the hop count used by formation-distance
-// method (iii).
-func (s Seq) UniqueLen() int {
-	if len(s) == 0 {
-		return 0
-	}
-	n := 1
-	for i := 1; i < len(s); i++ {
-		if s[i] != s[i-1] {
-			n++
-		}
-	}
-	return n
-}
-
 // HasLoop reports whether any AS appears in two non-adjacent runs — a
 // routing loop (prepending runs do not count as loops). Quadratic in
 // the number of runs, which beats a hash set at real AS-path lengths
@@ -323,8 +307,8 @@ const (
 	privateASN32Hi = 4294967294
 )
 
-// IsPrivateASN reports whether asn falls in an RFC 6996 private range.
-func IsPrivateASN(asn uint32) bool {
+// isPrivateASN reports whether asn falls in an RFC 6996 private range.
+func isPrivateASN(asn uint32) bool {
 	return (asn >= privateASN16Lo && asn <= privateASN16Hi) ||
 		(asn >= privateASN32Lo && asn <= privateASN32Hi)
 }
@@ -334,7 +318,7 @@ func IsPrivateASN(asn uint32) bool {
 // appearing in the paths of numerous prefixes, §A8.3.2).
 func (s Seq) HasPrivateASN() bool {
 	for _, a := range s {
-		if IsPrivateASN(a) {
+		if isPrivateASN(a) {
 			return true
 		}
 	}

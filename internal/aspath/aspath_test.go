@@ -221,14 +221,14 @@ func TestPrepending(t *testing.T) {
 	if &plain[0] != &plain.StripPrepending()[0] {
 		t.Error("no-op strip allocated")
 	}
-	if got := pre.UniqueLen(); got != 3 {
-		t.Errorf("UniqueLen = %d", got)
+	if got := pre.uniqueLen(); got != 3 {
+		t.Errorf("uniqueLen = %d", got)
 	}
-	if got := seq().UniqueLen(); got != 0 {
-		t.Errorf("empty UniqueLen = %d", got)
+	if got := seq().uniqueLen(); got != 0 {
+		t.Errorf("empty uniqueLen = %d", got)
 	}
-	if got := seq(5).UniqueLen(); got != 1 {
-		t.Errorf("single UniqueLen = %d", got)
+	if got := seq(5).uniqueLen(); got != 1 {
+		t.Errorf("single uniqueLen = %d", got)
 	}
 }
 
@@ -246,12 +246,12 @@ func TestHasLoop(t *testing.T) {
 
 func TestPrivateReservedASN(t *testing.T) {
 	for _, asn := range []uint32{64512, 65000, 65534, 4200000000, 4294967294} {
-		if !IsPrivateASN(asn) {
+		if !isPrivateASN(asn) {
 			t.Errorf("ASN %d should be private", asn)
 		}
 	}
 	for _, asn := range []uint32{1, 64511, 65535, 23456, 4199999999, 4294967295} {
-		if IsPrivateASN(asn) {
+		if isPrivateASN(asn) {
 			t.Errorf("ASN %d should not be private", asn)
 		}
 	}
@@ -369,8 +369,8 @@ func TestSplitPropertyBased(t *testing.T) {
 			t.Fatalf("split bounds violated: unique=%d raw=%d for %v / %v", ru, rr, a, b)
 		}
 		// Unique split bounded by unique length of either path +1.
-		max := a.UniqueLen()
-		if bl := b.UniqueLen(); bl > max {
+		max := a.uniqueLen()
+		if bl := b.uniqueLen(); bl > max {
 			max = bl
 		}
 		if ru > max+1 {
@@ -403,8 +403,8 @@ func TestStripPrependingQuick(t *testing.T) {
 		if !st.StripPrepending().Equal(st) {
 			return false
 		}
-		// Length matches UniqueLen.
-		return len(st) == s.UniqueLen()
+		// Length matches uniqueLen.
+		return len(st) == s.uniqueLen()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
@@ -436,15 +436,6 @@ func TestTableIntern(t *testing.T) {
 	}
 	if got := tbl.Seq(ID(999)); got != nil {
 		t.Errorf("Seq(unknown) = %v", got)
-	}
-	if id, ok := tbl.Lookup(seq(1, 2, 3)); !ok || id != a {
-		t.Errorf("Lookup = %d,%v", id, ok)
-	}
-	if _, ok := tbl.Lookup(seq(9, 9)); ok {
-		t.Error("Lookup of unknown succeeded")
-	}
-	if id, ok := tbl.Lookup(nil); !ok || id != Empty {
-		t.Errorf("Lookup(nil) = %d,%v", id, ok)
 	}
 	if o, ok := tbl.Origin(a); !ok || o != 3 {
 		t.Errorf("Origin(a) = %d,%v", o, ok)
@@ -657,33 +648,6 @@ func TestInternHitPathAllocs(t *testing.T) {
 	}
 }
 
-// TestLookupAllocs holds Lookup to the same zero-allocation bar.
-func TestLookupAllocs(t *testing.T) {
-	tbl := NewTable()
-	long := make(Seq, 32)
-	for i := range long {
-		long[i] = uint32(64512 + i)
-	}
-	for _, s := range []Seq{{3356, 1299, 65001}, long} {
-		tbl.Intern(s)
-		if got := testing.AllocsPerRun(1000, func() {
-			if _, ok := tbl.Lookup(s); !ok {
-				t.Fatal("lookup missed")
-			}
-		}); got != 0 {
-			t.Errorf("Lookup allocs/op = %v for %d hops, want 0", got, len(s))
-		}
-	}
-	missing := Seq{9999, 8888}
-	if got := testing.AllocsPerRun(1000, func() {
-		if _, ok := tbl.Lookup(missing); ok {
-			t.Fatal("lookup hit")
-		}
-	}); got != 0 {
-		t.Errorf("Lookup(miss) allocs/op = %v, want 0", got)
-	}
-}
-
 // BenchmarkInternHit measures the warmed interning fast path.
 func BenchmarkInternHit(b *testing.B) {
 	tbl := NewTable()
@@ -696,4 +660,20 @@ func BenchmarkInternHit(b *testing.B) {
 			b.Fatal("unexpected Empty")
 		}
 	}
+}
+
+// uniqueLen returns the number of ASes in the sequence after collapsing
+// consecutive duplicates: the property tests' oracle for the hop count
+// of formation-distance method (iii).
+func (s Seq) uniqueLen() int {
+	if len(s) == 0 {
+		return 0
+	}
+	n := 1
+	for i := 1; i < len(s); i++ {
+		if s[i] != s[i-1] {
+			n++
+		}
+	}
+	return n
 }

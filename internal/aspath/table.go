@@ -178,20 +178,6 @@ func (t *Table) store(seq Seq) Seq {
 	return t.arena[off : off+n : off+n]
 }
 
-// Lookup returns the ID for seq without interning, and false if the
-// sequence has not been interned. Allocation-free like Intern's hit
-// path.
-func (t *Table) Lookup(seq Seq) (ID, bool) {
-	if len(seq) == 0 {
-		return Empty, true
-	}
-	sh, tag := t.locate(seq)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	id, _ := t.find(sh, seq, tag)
-	return id, id != Empty
-}
-
 // Seq returns the sequence for id. The returned slice is owned by the
 // table and must not be mutated. Seq(Empty) returns nil. Lock-free.
 func (t *Table) Seq(id ID) Seq {

@@ -39,10 +39,10 @@ func Usage(line string) {
 	os.Exit(2)
 }
 
-// CollectorName derives the collector name from an archive path:
+// collectorName derives the collector name from an archive path:
 // everything before the first dot of the base name ("rrc00.rib.mrt" →
 // "rrc00").
-func CollectorName(path string) string {
+func collectorName(path string) string {
 	name := filepath.Base(path)
 	if i := strings.IndexByte(name, '.'); i > 0 {
 		name = name[:i]
@@ -60,7 +60,7 @@ func LoadSources(tool string, paths []string) []bgpstream.Source {
 		if err != nil {
 			Fatal(tool, err)
 		}
-		out = append(out, bgpstream.BytesSource(CollectorName(p), data, bgp.Options{}))
+		out = append(out, bgpstream.BytesSource(collectorName(p), data, bgp.Options{}))
 	}
 	return out
 }

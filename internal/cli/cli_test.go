@@ -20,8 +20,8 @@ func TestCollectorName(t *testing.T) {
 		".hidden":                      ".hidden", // no name before the dot: keep as-is
 	}
 	for in, want := range cases {
-		if got := CollectorName(in); got != want {
-			t.Errorf("CollectorName(%q) = %q, want %q", in, got, want)
+		if got := collectorName(in); got != want {
+			t.Errorf("collectorName(%q) = %q, want %q", in, got, want)
 		}
 	}
 }

@@ -147,13 +147,6 @@ func TestBuildRIBsRoundTrip(t *testing.T) {
 	}
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 func TestBuildRIBsArtifacts(t *testing.T) {
 	g := testGraph(t, topology.EraOf(2022, 1))
 	in := BuildInfra(g, Config{Seed: 5, Artifacts: true})

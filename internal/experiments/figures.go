@@ -28,13 +28,6 @@ func formationCurves(w io.Writer, title string, f *metrics.FormationResult) {
 	tbl.Render(w)
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // Fig1 compares formation-distance methods (iii) and (ii) on the 2002
 // reproduction snapshot (paper Fig 1).
 func Fig1(cfg longitudinal.Config, w io.Writer) error {

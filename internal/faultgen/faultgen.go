@@ -85,8 +85,8 @@ func (c Class) String() string {
 	return fmt.Sprintf("class-%d", uint8(c))
 }
 
-// ParseClass resolves a class name (as printed by String).
-func ParseClass(s string) (Class, error) {
+// parseClass resolves a class name (as printed by String).
+func parseClass(s string) (Class, error) {
 	for c, n := range classNames {
 		if n != "" && n == s {
 			return Class(c), nil
@@ -103,7 +103,7 @@ func ParseClasses(s string) ([]Class, error) {
 	}
 	var out []Class
 	for _, part := range strings.Split(s, ",") {
-		c, err := ParseClass(strings.TrimSpace(part))
+		c, err := parseClass(strings.TrimSpace(part))
 		if err != nil {
 			return nil, err
 		}
@@ -444,18 +444,4 @@ func eligible(recs []recSpan, ok func(recSpan) bool) []int {
 		}
 	}
 	return out
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -233,7 +233,7 @@ func TestParseClasses(t *testing.T) {
 		t.Fatal("unknown class accepted")
 	}
 	for _, c := range AllClasses() {
-		back, err := ParseClass(c.String())
+		back, err := parseClass(c.String())
 		if err != nil || back != c {
 			t.Fatalf("round trip %s failed: %v %v", c, back, err)
 		}

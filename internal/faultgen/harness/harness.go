@@ -243,9 +243,9 @@ type Result struct {
 	Classes                  []ClassOutcome
 }
 
-// Problems flattens every per-class problem; empty means the invariant
+// problems flattens every per-class problem; empty means the invariant
 // held for all classes.
-func (r *Result) Problems() []string {
+func (r *Result) problems() []string {
 	var out []string
 	for _, c := range r.Classes {
 		for _, p := range c.Problems {
@@ -278,7 +278,7 @@ func (r *Result) Marshal() []byte {
 			fmt.Fprintf(&b, "  PROBLEM %s\n", p)
 		}
 	}
-	fmt.Fprintf(&b, "problems %d\n", len(r.Problems()))
+	fmt.Fprintf(&b, "problems %d\n", len(r.problems()))
 	return []byte(b.String())
 }
 

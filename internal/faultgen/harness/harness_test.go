@@ -20,7 +20,7 @@ func TestHarnessInvariantAllClasses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if problems := res.Problems(); len(problems) != 0 {
+	if problems := res.problems(); len(problems) != 0 {
 		t.Fatalf("invariant violated:\n%s\n\nfull report:\n%s",
 			strings.Join(problems, "\n"), res.Marshal())
 	}
@@ -81,9 +81,9 @@ func TestHarnessDifferentSeedDifferentSchedule(t *testing.T) {
 	if bytes.Equal(a.Marshal(), b.Marshal()) {
 		t.Error("seeds 17 and 18 produced identical reports")
 	}
-	if len(a.Problems())+len(b.Problems()) != 0 {
+	if len(a.problems())+len(b.problems()) != 0 {
 		t.Errorf("invariant violated at alternate seed:\n%s\n%s",
-			strings.Join(a.Problems(), "\n"), strings.Join(b.Problems(), "\n"))
+			strings.Join(a.problems(), "\n"), strings.Join(b.problems(), "\n"))
 	}
 }
 
@@ -101,7 +101,7 @@ func TestHarnessQuarantine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if problems := res.Problems(); len(problems) != 0 {
+	if problems := res.problems(); len(problems) != 0 {
 		t.Fatalf("invariant violated under quarantine pressure:\n%s\n\nreport:\n%s",
 			strings.Join(problems, "\n"), res.Marshal())
 	}

@@ -43,21 +43,6 @@ type Config struct {
 	// Sanitize overrides the cleaning options (zero value → Defaults
 	// with Config.Family applied).
 	Sanitize *sanitize.Options
-	// Churn rate curves (events/day at paper scale, era-interpolated).
-	UnitEventRate      topology.Curve
-	VPEventRate        topology.Curve
-	PrefixMobileShare  topology.Curve
-	PrefixBaseMoveRate topology.Curve
-	FlapRate           topology.Curve
-	TransitFlipShare   float64
-	// VPShiftShare is the per-event share of prefixes a VP re-routes.
-	VPShiftShare float64
-	// FullMessageProb is the atom-level update packing probability.
-	FullMessageProb topology.Curve
-	// RefreshRate is the per-signature attribute-refresh rate.
-	RefreshRate topology.Curve
-	// MaxK bounds the update-correlation size axis.
-	MaxK int
 	// Workers bounds the worker pools used throughout the pipeline:
 	// each era's window and snapshots within RunTrend, the four
 	// snapshot offsets within RunEra, daily snapshots within RunSplits,
@@ -86,22 +71,39 @@ type Config struct {
 // DefaultConfig returns the calibrated configuration.
 func DefaultConfig(seed uint64) Config {
 	return Config{
+		Seed:      seed,
+		Scale:     0.02,
+		Family:    4,
+		Artifacts: true,
+		FastPath:  true,
+	}
+}
+
+// maxK bounds the update-correlation size axis.
+const maxK = 7
+
+// calibrated returns the era's churn model, seeded with seed, and the
+// update window's packing and flap rates: the simulator's calibration.
+// Rates are events/day at paper scale, interpolated across eras.
+func calibrated(seed uint64, era topology.Era) (routing.ChurnModel, collector.UpdateConfig) {
+	at := func(v2002, v2004, v2024 float64) float64 {
+		return topology.Curve{V2002: v2002, V2004: v2004, V2024: v2024}.At(era)
+	}
+	model := routing.ChurnModel{
 		Seed:               seed,
-		Scale:              0.02,
-		Family:             4,
-		Artifacts:          true,
-		FastPath:           true,
-		UnitEventRate:      topology.Curve{V2002: 0.05, V2004: 0.05, V2024: 0.30},
-		VPEventRate:        topology.Curve{V2002: 0.10, V2004: 0.10, V2024: 0.30},
-		PrefixMobileShare:  topology.Curve{V2002: 0.008, V2004: 0.010, V2024: 0.130},
-		PrefixBaseMoveRate: topology.Curve{V2002: 0.003, V2004: 0.004, V2024: 0.006},
-		FlapRate:           topology.Curve{V2002: 0.05, V2004: 0.05, V2024: 0.15},
+		UnitEventRate:      at(0.05, 0.05, 0.30),
+		VPEventRate:        at(0.10, 0.10, 0.30),
+		PrefixMobileShare:  at(0.008, 0.010, 0.130),
+		PrefixBaseMoveRate: at(0.003, 0.004, 0.006),
 		TransitFlipShare:   0.4,
 		VPShiftShare:       0.015,
-		FullMessageProb:    topology.Curve{V2002: 0.85, V2004: 0.84, V2024: 0.80},
-		RefreshRate:        topology.Curve{V2002: 2.0, V2004: 2.0, V2024: 3.0},
-		MaxK:               7,
+		RefreshRate:        at(2.0, 2.0, 3.0),
 	}
+	rates := collector.UpdateConfig{
+		FullMessageProb: at(0.85, 0.84, 0.80),
+		FlapRate:        at(0.05, 0.05, 0.15),
+	}
+	return model, rates
 }
 
 // Snapshot offsets within a quarter, in days relative to the first
@@ -122,7 +124,10 @@ type EraRun struct {
 	Infra *collector.Infra
 	Model routing.ChurnModel
 
-	vps []uint32
+	// rates carries the calibrated FullMessageProb and FlapRate of every
+	// update window the era builds.
+	rates collector.UpdateConfig
+	vps   []uint32
 	// warnings builds the abnormal-peer window's parse warnings once
 	// (updateWarnings); concurrent SnapshotAt callers share the result.
 	warnings func() ([]bgpstream.Warning, error)
@@ -140,9 +145,6 @@ type EraRun struct {
 func NewEraRun(cfg Config, era topology.Era) *EraRun {
 	if cfg.Family == 0 {
 		cfg.Family = 4
-	}
-	if cfg.MaxK == 0 {
-		cfg.MaxK = 7
 	}
 	sp := cfg.Trace.Child("era.generate")
 	sp.SetAttr("era", era.String())
@@ -165,18 +167,9 @@ func NewEraRun(cfg Config, era topology.Era) *EraRun {
 		ccfg.Artifacts = false
 	}
 	in := collector.BuildInfra(g, ccfg)
-	model := routing.ChurnModel{
-		Seed:               cfg.Seed + 2,
-		UnitEventRate:      cfg.UnitEventRate.At(era),
-		VPEventRate:        cfg.VPEventRate.At(era),
-		PrefixMobileShare:  cfg.PrefixMobileShare.At(era),
-		PrefixBaseMoveRate: cfg.PrefixBaseMoveRate.At(era),
-		TransitFlipShare:   cfg.TransitFlipShare,
-		VPShiftShare:       cfg.VPShiftShare,
-		RefreshRate:        cfg.RefreshRate.At(era),
-	}
-	run := &EraRun{Cfg: cfg, Era: era, Graph: g, Infra: in, Model: model, vps: in.FullFeedASNs(),
-		intern: aspath.NewTable()}
+	model, rates := calibrated(cfg.Seed+2, era)
+	run := &EraRun{Cfg: cfg, Era: era, Graph: g, Infra: in, Model: model, rates: rates,
+		vps: in.FullFeedASNs(), intern: aspath.NewTable()}
 	run.warnings = sync.OnceValues(run.updateWarnings)
 	sp.SetAttr("ases", g.NumASes())
 	sp.SetAttr("collectors", len(in.Collectors))
@@ -286,15 +279,11 @@ func (r *EraRun) UpdateSources(fromT, toT float64) []bgpstream.Source {
 // updateSources is UpdateSources scoped to peers (nil = every peer; see
 // collector.UpdateConfig.Peers), with the archives' total bytes.
 func (r *EraRun) updateSources(fromT, toT float64, peers map[uint32]bool) ([]bgpstream.Source, int) {
-	cfg := collector.UpdateConfig{
-		Model:           r.Model,
-		FromT:           fromT,
-		ToT:             toT,
-		BaseTime:        r.timestamp(fromT),
-		FullMessageProb: r.Cfg.FullMessageProb.At(r.Era),
-		FlapRate:        r.Cfg.FlapRate.At(r.Era),
-		Peers:           peers,
-	}
+	cfg := r.rates
+	cfg.Model = r.Model
+	cfg.FromT, cfg.ToT = fromT, toT
+	cfg.BaseTime = r.timestamp(fromT)
+	cfg.Peers = peers
 	return sortedSources(collector.BuildUpdates(r.Graph, r.Infra, cfg))
 }
 
@@ -440,7 +429,7 @@ func RunEra(cfg Config, era topology.Era) (*EraResult, error) {
 		case 3:
 			res.Stab1w = metrics.CompareStability(base, snaps[3], sp)
 		case 4:
-			res.Corr = metrics.CorrelateUpdates(base, records, cfg.MaxK, sp)
+			res.Corr = metrics.CorrelateUpdates(base, records, maxK, sp)
 		}
 		return nil
 	})
@@ -596,6 +585,9 @@ func shares(counts []int, total int) []float64 {
 type SplitStudy struct {
 	Days []metrics.DayBreakdown
 	CDF  metrics.ObserverCDF
+	// Events holds each day's metrics.DetectSplits output, in day order
+	// (the input of vptrust.Analyze).
+	Events [][]metrics.SplitEvent
 }
 
 // RunSplits processes days+2 daily snapshots starting at the era's
@@ -622,7 +614,7 @@ func RunSplits(cfg Config, era topology.Era, days int) (*SplitStudy, error) {
 	if err != nil {
 		return nil, err
 	}
-	study := &SplitStudy{}
+	study := &SplitStudy{Events: dayEvents}
 	var all []metrics.SplitEvent
 	for d, events := range dayEvents {
 		study.Days = append(study.Days, metrics.BreakdownDay(d, events))

@@ -280,8 +280,19 @@ func TestRunSplits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(study.Days) != 6 {
-		t.Fatalf("days = %d", len(study.Days))
+	if len(study.Days) != 6 || len(study.Events) != 6 {
+		t.Fatalf("days = %d, event days = %d", len(study.Days), len(study.Events))
+	}
+	// Events is the per-day input of Days and CDF.
+	total := 0
+	for d, events := range study.Events {
+		total += len(events)
+		if got := metrics.BreakdownDay(d, events); got != study.Days[d] {
+			t.Errorf("day %d: breakdown of Events = %+v, Days = %+v", d, got, study.Days[d])
+		}
+	}
+	if total != study.CDF.Total {
+		t.Errorf("events sum to %d, CDF total = %d", total, study.CDF.Total)
 	}
 	if study.CDF.Total == 0 {
 		t.Skip("no split events at this tiny scale")

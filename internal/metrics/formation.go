@@ -109,7 +109,7 @@ func formationDistances(as *core.AtomSet, opts FormationOptions) *FormationResul
 	set := as
 	if opts.Method == MethodStripBeforeGrouping {
 		// Method (i): recompute atoms over prepending-stripped paths.
-		stripped := StripPrependingSnapshot(snap)
+		stripped := stripPrependingSnapshot(snap)
 		set = core.ComputeAtoms(stripped, nil, 1)
 		snap = stripped
 	}
@@ -313,9 +313,9 @@ func visMask(vec []aspath.ID) []uint64 {
 	return m
 }
 
-// StripPrependingSnapshot returns a copy of the snapshot with all paths
+// stripPrependingSnapshot returns a copy of the snapshot with all paths
 // prepending-stripped (method (i)'s input).
-func StripPrependingSnapshot(s *core.Snapshot) *core.Snapshot {
+func stripPrependingSnapshot(s *core.Snapshot) *core.Snapshot {
 	out := core.NewSnapshot(s.Time, s.VPs, s.Prefixes)
 	for p := range s.Prefixes {
 		for v, id := range s.Row(p) {

@@ -81,22 +81,10 @@ func (m *Message) AppendMarshal(dst []byte) ([]byte, error) {
 	return append(out, m.Data...), nil
 }
 
-// ParseMessage decodes a BGP4MP MESSAGE-family body. The subtype selects
-// ASN width and ADD-PATH mode.
-func ParseMessage(subtype uint16, b []byte) (*Message, error) {
-	m := &Message{}
-	if err := ParseMessageInto(m, subtype, b); err != nil {
-		return nil, err
-	}
-	// Preserve the historical contract: the returned message owns its
-	// payload.
-	m.Data = append([]byte(nil), m.Data...)
-	return m, nil
-}
-
-// ParseMessageInto decodes a BGP4MP MESSAGE-family body into m without
-// copying: m.Data aliases b and is only valid until b's backing buffer
-// is reused. Allocation-free hot path for streaming decoders.
+// ParseMessageInto decodes a BGP4MP MESSAGE-family body into m. The
+// subtype selects ASN width and ADD-PATH mode. Nothing is copied: m.Data
+// aliases b and is only valid until b's backing buffer is reused.
+// Allocation-free hot path for streaming decoders.
 func ParseMessageInto(m *Message, subtype uint16, b []byte) error {
 	*m = Message{}
 	switch subtype {
@@ -206,8 +194,8 @@ func ParseStateChange(subtype uint16, b []byte) (*StateChange, error) {
 	default:
 		return nil, fmt.Errorf("%w: state-change subtype %d", ErrUnsupported, subtype)
 	}
-	m, err := ParseMessage(msgSub, b)
-	if err != nil {
+	var m Message
+	if err := ParseMessageInto(&m, msgSub, b); err != nil {
 		return nil, err
 	}
 	if len(m.Data) != 4 {

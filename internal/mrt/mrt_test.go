@@ -343,8 +343,8 @@ func TestBGP4MPMessageRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := ParseMessage(m.Subtype(), b)
-		if err != nil {
+		got := &Message{}
+		if err := ParseMessageInto(got, m.Subtype(), b); err != nil {
 			t.Fatal(err)
 		}
 		if got.PeerAS != 3356 || got.LocalAS != 65000 || got.PeerAddr != m.PeerAddr || got.LocalAddr != m.LocalAddr {
@@ -369,15 +369,15 @@ func TestBGP4MPMessageErrors(t *testing.T) {
 	if _, err := mix.Marshal(); !errors.Is(err, ErrBadRecord) {
 		t.Errorf("family mismatch: %v", err)
 	}
-	if _, err := ParseMessage(99, nil); !errors.Is(err, ErrUnsupported) {
+	if err := ParseMessageInto(&Message{}, 99, nil); !errors.Is(err, ErrUnsupported) {
 		t.Errorf("subtype: %v", err)
 	}
-	if _, err := ParseMessage(SubMessage, []byte{1, 2}); !errors.Is(err, ErrTruncated) {
+	if err := ParseMessageInto(&Message{}, SubMessage, []byte{1, 2}); !errors.Is(err, ErrTruncated) {
 		t.Errorf("short: %v", err)
 	}
 	// Bad AFI.
 	body := []byte{0, 1, 0, 2, 0, 0, 0, 9}
-	if _, err := ParseMessage(SubMessage, body); !errors.Is(err, ErrBadRecord) {
+	if err := ParseMessageInto(&Message{}, SubMessage, body); !errors.Is(err, ErrBadRecord) {
 		t.Errorf("afi: %v", err)
 	}
 
@@ -508,8 +508,8 @@ func TestEndToEndDump(t *testing.T) {
 	if gotRIB.Prefix.String() != "10.0.0.0/8" {
 		t.Errorf("rib prefix = %v", gotRIB.Prefix)
 	}
-	gotMsg, err := ParseMessage(recs[2].Subtype, recs[2].Body)
-	if err != nil {
+	gotMsg := &Message{}
+	if err := ParseMessageInto(gotMsg, recs[2].Subtype, recs[2].Body); err != nil {
 		t.Fatal(err)
 	}
 	u := new(bgp.Update)

@@ -47,32 +47,12 @@ type Span struct {
 	children []*Span
 }
 
-// SpanOption configures span construction.
-type SpanOption func(*spanConfig)
-
-type spanConfig struct {
-	memStats bool
-}
-
-// WithMemStats toggles allocation accounting (default on). Disable it
-// for very fine-grained spans where the runtime.ReadMemStats pause
-// would dominate the measurement.
-func WithMemStats(on bool) SpanOption {
-	return func(c *spanConfig) { c.memStats = on }
-}
-
 // Root starts a new top-level span.
-func Root(name string, opts ...SpanOption) *Span {
-	cfg := spanConfig{memStats: true}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	s := &Span{name: name, start: clockNow(), memStats: cfg.memStats}
-	if s.memStats {
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		s.startAlloc, s.startMallocs = ms.TotalAlloc, ms.Mallocs
-	}
+func Root(name string) *Span {
+	s := &Span{name: name, start: clockNow(), memStats: true}
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	s.startAlloc, s.startMallocs = ms.TotalAlloc, ms.Mallocs
 	return s
 }
 

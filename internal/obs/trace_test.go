@@ -16,8 +16,9 @@ func TestWriteTraceGolden(t *testing.T) {
 	start := time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC)
 	fakeClock(t, start, time.Millisecond)
 
-	root := Root("run", WithMemStats(false)) // read 0: t0
-	load := root.Child("load")               // read 1: +1ms
+	root := Root("run") // read 0: t0
+	root.memStats = false
+	load := root.Child("load") // read 1: +1ms
 	load.SetAttr("eras", 3)
 	load.End()                    // read 2: +2ms
 	comp := root.Child("compute") // read 3: +3ms

@@ -154,16 +154,16 @@ func Chunks(workers, n int, body func(lo, hi int) error) error {
 		parts = n
 	}
 	return ForEach(workers, parts, func(ci int) error {
-		lo, hi := ChunkBounds(n, parts, ci)
+		lo, hi := chunkBounds(n, parts, ci)
 		return body(lo, hi)
 	})
 }
 
-// ChunkBounds returns the half-open range [lo, hi) of chunk ci when
+// chunkBounds returns the half-open range [lo, hi) of chunk ci when
 // [0, n) is split into parts contiguous near-equal pieces (the first
 // n%parts chunks are one element larger). The union of all chunks is
 // exactly [0, n), in order.
-func ChunkBounds(n, parts, ci int) (lo, hi int) {
+func chunkBounds(n, parts, ci int) (lo, hi int) {
 	size, rem := n/parts, n%parts
 	lo = ci*size + min(ci, rem)
 	hi = lo + size
@@ -171,11 +171,4 @@ func ChunkBounds(n, parts, ci int) (lo, hi int) {
 		hi++
 	}
 	return lo, hi
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

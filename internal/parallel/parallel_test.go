@@ -147,7 +147,7 @@ func TestChunkBounds(t *testing.T) {
 	} {
 		prev := 0
 		for ci := 0; ci < tc.parts; ci++ {
-			lo, hi := ChunkBounds(tc.n, tc.parts, ci)
+			lo, hi := chunkBounds(tc.n, tc.parts, ci)
 			if lo != prev {
 				t.Fatalf("n=%d parts=%d chunk %d: lo=%d want %d", tc.n, tc.parts, ci, lo, prev)
 			}

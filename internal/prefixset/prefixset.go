@@ -5,7 +5,6 @@
 package prefixset
 
 import (
-	"fmt"
 	"net/netip"
 	"slices"
 )
@@ -66,14 +65,4 @@ func ComparePrefixes(a, b netip.Prefix) int {
 		return 1
 	}
 	return 0
-}
-
-// MustParse parses a prefix, canonicalizes it, and panics on failure.
-// Intended for tests and table literals.
-func MustParse(s string) netip.Prefix {
-	p, err := netip.ParsePrefix(s)
-	if err != nil {
-		panic(fmt.Sprintf("prefixset: %v", err))
-	}
-	return Canonical(p)
 }

@@ -121,29 +121,3 @@ func (rep *Report) Unreliable(factor float64) []Score {
 	}
 	return out
 }
-
-// Exclusions merges the split-based unreliable set with collector-level
-// quarantine verdicts (bgpstream degradation budgets, surfaced through
-// the sanitize report) into one VP exclusion set: a VP is excluded when
-// its own split behavior condemns it, or when its entire collector was
-// quarantined — a feed on a corrupt collector is untrustworthy even if
-// its split record looks clean.
-func (rep *Report) Exclusions(factor float64, quarantinedCollectors []string) map[core.VP]bool {
-	out := map[core.VP]bool{}
-	for _, s := range rep.Unreliable(factor) {
-		out[s.VP] = true
-	}
-	if len(quarantinedCollectors) == 0 {
-		return out
-	}
-	q := make(map[string]bool, len(quarantinedCollectors))
-	for _, c := range quarantinedCollectors {
-		q[c] = true
-	}
-	for _, s := range rep.Scores {
-		if q[s.VP.Collector] {
-			out[s.VP] = true
-		}
-	}
-	return out
-}

@@ -75,26 +75,12 @@ func TestDetectsPlantedFlappyVP(t *testing.T) {
 	cfg := longitudinal.DefaultConfig(5)
 	cfg.Scale = 0.005
 	const days = 10
-	study, err := longitudinal.RunSplits(cfg, topology.EraOf(2018, 1), days)
+	era := topology.EraOf(2018, 1)
+	study, err := longitudinal.RunSplits(cfg, era, days)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Re-derive per-day events for Analyze via RunSplits' breakdown...
-	// RunSplits already aggregates; drive Analyze directly instead.
-	r := longitudinal.NewEraRun(cfg, topology.EraOf(2018, 1))
-	snaps := make([]*core.AtomSet, days+2)
-	for d := range snaps {
-		s, _, err := r.SnapshotAt(longitudinal.OffsetBase + float64(d))
-		if err != nil {
-			t.Fatal(err)
-		}
-		snaps[d] = s
-	}
-	var perDay [][]metrics.SplitEvent
-	for d := 0; d+2 < len(snaps); d++ {
-		perDay = append(perDay, metrics.DetectSplits(snaps[d], snaps[d+1], snaps[d+2], nil))
-	}
-	rep := Analyze(perDay)
+	rep := Analyze(study.Events)
 	if rep.TotalEvents == 0 {
 		t.Skip("no split events at this scale")
 	}
@@ -102,6 +88,7 @@ func TestDetectsPlantedFlappyVP(t *testing.T) {
 		t.Fatal("no solo observers found")
 	}
 	// Ground truth: rank VPs by the churn model's planted event count.
+	r := longitudinal.NewEraRun(cfg, era)
 	top := rep.Scores[0].VP
 	topTruth := r.Model.VPVersion(top.ASN, longitudinal.OffsetBase+days)
 	better := 0
@@ -114,5 +101,28 @@ func TestDetectsPlantedFlappyVP(t *testing.T) {
 		t.Errorf("top-scored VP %v has ground-truth rank %d (> 3): not the planted flapper",
 			top, better+1)
 	}
-	_ = study
+}
+
+// Unreliable's floor: a VP needs strictly more than max(3, 3×median)
+// solo splits. Three solos must never condemn a VP even when the
+// median is zero.
+func TestUnreliableFloor(t *testing.T) {
+	var day []metrics.SplitEvent
+	for i := 0; i < 3; i++ {
+		day = append(day, ev(vp(7)))
+	}
+	// A silent majority of shared-only observers keeps the median at 0.
+	for i := 0; i < 10; i++ {
+		day = append(day, ev(vp(1), vp(2)))
+	}
+	rep := Analyze([][]metrics.SplitEvent{day})
+	if bad := rep.Unreliable(3); len(bad) != 0 {
+		t.Errorf("3 solo splits condemned a VP: %+v", bad)
+	}
+	// One more solo event crosses the floor.
+	day = append(day, ev(vp(7)))
+	rep = Analyze([][]metrics.SplitEvent{day})
+	if bad := rep.Unreliable(3); len(bad) != 1 || bad[0].VP != vp(7) {
+		t.Errorf("4 solo splits with zero median: unreliable = %+v", bad)
+	}
 }

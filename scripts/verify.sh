@@ -10,7 +10,8 @@
 # shutdown-lifecycle tests under -race, a live-observability smoke
 # (start atomrepro with -listen, scrape /metrics and /healthz mid-run,
 # lint the exposition), a live-daemon smoke (boot cmd/atomd, TCP
-# ingest, HTTP + binary queries, SIGTERM drain), coverage floors on the
+# ingest, HTTP + binary queries, SIGTERM drain), a run of every program
+# under examples/ (each must exit zero), coverage floors on the
 # packages the fault model hardens plus the observability layer and the
 # daemon, and short fuzz smokes of the wire codecs and the ingest frame
 # protocol. Run via `make verify` or directly. Coverage profiles land
@@ -153,6 +154,13 @@ go run scripts/obssmoke.go
 
 echo "== live daemon smoke (cmd/atomd: TCP ingest, HTTP + binary queries, SIGTERM drain)"
 go run scripts/atomdsmoke.go
+
+echo "== examples smoke (go run ./examples/<name>: each must exit zero)"
+for ex in examples/*/; do
+	ex="${ex%/}"
+	echo "-- $ex"
+	go run "./$ex" > /dev/null
+done
 
 echo "== coverage floors (profiles in coverage/)"
 mkdir -p coverage
