@@ -127,34 +127,36 @@ func decodeChurnOps(b *testing.B, r *longitudinal.EraRun, snap *core.Snapshot) [
 	st.SetIntern(snap.Paths)
 	var ops []churnOp
 	for {
-		e, err := st.Next()
+		batch, err := st.NextBatch()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			b.Fatal(err)
 		}
-		var id aspath.ID
-		switch e.Type {
-		case bgpstream.ElemAnnounce, bgpstream.ElemRIB:
-			if e.PathUnusable {
+		for _, e := range batch {
+			var id aspath.ID
+			switch e.Type {
+			case bgpstream.ElemAnnounce, bgpstream.ElemRIB:
+				if e.PathUnusable {
+					continue
+				}
+				id = e.InternedPath
+			case bgpstream.ElemWithdraw:
+				id = aspath.Empty
+			default:
 				continue
 			}
-			id = e.InternedPath
-		case bgpstream.ElemWithdraw:
-			id = aspath.Empty
-		default:
-			continue
+			p, ok := prefixRow[prefixset.Canonical(e.Prefix)]
+			if !ok {
+				continue
+			}
+			v, ok := vpCol[core.VP{Collector: e.Collector, ASN: e.PeerASN}]
+			if !ok {
+				continue
+			}
+			ops = append(ops, churnOp{p: p, v: v, id: id})
 		}
-		p, ok := prefixRow[prefixset.Canonical(e.Prefix)]
-		if !ok {
-			continue
-		}
-		v, ok := vpCol[core.VP{Collector: e.Collector, ASN: e.PeerASN}]
-		if !ok {
-			continue
-		}
-		ops = append(ops, churnOp{p: p, v: v, id: id})
 	}
 	return ops
 }

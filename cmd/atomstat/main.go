@@ -76,12 +76,16 @@ func main() {
 
 	if *grid {
 		gsp := o.Root.Child("visibility_grid")
+		// Index raw visibility with a second pass at thresholds of 1 and
+		// no length filter, then count each grid cell over it.
 		gopts := opts
-		gopts.Span = gsp // nest the sweep's second pipeline pass
-		vis, err := sanitize.VisibilityIndex(sources, nil, gopts)
+		gopts.Span = gsp
+		gopts.MinCollectors, gopts.MinPeerASes, gopts.LengthFilter = 1, 1, false
+		loose, _, err := sanitize.Clean(sources, nil, gopts)
 		if err != nil {
 			cli.Fatal(tool, err)
 		}
+		vis := sanitize.NewVisibility(loose)
 		gsp.End()
 		tbl := &textplot.Table{Title: "\nTable 7 sensitivity grid", Headers: []string{"collectors \\ peers", "1", "2", "3", "4", "5"}}
 		for c := 1; c <= 3; c++ {

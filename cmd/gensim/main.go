@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 
 	"repro/internal/collector"
 	"repro/internal/faultgen"
@@ -74,7 +75,8 @@ func main() {
 	snap := collector.BuildRIBs(r.Graph, r.Infra, ov, ts)
 	archives := make(map[string][]byte)
 	total := 0
-	for name, data := range snap.Archives {
+	for _, name := range sortedNames(snap.Archives) {
+		data := snap.Archives[name]
 		path := filepath.Join(*out, name+".rib.mrt")
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			cli.Fatal(tool, err)
@@ -127,7 +129,8 @@ func main() {
 			cli.Fatal(tool, err)
 		}
 		faultBytes := 0
-		for name, data := range damaged {
+		for _, name := range sortedNames(damaged) {
+			data := damaged[name]
 			path := filepath.Join(fdir, name)
 			if err := os.WriteFile(path, data, 0o644); err != nil {
 				cli.Fatal(tool, err)
@@ -148,4 +151,15 @@ func main() {
 	v4, v6 := r.Graph.TotalPrefixes()
 	fmt.Printf("era %v: %d ASes, %d v4 + %d v6 prefixes, %d collectors, %d full feeds, %d bytes total\n",
 		era, r.Graph.NumASes(), v4, v6, len(r.Infra.Collectors), len(r.Infra.FullFeedASNs()), total)
+}
+
+// sortedNames returns the archive names in sorted order, so stdout lists
+// the written files in the same order on every run.
+func sortedNames(archives map[string][]byte) []string {
+	names := make([]string, 0, len(archives))
+	for name := range archives {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
 }

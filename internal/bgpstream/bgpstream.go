@@ -25,12 +25,15 @@
 // interned once, and paths are interned in serve order, so intern IDs
 // are a pure function of the sources.
 //
-// Byte-backed sources take the zero-copy fast path: records are read by
-// mrt.BytesReader, whose Record.Body sub-slices Source.Data with no
-// bufio layer and no per-record copy.
+// Every source, byte-backed or not, is read by one mrt.Reader, which
+// reads each record body into its one reused buffer. Decode copies out
+// whatever it keeps (peer tables, prefixes, memo keys) and decodes paths
+// and communities into new memory, so no element points into a record
+// body or into Source.Data.
 package bgpstream
 
 import (
+	"bytes"
 	"fmt"
 	"hash/maphash"
 	"io"
@@ -156,45 +159,21 @@ func BytesSource(collector string, data []byte, opt bgp.Options) Source {
 	return Source{Collector: collector, Data: data, Options: opt}
 }
 
-// recordReader is the reader side of one source: mrt.BytesReader for
-// byte-backed sources, mrt.Reader for io.Reader-backed ones. Both have
-// the same Next/Resync error contract, so the degradation machinery is
-// reader-agnostic.
-type recordReader interface {
-	// Next returns the next record; the Body may alias reader-owned
-	// storage and is valid only until the following Next/Resync call.
-	Next() (mrt.Record, error)
-	Resync(maxScan int) (int, error)
-}
-
-// open returns a fresh record reader over the source. Byte-backed
-// sources take the zero-copy fast path: no bytes.Reader wrapper, no
-// bufio layer, no per-record body copy — every Record.Body is a
-// sub-slice of Data. Warm re-streams of the same Source (RunSplits
-// re-reads the same archives per day) therefore cost one small struct,
-// not a buffer. A source with neither Data nor R is an empty archive
-// (bytes.Buffer.Bytes of a collector that got no records).
-func (s *Source) open() recordReader {
+// open returns a fresh record reader over the source. A source with
+// neither Data nor R is an empty archive (bytes.Buffer.Bytes of a
+// collector that got no records).
+func (s *Source) open() *mrt.Reader {
 	if s.Data != nil || s.R == nil {
-		return mrt.NewBytesReader(s.Data)
+		return mrt.NewReader(bytes.NewReader(s.Data))
 	}
-	r := mrt.NewReader(s.R)
-	// Everything decode retains is either copied out of the record body
-	// or owned by the attribute-block memo, which copies its keys, so
-	// the reader can hand every record the same body buffer.
-	r.SetReuseBuffer(true)
-	return r
+	return mrt.NewReader(s.R)
 }
 
 // Filter selects elements. Zero value passes everything.
 type Filter struct {
-	Collectors map[string]bool   // nil = all
-	PeerASNs   map[uint32]bool   // nil = all
-	Types      map[ElemType]bool // nil = all
-	StartTime  uint32            // 0 = open
-	EndTime    uint32            // 0 = open
-	V6Only     bool
-	V4Only     bool
+	Types  map[ElemType]bool // nil = all
+	V6Only bool
+	V4Only bool
 }
 
 // Match reports whether e passes the filter.
@@ -202,19 +181,7 @@ func (f *Filter) Match(e *Elem) bool {
 	if f == nil {
 		return true
 	}
-	if f.Collectors != nil && !f.Collectors[e.Collector] {
-		return false
-	}
-	if f.PeerASNs != nil && !f.PeerASNs[e.PeerASN] {
-		return false
-	}
 	if f.Types != nil && !f.Types[e.Type] {
-		return false
-	}
-	if f.StartTime != 0 && e.Timestamp < f.StartTime {
-		return false
-	}
-	if f.EndTime != 0 && e.Timestamp > f.EndTime {
 		return false
 	}
 	if f.V6Only || f.V4Only {
@@ -238,7 +205,7 @@ func (f *Filter) Match(e *Elem) bool {
 type sourceDecoder struct {
 	src       Source
 	collector string
-	reader    recordReader
+	reader    *mrt.Reader
 	inited    bool
 	done      bool
 
@@ -301,10 +268,9 @@ type Stream struct {
 	// msgBase is the number of messages the already-served decoders
 	// produced, rebasing source-local MsgIndex onto a global sequence.
 	// batch is the one element buffer every record is decoded into.
-	cur       int
-	msgBase   int
-	batch     []Elem
-	batchHead int
+	cur     int
+	msgBase int
+	batch   []Elem
 
 	// Degradation budget (SetDegradation) and the quarantine verdicts,
 	// judged in source order as the cursor passes each source.
@@ -367,7 +333,7 @@ func (s *Stream) SetWorkers(int) {}
 // flattens each RIB/announce element's path and interns it into t, in
 // serve order, stamping Elem.InternedPath/PathUnusable so consumers skip
 // the flatten+intern work entirely. Must be called before the first
-// Next/NextBatch.
+// NextBatch.
 func (s *Stream) SetIntern(t *aspath.Table) { s.intern = t }
 
 // Quarantined returns the collectors whose sources blew their
@@ -468,7 +434,7 @@ func (s *Stream) judge(d *sourceDecoder) {
 //	bgpstream.source_quarantined{collector=C}  degradation budget exceeded
 //
 // A nil registry (the default) disables all of it at near-zero cost.
-// Must be called before the first Next/NextBatch.
+// Must be called before the first NextBatch.
 func (s *Stream) SetMetrics(r *obs.Registry) {
 	s.metrics = r
 	s.recordsC = r.Counter("bgpstream.records")
@@ -556,7 +522,6 @@ func (s *Stream) fill() error {
 		d.elems = s.batch[:0]
 		d.step()
 		s.batch, d.elems = d.elems, nil
-		s.batchHead = 0
 		if len(s.batch) == 0 {
 			continue
 		}
@@ -574,42 +539,19 @@ func (s *Stream) fill() error {
 	return io.EOF
 }
 
-// Next returns the next element, or io.EOF when all sources drain.
-func (s *Stream) Next() (Elem, error) {
-	s.ensureRunning()
-	for {
-		if s.batchHead < len(s.batch) {
-			e := s.batch[s.batchHead]
-			s.batchHead++
-			if s.filter.Match(&e) {
-				return e, nil
-			}
-			s.filteredC.Inc()
-			continue
-		}
-		if err := s.fill(); err != nil {
-			return Elem{}, err
-		}
-	}
-}
-
 // NextBatch returns the next run of elements passing the filter, or
-// io.EOF when all sources drain. The concatenation of batches is
-// exactly the sequence Next would produce, and a batch never spans two
-// sources. The returned slice is valid only until the following
-// Next/NextBatch call — consume (or copy) it before advancing. When the
-// backing source is byte-backed, element payloads may alias Source.Data
+// io.EOF when all sources drain. A batch holds the elements of one
+// record, so it never spans two sources. The returned slice is valid
+// only until the following NextBatch call — consume (or copy) it before
+// advancing; the elements' paths and communities stay valid after that
 // (see DESIGN.md "Zero-copy ownership").
 func (s *Stream) NextBatch() ([]Elem, error) {
 	s.ensureRunning()
 	for {
-		if s.batchHead >= len(s.batch) {
-			if err := s.fill(); err != nil {
-				return nil, err
-			}
+		if err := s.fill(); err != nil {
+			return nil, err
 		}
-		b := s.batch[s.batchHead:]
-		s.batchHead = len(s.batch)
+		b := s.batch
 		if s.filter == nil {
 			return b, nil
 		}
@@ -633,14 +575,14 @@ func (s *Stream) NextBatch() ([]Elem, error) {
 func (s *Stream) All() ([]Elem, error) {
 	var out []Elem
 	for {
-		e, err := s.Next()
+		b, err := s.NextBatch()
 		if err == io.EOF {
 			return out, nil
 		}
 		if err != nil {
 			return out, err
 		}
-		out = append(out, e)
+		out = append(out, b...)
 	}
 }
 

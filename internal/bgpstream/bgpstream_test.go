@@ -179,18 +179,21 @@ func TestStreamAll(t *testing.T) {
 
 func TestStreamFilters(t *testing.T) {
 	data := buildArchive(t)
+	// Selections the Filter does not offer are made by the caller over
+	// the drained elements (keep).
 	cases := []struct {
 		name   string
 		filter *Filter
+		keep   func(e *Elem) bool
 		want   int
 	}{
-		{"nil", nil, 7},
-		{"announce only", &Filter{Types: map[ElemType]bool{ElemAnnounce: true}}, 2},
-		{"peer 7018", &Filter{PeerASNs: map[uint32]bool{7018: true}}, 2},
-		{"collector miss", &Filter{Collectors: map[string]bool{"rrc01": true}}, 0},
-		{"time window", &Filter{StartTime: 150, EndTime: 260}, 3},
-		{"v6 only", &Filter{V6Only: true}, 1},
-		{"v4 only", &Filter{V4Only: true}, 5}, // state elem has no prefix
+		{"nil", nil, nil, 7},
+		{"announce only", &Filter{Types: map[ElemType]bool{ElemAnnounce: true}}, nil, 2},
+		{"peer 7018", nil, func(e *Elem) bool { return e.PeerASN == 7018 }, 2},
+		{"collector miss", nil, func(e *Elem) bool { return e.Collector == "rrc01" }, 0},
+		{"time window", nil, func(e *Elem) bool { return e.Timestamp >= 150 && e.Timestamp <= 260 }, 3},
+		{"v6 only", &Filter{V6Only: true}, nil, 1},
+		{"v4 only", &Filter{V4Only: true}, nil, 5}, // state elem has no prefix
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -199,8 +202,14 @@ func TestStreamFilters(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(elems) != tc.want {
-				t.Errorf("got %d elems, want %d", len(elems), tc.want)
+			n := 0
+			for i := range elems {
+				if tc.keep == nil || tc.keep(&elems[i]) {
+					n++
+				}
+			}
+			if n != tc.want {
+				t.Errorf("got %d elems, want %d", n, tc.want)
 			}
 		})
 	}
@@ -353,10 +362,10 @@ func TestElemTypeString(t *testing.T) {
 
 func TestStreamEOFStable(t *testing.T) {
 	s := NewStream(nil)
-	if _, err := s.Next(); err != io.EOF {
+	if _, err := s.NextBatch(); err != io.EOF {
 		t.Errorf("empty stream: %v", err)
 	}
-	if _, err := s.Next(); err != io.EOF {
+	if _, err := s.NextBatch(); err != io.EOF {
 		t.Error("EOF not sticky")
 	}
 }
@@ -373,7 +382,7 @@ func TestEmptyBytesSource(t *testing.T) {
 	if len(elems) != 0 || len(s.Warnings()) != 0 {
 		t.Errorf("%d elems, %d warnings; want none", len(elems), len(s.Warnings()))
 	}
-	if _, err := s.Next(); err != io.EOF {
-		t.Errorf("Next after drain = %v, want io.EOF", err)
+	if _, err := s.NextBatch(); err != io.EOF {
+		t.Errorf("NextBatch after drain = %v, want io.EOF", err)
 	}
 }

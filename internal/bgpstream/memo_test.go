@@ -336,7 +336,7 @@ func TestMemoMatchesColdDecode(t *testing.T) {
 	var cold []Elem
 	var coldWarns []Warning
 	tbl := aspath.NewTable()
-	r := mrt.NewBytesReader(data)
+	r := mrt.NewReader(bytes.NewReader(data))
 	var pit []byte
 	for {
 		rec, err := r.Next()

@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/netip"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/aspath"
@@ -15,8 +16,8 @@ import (
 
 // mixedSources builds a source set exercising every serve-order hazard:
 // clean archives, a truncated one (warning + possible quarantine), one
-// with mid-stream garbage (resync), and a reader-backed source (bufio
-// path instead of zero-copy).
+// with mid-stream garbage (resync), and a reader-backed source over the
+// same archive as the first.
 func mixedSources(t *testing.T) []Source {
 	t.Helper()
 	good := buildArchive(t)
@@ -33,17 +34,18 @@ func mixedSources(t *testing.T) []Source {
 }
 
 // streamResult is everything a drained stream lets a caller observe:
-// elements (copied out, since batch memory is reused), warnings,
-// quarantine set, flaps and per-source counts.
+// elements (copied out, since batch memory is reused) and the length of
+// each batch, warnings, quarantine set, flaps and per-source counts.
 type streamResult struct {
 	elems       []Elem
+	batches     []int
 	warnings    []Warning
 	quarantined []string
 	flaps       map[uint32]int
 	elemCounts  map[string]int
 }
 
-func runStream(t *testing.T, useBatch bool, intern *aspath.Table) streamResult {
+func runStream(t *testing.T, intern *aspath.Table) streamResult {
 	t.Helper()
 	s := NewStream(nil, mixedSources(t)...)
 	// The fixture's archives are too small for the default budget; a
@@ -52,69 +54,112 @@ func runStream(t *testing.T, useBatch bool, intern *aspath.Table) streamResult {
 	if intern != nil {
 		s.SetIntern(intern)
 	}
-	var elems []Elem
-	if useBatch {
-		for {
-			batch, err := s.NextBatch()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			elems = append(elems, batch...) // append copies the elements out
+	var res streamResult
+	for {
+		batch, err := s.NextBatch()
+		if err == io.EOF {
+			break
 		}
-	} else {
-		for {
-			e, err := s.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			elems = append(elems, e)
+		if err != nil {
+			t.Fatal(err)
 		}
+		res.elems = append(res.elems, batch...) // append copies the elements out
+		res.batches = append(res.batches, len(batch))
 	}
-	return streamResult{
-		elems:       elems,
-		warnings:    s.Warnings(),
-		quarantined: s.Quarantined(),
-		flaps:       s.StateFlaps(),
-		elemCounts:  s.SourceElemCounts(),
-	}
+	res.warnings = s.Warnings()
+	res.quarantined = s.Quarantined()
+	res.flaps = s.StateFlaps()
+	res.elemCounts = s.SourceElemCounts()
+	return res
 }
 
-// TestNextBatchMatchesNext: the batch API is a view over the same
-// sequence. Batch iteration and element iteration must yield the same
-// elements in the same order, interned IDs included (paths are interned
-// in serve order, so fresh tables assign the same IDs), and the same
-// warnings, quarantine verdicts, flap counts and per-source counts.
-func TestNextBatchMatchesNext(t *testing.T) {
-	one := runStream(t, false, aspath.NewTable())
-	bat := runStream(t, true, aspath.NewTable())
-	if len(one.elems) == 0 {
+// TestNextBatchServeOrder: batches are served one record at a time in
+// source order. Each batch is non-empty and holds one source's elements
+// under one MsgIndex, and MsgIndex rises from batch to batch. The
+// reader-backed source decodes the same archive as rrc00 and yields the
+// same elements and warnings; the damaged sources lose framing. A second
+// drain over fresh sources and a fresh intern table observes exactly
+// the same elements, interned IDs included (paths are interned in serve
+// order), warnings, quarantine verdicts, flap counts and per-source
+// counts.
+func TestNextBatchServeOrder(t *testing.T) {
+	res := runStream(t, aspath.NewTable())
+	if len(res.elems) == 0 {
 		t.Fatal("fixture produced no elements")
 	}
-	if len(one.elems) != len(bat.elems) {
-		t.Fatalf("element counts differ: %d vs %d", len(one.elems), len(bat.elems))
+	off, prevMsg := 0, 0
+	for i, n := range res.batches {
+		if n == 0 {
+			t.Fatalf("batch %d is empty", i)
+		}
+		batch := res.elems[off : off+n]
+		off += n
+		for _, e := range batch {
+			if e.Collector != batch[0].Collector || e.MsgIndex != batch[0].MsgIndex {
+				t.Fatalf("batch %d mixes (%s, msg %d) with (%s, msg %d)",
+					i, e.Collector, e.MsgIndex, batch[0].Collector, batch[0].MsgIndex)
+			}
+		}
+		if batch[0].MsgIndex <= prevMsg {
+			t.Fatalf("batch %d: MsgIndex %d after %d", i, batch[0].MsgIndex, prevMsg)
+		}
+		prevMsg = batch[0].MsgIndex
 	}
-	for i := range one.elems {
-		if !reflect.DeepEqual(one.elems[i], bat.elems[i]) {
-			t.Fatalf("elem %d differs:\n  Next:      %+v\n  NextBatch: %+v", i, one.elems[i], bat.elems[i])
+
+	// The reader-backed source decodes rrc00's archive: the same
+	// elements, once MsgIndex is rebased to each source's first message.
+	rebased := func(coll string) []Elem {
+		var out []Elem
+		base := 0
+		for _, e := range res.elems {
+			if e.Collector != coll {
+				continue
+			}
+			if base == 0 {
+				base = e.MsgIndex
+			}
+			e.Collector, e.MsgIndex = "", e.MsgIndex-base
+			out = append(out, e)
+		}
+		return out
+	}
+	if a, b := rebased("rrc00"), rebased("reader-backed"); len(a) == 0 || !reflect.DeepEqual(a, b) {
+		t.Errorf("reader-backed source diverges from rrc00:\n  rrc00:         %+v\n  reader-backed: %+v", a, b)
+	}
+	counts := map[string]int{}
+	for _, e := range res.elems {
+		counts[e.Collector]++
+	}
+	for _, src := range mixedSources(t) {
+		if res.elemCounts[src.Collector] != counts[src.Collector] {
+			t.Errorf("%s: SourceElemCounts %d, served %d", src.Collector, res.elemCounts[src.Collector], counts[src.Collector])
 		}
 	}
-	if !reflect.DeepEqual(one.warnings, bat.warnings) {
-		t.Errorf("warnings diverge:\n  Next:      %+v\n  NextBatch: %+v", one.warnings, bat.warnings)
+	// Every archive carries one unknown-subtype record, so with the
+	// zero-tolerance budget every source is quarantined; the damaged ones
+	// also lose framing, and the reader-backed source warns as rrc00 does.
+	warns := map[string][]string{}
+	for _, w := range res.warnings {
+		warns[w.Collector] = append(warns[w.Collector], w.Code)
 	}
-	if len(one.quarantined) == 0 || !reflect.DeepEqual(one.quarantined, bat.quarantined) {
-		t.Errorf("quarantine: Next %v, NextBatch %v; want the same, non-empty", one.quarantined, bat.quarantined)
+	if !reflect.DeepEqual(warns["rrc00"], warns["reader-backed"]) {
+		t.Errorf("warnings: rrc00 %v, reader-backed %v", warns["rrc00"], warns["reader-backed"])
 	}
-	if !reflect.DeepEqual(one.flaps, bat.flaps) {
-		t.Errorf("state flaps diverge: %v vs %v", one.flaps, bat.flaps)
+	for _, coll := range []string{"bad", "route-views2"} {
+		if !slices.Contains(warns[coll], WarnRecordError) {
+			t.Errorf("%s: warnings %v lack %s", coll, warns[coll], WarnRecordError)
+		}
 	}
-	if !reflect.DeepEqual(one.elemCounts, bat.elemCounts) {
-		t.Errorf("per-source counts diverge: %v vs %v", one.elemCounts, bat.elemCounts)
+	if want := []string{"bad", "reader-backed", "route-views2", "rrc00"}; !reflect.DeepEqual(res.quarantined, want) {
+		t.Errorf("quarantined %v, want %v", res.quarantined, want)
+	}
+	if len(res.flaps) == 0 {
+		t.Error("no state flaps counted")
+	}
+
+	again := runStream(t, aspath.NewTable())
+	if !reflect.DeepEqual(res, again) {
+		t.Errorf("a second drain diverges:\n  first:  %+v\n  second: %+v", res, again)
 	}
 }
 
@@ -146,7 +191,7 @@ func TestStreamDecodesOnDemand(t *testing.T) {
 // element types stay at Empty.
 func TestStreamInternStamping(t *testing.T) {
 	table := aspath.NewTable()
-	res := runStream(t, true, table)
+	res := runStream(t, table)
 	stamped := 0
 	for i, e := range res.elems {
 		if e.Type != ElemRIB && e.Type != ElemAnnounce {

@@ -103,16 +103,16 @@ func TestUpdatesTransformRIBs(t *testing.T) {
 	for k, v := range table1 {
 		replayed[k] = v
 	}
-	s := bgpstream.NewStream(&bgpstream.Filter{
-		Collectors: map[string]bool{coll.Name: true},
-		PeerASNs:   map[uint32]bool{peer.ASN: true},
-	}, bgpstream.BytesSource(coll.Name, updates[coll.Name], bgp.Options{}))
+	s := bgpstream.NewStream(nil, bgpstream.BytesSource(coll.Name, updates[coll.Name], bgp.Options{}))
 	elems, err := s.All()
 	if err != nil {
 		t.Fatal(err)
 	}
 	applied := 0
 	for _, e := range elems {
+		if e.PeerASN != peer.ASN {
+			continue
+		}
 		switch e.Type {
 		case bgpstream.ElemAnnounce:
 			seq, err := e.Path.Sequence()

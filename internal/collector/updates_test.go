@@ -75,12 +75,12 @@ func TestScopedPackingKeepsSeals(t *testing.T) {
 	}
 }
 
-// peerRecords decodes an update archive, keeping the records of peers
-// in scope. A synthesized update record's body starts with its AS4
-// peer AS, whatever its stamped subtype.
+// peerRecords decodes an update archive, keeping (copies of) the
+// records of peers in scope. A synthesized update record's body starts
+// with its AS4 peer AS, whatever its stamped subtype.
 func peerRecords(t *testing.T, data []byte, scope map[uint32]bool) []mrt.Record {
 	t.Helper()
-	rd := mrt.NewBytesReader(data)
+	rd := mrt.NewReader(bytes.NewReader(data))
 	var out []mrt.Record
 	for {
 		rec, err := rd.Next()
@@ -91,6 +91,7 @@ func peerRecords(t *testing.T, data []byte, scope map[uint32]bool) []mrt.Record 
 			t.Fatal(err)
 		}
 		if scope[binary.BigEndian.Uint32(rec.Body)] {
+			rec.Body = bytes.Clone(rec.Body)
 			out = append(out, rec)
 		}
 	}

@@ -221,26 +221,12 @@ func Table7(cfg longitudinal.Config, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	snap := base.Snap
+	vis := sanitize.NewVisibility(base.Snap)
 	tbl := &textplot.Table{Headers: []string{"collectors \\ peerASes", "1", "2", "3", "4", "5"}}
 	for c := 1; c <= 3; c++ {
 		row := []string{fmt.Sprint(c)}
 		for a := 1; a <= 5; a++ {
-			n := 0
-			for p := range snap.Prefixes {
-				colls := map[string]struct{}{}
-				ases := map[uint32]struct{}{}
-				for v, id := range snap.Row(p) {
-					if id != 0 {
-						colls[snap.VPs[v].Collector] = struct{}{}
-						ases[snap.VPs[v].ASN] = struct{}{}
-					}
-				}
-				if len(colls) >= c && len(ases) >= a {
-					n++
-				}
-			}
-			row = append(row, fmt.Sprint(n))
+			row = append(row, fmt.Sprint(vis.Count(c, a)))
 		}
 		tbl.AddRow(row...)
 	}

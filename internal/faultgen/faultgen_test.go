@@ -2,6 +2,7 @@ package faultgen
 
 import (
 	"bytes"
+	"io"
 	"net/netip"
 	"testing"
 
@@ -240,6 +241,25 @@ func TestParseClasses(t *testing.T) {
 	}
 }
 
+// readRecords decodes every record of an archive, copying each body
+// out of the reader's reused buffer.
+func readRecords(t *testing.T, data []byte) []mrt.Record {
+	t.Helper()
+	rd := mrt.NewReader(bytes.NewReader(data))
+	var out []mrt.Record
+	for {
+		rec, err := rd.Next()
+		if err == io.EOF {
+			return out
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec.Body = bytes.Clone(rec.Body)
+		out = append(out, rec)
+	}
+}
+
 func TestAddPathMixRewritesSubtypes(t *testing.T) {
 	archives := map[string][]byte{"only": testArchive(t)}
 	sched, err := Plan(Config{Seed: 3, Classes: []Class{ClassAddPathMix}}, archives)
@@ -250,14 +270,7 @@ func TestAddPathMixRewritesSubtypes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cleanRecs, err := mrt.ReadAll(bytes.NewReader(archives["only"]))
-	if err != nil {
-		t.Fatal(err)
-	}
-	dmgRecs, err := mrt.ReadAll(bytes.NewReader(damaged["only"]))
-	if err != nil {
-		t.Fatal(err)
-	}
+	cleanRecs, dmgRecs := readRecords(t, archives["only"]), readRecords(t, damaged["only"])
 	if len(cleanRecs) != len(dmgRecs) {
 		t.Fatalf("record count changed: %d -> %d", len(cleanRecs), len(dmgRecs))
 	}

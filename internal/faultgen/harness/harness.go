@@ -178,7 +178,14 @@ func runPipeline(cfg Config, ribs, upds map[string][]byte) *runOutcome {
 	out := &runOutcome{}
 
 	us := bgpstream.NewStream(nil, sortedSources(upds)...)
-	us.SetDegradation(cfg.DegradationMinRecords, cfg.DegradationMaxSkipRatio)
+	minRecords, maxSkip := cfg.DegradationMinRecords, cfg.DegradationMaxSkipRatio
+	if minRecords == 0 {
+		minRecords = bgpstream.DefaultDegradeMinRecords
+	}
+	if maxSkip == 0 {
+		maxSkip = bgpstream.DefaultDegradeMaxSkipRatio
+	}
+	us.SetDegradation(minRecords, maxSkip)
 	if _, err := us.All(); err != nil {
 		out.Err = fmt.Errorf("update stream: %w", err)
 		return out

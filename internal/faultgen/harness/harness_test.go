@@ -2,10 +2,12 @@ package harness
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/faultgen"
+	"repro/internal/mrt"
 	"repro/internal/parallel"
 )
 
@@ -108,5 +110,45 @@ func TestHarnessQuarantine(t *testing.T) {
 	oc := res.Classes[0]
 	if oc.Quarantined == 0 && oc.Err == "" {
 		t.Errorf("budget (min=1, ratio=0.0001) never quarantined: %s", res.Marshal())
+	}
+}
+
+// TestHarnessQuarantineAtDefaults: at DefaultConfig the update streams
+// keep bgpstream's degradation budget, so an update archive of
+// DefaultDegradeMinRecords records, every one skipped, is quarantined
+// and its collector's feeds are dropped from the snapshot.
+func TestHarnessQuarantineAtDefaults(t *testing.T) {
+	cfg := DefaultConfig(17)
+	w := BuildWorld(cfg)
+	var archive bytes.Buffer
+	mw := mrt.NewWriter(&archive)
+	for i := 0; i < 16; i++ {
+		// BGP4MP subtype 13 is undefined: the stream warns and skips it.
+		if err := mw.WriteRecord(mrt.Record{Timestamp: uint32(i), Type: mrt.TypeBGP4MP, Subtype: 13, Body: []byte{0}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := mw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	upds := make(map[string][]byte, len(w.Upds))
+	var victim string
+	for name, data := range w.Upds {
+		upds[name] = data
+		if victim == "" || name < victim {
+			victim = name
+		}
+	}
+	upds[victim] = archive.Bytes()
+
+	out := runPipeline(cfg, w.Ribs, upds)
+	if !slices.Contains(out.UpdQuarantined, victim) {
+		t.Fatalf("update archive %s with every record skipped not quarantined at DefaultConfig (quarantined: %v)", victim, out.UpdQuarantined)
+	}
+	if out.Err != nil {
+		t.Fatal(out.Err)
+	}
+	if !slices.Contains(out.Rep.QuarantinedCollectors, victim) {
+		t.Errorf("sanitize report quarantines %v, want %s among them", out.Rep.QuarantinedCollectors, victim)
 	}
 }

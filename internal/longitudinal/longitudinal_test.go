@@ -78,10 +78,7 @@ func TestRunChurnReplayDifferential(t *testing.T) {
 		t.Fatal(err)
 	}
 	ix := core.NewAtomIndex(atoms.Snap)
-	st, err := replay.Run(ix, r.UpdateSources(OffsetBase, OffsetBase+UpdateHours), replay.Options{
-		Workers: r.Cfg.Workers,
-		Filter:  r.updateFilter(),
-	})
+	st, err := replay.Run(ix, r.UpdateSources(OffsetBase, OffsetBase+UpdateHours), replay.Options{Workers: r.Cfg.Workers})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,13 +38,13 @@ func peerWarnings(ws []bgpstream.Warning) map[bgpstream.Warning]int {
 	return out
 }
 
-// archiveRecords reads every record of an archive, keeping those whose
-// peer is in scope (nil = all). Every synthesized update record carries
+// archiveRecords reads every record of an archive, keeping copies of
+// those whose peer is in scope (nil = all). Every synthesized update record carries
 // an AS4 BGP4MP body, whatever its stamped subtype, so the peer AS is
 // its first four bytes.
 func archiveRecords(t *testing.T, data []byte, scope map[uint32]bool) []mrt.Record {
 	t.Helper()
-	rd := mrt.NewBytesReader(data)
+	rd := mrt.NewReader(bytes.NewReader(data))
 	var out []mrt.Record
 	for {
 		rec, err := rd.Next()
@@ -60,6 +60,7 @@ func archiveRecords(t *testing.T, data []byte, scope map[uint32]bool) []mrt.Reco
 		if scope != nil && !scope[binary.BigEndian.Uint32(rec.Body)] {
 			continue
 		}
+		rec.Body = bytes.Clone(rec.Body)
 		out = append(out, rec)
 	}
 }

@@ -45,8 +45,8 @@ func TestMessageCodecSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// With buffer reuse on, draining an archive allocates a small constant
-// (reader + buffer growth), not one body per record.
+// Draining an archive allocates a small constant (reader + buffer
+// growth), not one body per record: every body reuses one buffer.
 func TestReaderReuseBufferAllocs(t *testing.T) {
 	src := allocTestMessage()
 	body, err := src.Marshal()
@@ -68,7 +68,6 @@ func TestReaderReuseBufferAllocs(t *testing.T) {
 
 	n := testing.AllocsPerRun(1, func() {
 		r := NewReader(bytes.NewReader(data))
-		r.SetReuseBuffer(true)
 		for {
 			_, err := r.Next()
 			if err == io.EOF {
@@ -80,9 +79,9 @@ func TestReaderReuseBufferAllocs(t *testing.T) {
 		}
 	})
 	// Reader + bufio buffer + one body buffer, regardless of record
-	// count. Without reuse this is >= one allocation per record.
+	// count.
 	if n > 10 {
-		t.Fatalf("reuse-buffer drain of %d records: %v allocs, want <= 10", records, n)
+		t.Fatalf("drain of %d records: %v allocs, want <= 10", records, n)
 	}
 }
 

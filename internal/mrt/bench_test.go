@@ -27,30 +27,9 @@ func benchArchive(b *testing.B, records int) []byte {
 	return archive.Bytes()
 }
 
-// BenchmarkBytesReader measures raw record iteration over an in-memory
-// archive — the zero-copy floor every higher layer builds on. MB/s is
+// BenchmarkReader measures raw record iteration over an in-memory
+// archive: the floor every higher decode layer builds on. MB/s is
 // archive bytes per wall second.
-func BenchmarkBytesReader(b *testing.B) {
-	data := benchArchive(b, 2048)
-	b.SetBytes(int64(len(data)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r := BytesReader{data: data}
-		for {
-			_, err := r.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
-// BenchmarkReader is the bufio counterpart over the same bytes, for the
-// copy-vs-alias comparison in BENCH reports.
 func BenchmarkReader(b *testing.B) {
 	data := benchArchive(b, 2048)
 	b.SetBytes(int64(len(data)))
@@ -58,7 +37,6 @@ func BenchmarkReader(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r := NewReader(bytes.NewReader(data))
-		r.SetReuseBuffer(true)
 		for {
 			_, err := r.Next()
 			if err == io.EOF {

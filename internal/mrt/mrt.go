@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // MRT record types.
@@ -134,11 +135,14 @@ func (w *Writer) Flush() error {
 	return w.err
 }
 
-// Reader iterates MRT records from an io.Reader.
+// Reader iterates MRT records from an io.Reader. Every record body is
+// read into the reader's one reused buffer: a returned Record.Body, and
+// every view parsed from it (ParseMessageInto's Data, ParseRIBInto's
+// entry Attrs), is valid only until the following Next or Resync call.
+// A consumer that keeps anything past that copies it out first.
 type Reader struct {
-	r     *bufio.Reader
-	buf   []byte // reused body buffer when reuse is on
-	reuse bool
+	r   *bufio.Reader
+	buf []byte // the body buffer every Next reads into
 	// hdr is the header scratch; as a field it avoids the per-record
 	// heap escape a local array suffers when passed through io.Reader.
 	hdr [headerLen]byte
@@ -149,15 +153,8 @@ func NewReader(r io.Reader) *Reader {
 	return &Reader{r: bufio.NewReader(r)}
 }
 
-// SetReuseBuffer makes Next decode every record body into one reused
-// buffer: each returned Record.Body, and every view parsed from it
-// (ParseMessageInto's Data, ParseRIBInto's entry Attrs), is only valid
-// until the following Next call. Streaming consumers that fully process
-// (or copy out of) each record before advancing read the whole archive
-// with near-zero per-record allocations; bgpstream's attribute-block
-// memo copies the blocks it keeps. Off by default — ReadAll and other
-// callers that retain records need per-record bodies.
-func (r *Reader) SetReuseBuffer(on bool) { r.reuse = on }
+// bodyChunk is the least the body buffer grows by once it is full.
+const bodyChunk = 64 << 10
 
 // Next returns the next record, or io.EOF at a clean end of stream. A
 // stream ending mid-record returns ErrTruncated.
@@ -178,18 +175,24 @@ func (r *Reader) Next() (Record, error) {
 	if length > maxRecordLength {
 		return Record{}, fmt.Errorf("%w: record length %d", ErrBadRecord, length)
 	}
-	var body []byte
-	if r.reuse {
-		if uint32(cap(r.buf)) < length {
-			r.buf = make([]byte, length)
+	// The buffer grows only as the body's bytes arrive, so a header
+	// claiming a large length over a short stream costs what was read,
+	// not what was claimed.
+	body, want := r.buf[:0], int(length)
+	for len(body) < want {
+		if len(body) == cap(body) {
+			body = slices.Grow(body, min(want-len(body), max(len(body), bodyChunk)))
 		}
-		body = r.buf[:length]
-	} else {
-		body = make([]byte, length)
+		n, err := io.ReadFull(r.r, body[len(body):min(want, cap(body))])
+		body = body[:len(body)+n]
+		if err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return Record{}, fmt.Errorf("%w: body: %v", ErrTruncated, err)
+		}
 	}
-	if _, err := io.ReadFull(r.r, body); err != nil {
-		return Record{}, fmt.Errorf("%w: body: %v", ErrTruncated, err)
-	}
+	r.buf = body
 	if rec.Type == TypeBGP4MPET {
 		if len(body) < 4 {
 			return Record{}, fmt.Errorf("%w: BGP4MP_ET microseconds", ErrTruncated)

@@ -32,7 +32,7 @@ func TestRecordRoundTrip(t *testing.T) {
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadAll(&buf)
+	got, err := readAll(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -491,7 +491,7 @@ func TestEndToEndDump(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	recs, err := ReadAll(&buf)
+	recs, err := readAll(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -580,7 +580,7 @@ func TestMultiRecordStreamQuick(t *testing.T) {
 		if err := w.Flush(); err != nil {
 			return false
 		}
-		recs, err := ReadAll(&buf)
+		recs, err := readAll(&buf)
 		if err != nil || len(recs) != len(bodies) {
 			return false
 		}

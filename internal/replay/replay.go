@@ -28,8 +28,6 @@ type Options struct {
 	// deltas apply in serve order. The field remains only because the
 	// benchmark program sets it.
 	Workers int
-	// Filter narrows the element stream before replay.
-	Filter *bgpstream.Filter
 	// Metrics receives replay.* counters (and the stream's bgpstream.*
 	// counters) when non-nil.
 	Metrics *obs.Registry
@@ -73,7 +71,7 @@ func Run(ix *core.AtomIndex, sources []bgpstream.Source, opts Options) (Stats, e
 	defer sp.End()
 
 	mapper := NewMapper(snap)
-	st := bgpstream.NewStream(opts.Filter, sources...)
+	st := bgpstream.NewStream(nil, sources...)
 	st.SetIntern(snap.Paths)
 	if opts.Metrics != nil {
 		st.SetMetrics(opts.Metrics)

@@ -738,27 +738,19 @@ func CleanFeeds(fs *FeedSet, updateWarnings []bgpstream.Warning, opts Options) (
 	return snap, rep, nil
 }
 
-// CountAdmitted runs only the visibility portion of the pipeline for a
-// threshold pair — the Table 7 sensitivity sweep — reusing a prepared
-// visibility index built by VisibilityIndex.
+// Visibility indexes, per prefix of a snapshot, how many distinct
+// collectors and peer ASes route it, so the Table 7 threshold sweep
+// counts every cell without re-reading the archives.
 type Visibility struct {
 	collectors []uint8 // per prefix: distinct collector count (capped 255)
 	peerASes   []uint16
 	lengthOK   []bool
 }
 
-// VisibilityIndex precomputes per-prefix visibility over full feeds so
-// threshold sweeps don't re-read the archives.
-func VisibilityIndex(sources []bgpstream.Source, updateWarnings []bgpstream.Warning, opts Options) (*Visibility, error) {
-	// Reuse Clean with thresholds of 1 to keep a single code path.
-	sweep := opts
-	sweep.MinCollectors = 1
-	sweep.MinPeerASes = 1
-	sweep.LengthFilter = false
-	snap, _, err := Clean(sources, updateWarnings, sweep)
-	if err != nil {
-		return nil, err
-	}
+// NewVisibility indexes snap. For a Table 7 sweep, snap comes from Clean
+// with MinCollectors and MinPeerASes at 1 and LengthFilter off, so every
+// threshold pair is counted over the same prefixes.
+func NewVisibility(snap *core.Snapshot) *Visibility {
 	v := &Visibility{
 		collectors: make([]uint8, len(snap.Prefixes)),
 		peerASes:   make([]uint16, len(snap.Prefixes)),
@@ -786,7 +778,7 @@ func VisibilityIndex(sources []bgpstream.Source, updateWarnings []bgpstream.Warn
 		}
 		v.lengthOK[p] = prefixset.Admissible(pfx)
 	}
-	return v, nil
+	return v
 }
 
 // Count returns the number of prefixes admitted under a threshold pair

@@ -240,10 +240,7 @@ func TestAfek2002Mode(t *testing.T) {
 
 func TestVisibilitySweep(t *testing.T) {
 	sources, _, _, _ := buildScenario(t, topology.EraOf(2016, 1), false)
-	vis, err := sanitize.VisibilityIndex(sources, nil, sanitize.Defaults())
-	if err != nil {
-		t.Fatal(err)
-	}
+	vis := looseVisibility(t, sources)
 	// Monotone: raising either threshold can only shrink the count.
 	prev := -1
 	for c := 1; c <= 3; c++ {
@@ -269,6 +266,40 @@ func TestVisibilitySweep(t *testing.T) {
 	loose, chosen := vis.Count(1, 2), vis.Count(2, 4)
 	if chosen == 0 || float64(loose-chosen)/float64(loose) > 0.2 {
 		t.Errorf("chosen thresholds dropped too much: %d -> %d", loose, chosen)
+	}
+}
+
+// looseVisibility indexes the snapshot Clean builds at thresholds of 1
+// with no length filter: the Table 7 sweep's input.
+func looseVisibility(t *testing.T, sources []bgpstream.Source) *sanitize.Visibility {
+	t.Helper()
+	loose := sanitize.Defaults()
+	loose.MinCollectors, loose.MinPeerASes, loose.LengthFilter = 1, 1, false
+	snap, _, err := sanitize.Clean(sources, nil, loose)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sanitize.NewVisibility(snap)
+}
+
+// TestVisibilityAdoptedCell: the sweep's >=2-collector, >=4-peer-AS cell
+// (with the length filter) counts exactly the prefixes the default
+// pipeline admits, so Table 7 and the pipeline apply one rule.
+func TestVisibilityAdoptedCell(t *testing.T) {
+	for _, era := range []topology.Era{topology.EraOf(2012, 1), topology.EraOf(2024, 1)} {
+		sources, _, _, _ := buildScenario(t, era, false)
+		vis := looseVisibility(t, sources)
+		opts := sanitize.Defaults()
+		if opts.MinCollectors != 2 || opts.MinPeerASes != 4 {
+			t.Fatalf("default thresholds %d/%d, want 2/4", opts.MinCollectors, opts.MinPeerASes)
+		}
+		_, rep, err := sanitize.Clean(sources, nil, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := vis.Count(2, 4); got != rep.PrefixesAdmitted || got == 0 {
+			t.Errorf("%v: sweep cell (2, 4) counts %d, the default pipeline admits %d", era, got, rep.PrefixesAdmitted)
+		}
 	}
 }
 

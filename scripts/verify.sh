@@ -136,7 +136,7 @@ echo "== go test -race (determinism at every worker count)"
 race_run 'Determinism' ./internal/core/ ./internal/longitudinal/
 
 echo "== go test -race (stream serve order, batch API, golden text across workers)"
-race_run 'TestNextBatchMatchesNext' ./internal/bgpstream/
+race_run 'TestNextBatchServeOrder' ./internal/bgpstream/
 race_run 'TestExperimentDeterministicAcrossWorkers' .
 
 echo "== go test -race (fault-injection harness: absorb or contain, never silent)"
@@ -190,8 +190,8 @@ bench_run 'BuildRIBs|BuildFeeds' 1x ./internal/collector/
 echo "== abnormal-peer window bench smoke (2024Q1 update window scoped to ADD-PATH peers)"
 bench_run 'BenchmarkUpdateWarnings$' 1x ./internal/longitudinal/
 
-echo "== decode bench smoke (zero-copy reader + stream decode)"
-bench_run 'BenchmarkBytesReader$|BenchmarkReader$' 1x ./internal/mrt/
+echo "== decode bench smoke (record reader + stream decode)"
+bench_run 'BenchmarkReader$' 1x ./internal/mrt/
 bench_run 'BenchmarkStreamDecode$' 1x ./internal/bgpstream/
 
 echo "== churn bench smoke (delta kernel: p99 + updates/s metrics must report)"
