@@ -94,7 +94,7 @@ func main() {
 		updSources = cli.LoadSources(tool, paths)
 		us := bgpstream.NewStream(nil, updSources...)
 		us.SetMetrics(o.Registry)
-		if _, err := us.All(); err != nil {
+		if err := us.Drain(); err != nil {
 			cli.Fatal(tool, err)
 		}
 		warnings = us.Warnings()
@@ -106,17 +106,20 @@ func main() {
 		// An archive that matched the glob but decoded nothing
 		// contributes no warnings — and therefore silently weakens the
 		// §A8.3 abnormal-peer detection. Surface it.
-		empty := 0
-		for collector, n := range us.SourceElemCounts() {
-			if n == 0 {
-				empty++
-				fmt.Fprintf(os.Stderr, "%s: warning: update archive %q decoded zero elements\n", tool, collector)
-				o.Registry.Counter("atomize.empty_update_archives").Inc()
+		var empty []string
+		for collector, st := range us.SourceStats() {
+			if st.Elems == 0 {
+				empty = append(empty, collector)
 			}
+		}
+		sort.Strings(empty)
+		for _, collector := range empty {
+			fmt.Fprintf(os.Stderr, "%s: warning: update archive %q decoded zero elements\n", tool, collector)
+			o.Registry.Counter("atomize.empty_update_archives").Inc()
 		}
 		usp.SetAttr("archives", len(paths))
 		usp.SetAttr("warnings", len(warnings))
-		usp.SetAttr("empty_archives", empty)
+		usp.SetAttr("empty_archives", len(empty))
 		usp.End()
 	}
 

@@ -18,7 +18,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/bgp"
 	"repro/internal/bgpstream"
 	"repro/internal/core"
 	"repro/internal/experiments"
@@ -95,33 +94,15 @@ func TestGoldenPipeline(t *testing.T) {
 	cfg := goldenConfig()
 	w := harness.BuildWorld(cfg)
 
-	srcNames := make([]string, 0, len(w.Upds))
-	for name := range w.Upds {
-		srcNames = append(srcNames, name)
-	}
-	sort.Strings(srcNames)
-	var upds []bgpstream.Source
-	for _, name := range srcNames {
-		upds = append(upds, bgpstream.BytesSource(name, w.Upds[name], bgp.Options{}))
-	}
-	us := bgpstream.NewStream(nil, upds...)
+	us := bgpstream.NewStream(nil, bgpstream.SortedSources(w.Upds)...)
 	elems, err := us.All()
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	ribNames := make([]string, 0, len(w.Ribs))
-	for name := range w.Ribs {
-		ribNames = append(ribNames, name)
-	}
-	sort.Strings(ribNames)
-	var ribs []bgpstream.Source
-	for _, name := range ribNames {
-		ribs = append(ribs, bgpstream.BytesSource(name, w.Ribs[name], bgp.Options{}))
-	}
 	opts := sanitize.Defaults()
 	opts.SessionFlaps = us.StateFlaps()
-	snap, rep, err := sanitize.Clean(ribs, us.Warnings(), opts)
+	snap, rep, err := sanitize.Clean(bgpstream.SortedSources(w.Ribs), us.Warnings(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}

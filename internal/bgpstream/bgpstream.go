@@ -11,17 +11,19 @@
 //
 // # Decode architecture
 //
-// Every source gets its own sourceDecoder: reader, peer table, warning
-// list and degradation accounting live per source. The Stream serves
-// those decoders strictly in source order and decodes on demand: each
-// fill decodes one record of the current source into the stream's one
-// reused element buffer, so a source's reader is not opened until the
-// sources before it have been served, and memory holds one record's
-// elements, not an archive's. Within a source elements come in record
-// order; MsgIndex is rebased onto a global sequence as batches are
-// served, and each source's degradation budget is judged as the stream
-// moves past it. All decoders share the stream's one attribute-block
-// memo (see blockMemo), so each distinct block is parsed, flattened and
+// A Stream is one sequential decoder. It serves its sources strictly in
+// order and decodes on demand: each fill reads one record of the current
+// source into the stream's one reused element buffer, so a source's
+// reader is not opened until the sources before it have been served, and
+// memory holds one record's elements, not an archive's. The reader, peer
+// table and RIB sequence belong to the current source and are reset as
+// the cursor moves on; per source only the ledger that SourceStats and
+// DecodedBytes read is kept, and the source's degradation budget (fixed
+// at 16 records and a 0.3 skip ratio) is judged as the cursor leaves it.
+// Warnings and session flaps accumulate on the stream in serve order.
+// Within a source elements come in record order, and MsgIndex numbers
+// messages across all sources. One attribute-block memo (see blockMemo)
+// spans the sources, so each distinct block is parsed, flattened and
 // interned once, and paths are interned in serve order, so intern IDs
 // are a pure function of the sources.
 //
@@ -37,7 +39,9 @@ import (
 	"fmt"
 	"hash/maphash"
 	"io"
+	"maps"
 	"net/netip"
+	"slices"
 	"sort"
 
 	"repro/internal/aspath"
@@ -159,6 +163,22 @@ func BytesSource(collector string, data []byte, opt bgp.Options) Source {
 	return Source{Collector: collector, Data: data, Options: opt}
 }
 
+// SortedSources wraps archives, keyed by collector name, as byte-backed
+// sources in name order, so a stream over them warns, interns and
+// judges in an order that does not depend on map iteration.
+func SortedSources(archives map[string][]byte) []Source {
+	names := make([]string, 0, len(archives))
+	for name := range archives {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	out := make([]Source, len(names))
+	for i, name := range names {
+		out[i] = BytesSource(name, archives[name], bgp.Options{})
+	}
+	return out
+}
+
 // open returns a fresh record reader over the source. A source with
 // neither Data nor R is an empty archive (bytes.Buffer.Bytes of a
 // collector that got no records).
@@ -199,32 +219,30 @@ func (f *Filter) Match(e *Elem) bool {
 	return true
 }
 
-// sourceDecoder is one source's decode state: reader, peer table,
-// scratch, warnings and degradation accounting. The Stream steps the
-// current decoder one record at a time.
-type sourceDecoder struct {
-	src       Source
-	collector string
-	reader    *mrt.Reader
-	inited    bool
-	done      bool
+// Stream iterates elements across sources in order. It is one
+// sequential decoder: the reader, peer table and RIB sequence below
+// belong to the current source and are reset when the cursor moves on.
+type Stream struct {
+	sources []Source
+	filter  *Filter
+	intern  *aspath.Table
 
-	peers []mrt.Peer
-	// elems receives one record's elements; the Stream lends it its
-	// reused buffer for each step. MsgIndex values in elems are
-	// source-local (1-based); the Stream rebases them.
-	elems    []Elem
+	// Serve cursor: sources are decoded strictly in order, one record
+	// per step, into batch, the one reused element buffer. reader is nil
+	// until the current source is opened; ledger[cur] is its accounting.
+	cur    int
+	reader *mrt.Reader
+	ledger []sourceLedger
+	src    *sourceLedger
+	batch  []Elem
+	// msgCount numbers the messages (UPDATEs, RIB records, state
+	// changes) decoded so far across all sources: Elem.MsgIndex.
 	msgCount int
 
-	warnings    []Warning
-	elemCount   int
-	records     int
-	skipped     int
-	resyncs     int
-	bytes       int64
+	// Current source's decode state.
+	collector   string
+	peers       []mrt.Peer
 	resyncsLeft int
-	stateFlaps  map[uint32]int
-
 	// RIB sequence tracking: TABLE_DUMP_V2 writers emit strictly
 	// consecutive sequence numbers, so a jump between decoded records
 	// means records were lost, duplicated, or reordered even when every
@@ -233,96 +251,58 @@ type sourceDecoder struct {
 	ribSeqValid bool
 
 	// Decode scratch, reused across records: msg/upd/rib/attrs absorb
-	// the per-record parse allocations, memo (the stream's) holds what
-	// each distinct attribute block decodes to, and mp what an
-	// unmemoized MP_REACH/MP_UNREACH block does.
-	memo  *blockMemo
-	msg   mrt.Message
-	upd   bgp.Update
-	rib   mrt.RIB
-	attrs []bgp.Attr
-	mp    memoEntry
-
-	// Interning (optional): flattened-path scratch and the shared table.
-	intern *aspath.Table
+	// the per-record parse allocations, memo holds what each distinct
+	// attribute block decodes to (dropped at EOF), mp what an unmemoized
+	// MP_REACH/MP_UNREACH block does, and seqBuf the flattened path.
+	memo   blockMemo
+	msg    mrt.Message
+	upd    bgp.Update
+	rib    mrt.RIB
+	attrs  []bgp.Attr
+	mp     memoEntry
 	seqBuf aspath.Seq
 
-	// Telemetry, snapshotted from the Stream before decoding starts so
-	// decode never builds counter keys per record. All nil-safe.
-	metrics     *obs.Registry
-	recordsC    *obs.Counter
-	elemC       [5]*obs.Counter
-	sourceElemC *obs.Counter
-}
-
-// Stream iterates elements across sources in order.
-type Stream struct {
-	sources []Source
-	filter  *Filter
-	intern  *aspath.Table
-
-	decs    []*sourceDecoder
-	running bool
-
-	// Serve cursor: decoders are served strictly in source order;
-	// msgBase is the number of messages the already-served decoders
-	// produced, rebasing source-local MsgIndex onto a global sequence.
-	// batch is the one element buffer every record is decoded into.
-	cur     int
-	msgBase int
-	batch   []Elem
-
-	// Degradation budget (SetDegradation) and the quarantine verdicts,
-	// judged in source order as the cursor passes each source.
-	degradeMin  int
-	degradeMax  float64
+	// What the accessors report, in serve order.
+	warnings    []Warning
+	stateFlaps  map[uint32]int
 	quarantined map[string]bool
-
-	// memo is shared by all decoders and dropped at EOF.
-	memo blockMemo
 
 	// Telemetry (nil metrics = disabled; hot counters are cached so
 	// the enabled path skips per-record key building).
-	metrics   *obs.Registry
-	recordsC  *obs.Counter
-	filteredC *obs.Counter
-	elemC     [5]*obs.Counter // indexed by ElemType
+	metrics     *obs.Registry
+	recordsC    *obs.Counter
+	filteredC   *obs.Counter
+	elemC       [5]*obs.Counter // indexed by ElemType
+	sourceElemC *obs.Counter    // the current source's collector
+}
+
+// sourceLedger is one source's accounting: what SourceStats and
+// DecodedBytes sum, and what the degradation budget judges.
+type sourceLedger struct {
+	SourceStat
+	bytes int64
 }
 
 // NewStream builds a stream over the sources, applying the filter (nil
 // passes all). The attribute-block memo is allocated on first use, so
 // constructing a stream allocates no decode state.
 func NewStream(filter *Filter, sources ...Source) *Stream {
-	return &Stream{
-		sources: sources, filter: filter,
-		degradeMin: DefaultDegradeMinRecords, degradeMax: DefaultDegradeMaxSkipRatio,
-	}
+	return &Stream{sources: sources, filter: filter, ledger: make([]sourceLedger, len(sources))}
 }
 
-// Degradation-budget defaults: a source is quarantined when, having
-// produced at least DefaultDegradeMinRecords records (decoded plus
-// skipped), more than DefaultDegradeMaxSkipRatio of them were skipped.
-// Small archives never qualify, so a short truncated tail does not
-// condemn a feed.
+// The degradation budget: a source is quarantined when, having produced
+// at least degradeMinRecords records (decoded plus skipped), more than
+// degradeMaxSkipRatio of them were skipped. Small archives never
+// qualify, so a short truncated tail does not condemn a feed.
 const (
-	DefaultDegradeMinRecords   = 16
-	DefaultDegradeMaxSkipRatio = 0.3
+	degradeMinRecords   = 16
+	degradeMaxSkipRatio = 0.3
 	// maxResyncsPerSource bounds boundary recovery: a source that keeps
 	// losing framing is abandoned rather than scanned forever.
 	maxResyncsPerSource = 8
 	// maxResyncScan bounds each forward scan for a plausible header.
 	maxResyncScan = 1 << 20
 )
-
-// SetDegradation overrides the per-source degradation budget. A source
-// whose skip ratio exceeds maxSkipRatio after at least minRecords
-// records is quarantined: its collector lands in Quarantined() and a
-// bgpstream.source_quarantined counter fires. minRecords <= 0 disables
-// quarantine entirely.
-func (s *Stream) SetDegradation(minRecords int, maxSkipRatio float64) {
-	s.degradeMin = minRecords
-	s.degradeMax = maxSkipRatio
-}
 
 // SetWorkers does nothing: a Stream always decodes one record of the
 // current source at a time. It remains only because the benchmark
@@ -351,37 +331,29 @@ func (s *Stream) Quarantined() []string {
 // StateFlaps returns, per peer ASN, how many BGP state-change elements
 // the stream decoded — the raw session-flap signal sanitize's
 // flap-storm filter consumes. Complete once the stream has drained.
-func (s *Stream) StateFlaps() map[uint32]int {
-	var out map[uint32]int
-	for _, d := range s.decs {
-		for as, n := range d.stateFlaps {
-			if out == nil {
-				out = make(map[uint32]int)
-			}
-			out[as] += n
-		}
-	}
-	return out
-}
+func (s *Stream) StateFlaps() map[uint32]int { return maps.Clone(s.stateFlaps) }
 
-// SourceStat summarizes one collector's degradation accounting.
+// SourceStat summarizes one collector's accounting.
 type SourceStat struct {
 	Records int // records decoded
 	Skipped int // records (or RIB entries) skipped with a warning
 	Resyncs int // boundary recoveries
+	// Elems counts the elements emitted (pre-filter). Zero flags an
+	// archive that decoded nothing — e.g. a bad -updates glob entry.
+	Elems int
 }
 
-// SourceStats returns per-collector degradation accounting, summed
-// across sources sharing a collector name.
+// SourceStats returns per-collector accounting, summed across sources
+// sharing a collector name. Every source appears, decoded or not.
 func (s *Stream) SourceStats() map[string]SourceStat {
-	s.ensureDecoders()
 	out := make(map[string]SourceStat, len(s.sources))
-	for _, d := range s.decs {
-		st := out[d.collector]
-		st.Records += d.records
-		st.Skipped += d.skipped
-		st.Resyncs += d.resyncs
-		out[d.collector] = st
+	for i := range s.sources {
+		st, l := out[s.sources[i].Collector], &s.ledger[i]
+		st.Records += l.Records
+		st.Skipped += l.Skipped
+		st.Resyncs += l.Resyncs
+		st.Elems += l.Elems
+		out[s.sources[i].Collector] = st
 	}
 	return out
 }
@@ -390,35 +362,10 @@ func (s *Stream) SourceStats() map[string]SourceStat {
 // all sources (headers included). Complete once the stream has drained.
 func (s *Stream) DecodedBytes() int64 {
 	var n int64
-	for _, d := range s.decs {
-		n += d.bytes
+	for i := range s.ledger {
+		n += s.ledger[i].bytes
 	}
 	return n
-}
-
-// judge applies the degradation budget to a finished decoder. fill
-// calls it once per source, as the serve cursor passes it, so verdicts
-// (and the quarantine warning's position in Warnings) follow source
-// order.
-func (s *Stream) judge(d *sourceDecoder) {
-	total := d.records + d.skipped
-	if s.degradeMin <= 0 || total < s.degradeMin {
-		return
-	}
-	if float64(d.skipped)/float64(total) <= s.degradeMax {
-		return
-	}
-	if s.quarantined == nil {
-		s.quarantined = make(map[string]bool)
-	}
-	if !s.quarantined[d.collector] {
-		s.quarantined[d.collector] = true
-		d.warn(0, 0, WarnQuarantine, fmt.Sprintf(
-			"source quarantined: %d/%d records skipped", d.skipped, total))
-		if s.metrics != nil {
-			s.metrics.Counter("bgpstream.source_quarantined", "collector", d.collector).Inc()
-		}
-	}
 }
 
 // SetMetrics attaches a telemetry registry. The stream increments:
@@ -446,97 +393,66 @@ func (s *Stream) SetMetrics(r *obs.Registry) {
 
 // Warnings returns parse problems encountered so far, in source order
 // (within a source, in decode order).
-func (s *Stream) Warnings() []Warning {
-	var out []Warning
-	for _, d := range s.decs {
-		out = append(out, d.warnings...)
-	}
-	return out
-}
+func (s *Stream) Warnings() []Warning { return slices.Clone(s.warnings) }
 
-// SourceElemCounts returns, per collector, how many elements each
-// source emitted (pre-filter), summed across sources sharing a
-// collector name. A zero count flags an archive that matched but
-// decoded nothing — e.g. a bad -updates glob entry.
-func (s *Stream) SourceElemCounts() map[string]int {
-	s.ensureDecoders()
-	out := make(map[string]int, len(s.sources))
-	for _, d := range s.decs {
-		out[d.collector] += d.elemCount
-	}
-	return out
-}
-
-// ensureDecoders creates the per-source decode units (cheap: no I/O, no
-// reader construction — that happens on first step).
-func (s *Stream) ensureDecoders() {
-	if s.decs != nil || len(s.sources) == 0 {
-		return
-	}
-	s.decs = make([]*sourceDecoder, len(s.sources))
-	for i := range s.sources {
-		s.decs[i] = &sourceDecoder{
-			src:       s.sources[i],
-			collector: s.sources[i].Collector,
-		}
-	}
-}
-
-// ensureRunning finalizes configuration: the metrics snapshot, the
-// intern table and the shared memo. Decoding itself happens on demand
-// in fill.
-func (s *Stream) ensureRunning() {
-	if s.running {
-		return
-	}
-	s.running = true
-	s.ensureDecoders()
-	for _, d := range s.decs {
-		d.metrics = s.metrics
-		d.recordsC = s.recordsC
-		d.elemC = s.elemC
-		d.intern = s.intern
-		d.memo = &s.memo
-		if s.metrics != nil {
-			d.sourceElemC = s.metrics.Counter("bgpstream.source_elems", "collector", d.collector)
-		}
-	}
-}
-
-// fill decodes records of the current source into s.batch until one
-// yields elements: strictly source order, record order within each
-// source, MsgIndex rebased. The batch buffer is reused for every record,
-// which the NextBatch contract allows: the previous batch is invalid
-// once the call driving this fill was made. Returns io.EOF when every
-// source has drained.
+// fill decodes records into s.batch until one yields elements: strictly
+// source order, record order within each source. The batch buffer is
+// reused for every record, which the NextBatch contract allows: the
+// previous batch is invalid once the call driving this fill was made.
+// Returns io.EOF when every source has drained.
 func (s *Stream) fill() error {
-	for s.cur < len(s.decs) {
-		d := s.decs[s.cur]
-		if d.done {
-			s.judge(d)
-			s.msgBase += d.msgCount
-			d.memo = nil
-			s.cur++
-			continue
+	for s.cur < len(s.sources) {
+		if s.reader == nil {
+			s.open()
 		}
-		d.elems = s.batch[:0]
-		d.step()
-		s.batch, d.elems = d.elems, nil
-		if len(s.batch) == 0 {
-			continue
+		s.batch = s.batch[:0]
+		s.step()
+		if len(s.batch) > 0 {
+			return nil
 		}
-		if s.msgBase != 0 {
-			for i := range s.batch {
-				s.batch[i].MsgIndex += s.msgBase
-			}
-		}
-		return nil
 	}
 	// Everything is served: drop the memo and the buffer, which still
 	// points into the last record's paths.
 	s.memo = blockMemo{}
 	s.batch = nil
 	return io.EOF
+}
+
+// open starts decoding the source under the cursor.
+func (s *Stream) open() {
+	src := &s.sources[s.cur]
+	s.reader = src.open()
+	s.src = &s.ledger[s.cur]
+	s.collector = src.Collector
+	s.peers = nil
+	s.resyncsLeft = maxResyncsPerSource
+	s.ribSeqValid = false
+	s.sourceElemC = s.metrics.Counter("bgpstream.source_elems", "collector", src.Collector)
+}
+
+// finish closes out the current source: its byte count is flushed, its
+// degradation budget judged, and the cursor moves on. Verdicts (and the
+// quarantine warning's position in Warnings) follow source order.
+func (s *Stream) finish() {
+	l := s.src
+	if s.metrics != nil && l.bytes != 0 {
+		s.metrics.Counter("bgpstream.decode_bytes").Add(l.bytes)
+	}
+	total := l.Records + l.Skipped
+	if total >= degradeMinRecords && float64(l.Skipped)/float64(total) > degradeMaxSkipRatio &&
+		!s.quarantined[s.collector] {
+		if s.quarantined == nil {
+			s.quarantined = make(map[string]bool)
+		}
+		s.quarantined[s.collector] = true
+		s.warn(0, 0, WarnQuarantine, fmt.Sprintf(
+			"source quarantined: %d/%d records skipped", l.Skipped, total))
+		if s.metrics != nil {
+			s.metrics.Counter("bgpstream.source_quarantined", "collector", s.collector).Inc()
+		}
+	}
+	s.reader, s.src, s.peers = nil, nil, nil
+	s.cur++
 }
 
 // NextBatch returns the next run of elements passing the filter, or
@@ -546,7 +462,6 @@ func (s *Stream) fill() error {
 // advancing; the elements' paths and communities stay valid after that
 // (see DESIGN.md "Zero-copy ownership").
 func (s *Stream) NextBatch() ([]Elem, error) {
-	s.ensureRunning()
 	for {
 		if err := s.fill(); err != nil {
 			return nil, err
@@ -586,20 +501,27 @@ func (s *Stream) All() ([]Elem, error) {
 	}
 }
 
-// step decodes one record: reader init on first use, EOF/resync
-// handling, then the type dispatch.
-func (d *sourceDecoder) step() {
-	if d.done {
-		return
+// Drain decodes every remaining record and keeps no element: for callers
+// that read only the accessors (Warnings, StateFlaps, Quarantined,
+// SourceStats), it holds one record's elements at a time where All holds
+// them all.
+func (s *Stream) Drain() error {
+	for {
+		if _, err := s.NextBatch(); err != nil {
+			if err == io.EOF {
+				return nil
+			}
+			return err
+		}
 	}
-	if !d.inited {
-		d.inited = true
-		d.reader = d.src.open()
-		d.resyncsLeft = maxResyncsPerSource
-	}
-	rec, err := d.reader.Next()
+}
+
+// step decodes one record of the current source: EOF/resync handling,
+// then the type dispatch.
+func (s *Stream) step() {
+	rec, err := s.reader.Next()
 	if err == io.EOF {
-		d.finish()
+		s.finish()
 		return
 	}
 	if err != nil {
@@ -607,51 +529,43 @@ func (d *sourceDecoder) step() {
 		// next plausible MRT header instead of abandoning the file. A
 		// source that keeps losing framing exhausts its resync budget
 		// and is dropped.
-		d.warn(0, 0, WarnRecordError, fmt.Sprintf("record error: %v", err))
-		if d.resyncsLeft > 0 {
-			d.resyncsLeft--
-			skipped, rerr := d.reader.Resync(maxResyncScan)
+		s.warn(0, 0, WarnRecordError, fmt.Sprintf("record error: %v", err))
+		if s.resyncsLeft > 0 {
+			s.resyncsLeft--
+			skipped, rerr := s.reader.Resync(maxResyncScan)
 			if rerr == nil {
-				d.resyncs++
-				d.warn(0, 0, WarnResync, fmt.Sprintf("resynchronized after %d bytes", skipped))
-				if d.metrics != nil {
-					d.metrics.Counter("bgpstream.resyncs").Inc()
-					d.metrics.Counter("bgpstream.resync_bytes").Add(int64(skipped))
+				s.src.Resyncs++
+				s.warn(0, 0, WarnResync, fmt.Sprintf("resynchronized after %d bytes", skipped))
+				if s.metrics != nil {
+					s.metrics.Counter("bgpstream.resyncs").Inc()
+					s.metrics.Counter("bgpstream.resync_bytes").Add(int64(skipped))
 				}
 				return
 			}
 		}
-		d.finish()
+		s.finish()
 		return
 	}
-	d.recordsC.Inc()
-	d.records++
-	d.bytes += int64(len(rec.Body)) + 12
+	s.recordsC.Inc()
+	s.src.Records++
+	s.src.bytes += int64(len(rec.Body)) + 12
 	if rec.Type == mrt.TypeBGP4MPET {
-		d.bytes += 4
+		s.src.bytes += 4
 	}
-	d.decode(rec)
-}
-
-// finish marks the source drained and flushes its byte count.
-func (d *sourceDecoder) finish() {
-	d.done = true
-	if d.metrics != nil && d.bytes != 0 {
-		d.metrics.Counter("bgpstream.decode_bytes").Add(d.bytes)
-	}
+	s.decode(rec)
 }
 
 // emit queues an element and does the per-element accounting.
-func (d *sourceDecoder) emit(e Elem) {
-	d.elems = append(d.elems, e)
-	d.elemCount++
-	d.elemC[e.Type].Inc()
-	d.sourceElemC.Inc()
+func (s *Stream) emit(e Elem) {
+	s.batch = append(s.batch, e)
+	s.src.Elems++
+	s.elemC[e.Type].Inc()
+	s.sourceElemC.Inc()
 }
 
-func (d *sourceDecoder) warn(peerASN uint32, subtype uint16, code, reason string) {
-	d.warnings = append(d.warnings, Warning{
-		Collector: d.collector,
+func (s *Stream) warn(peerASN uint32, subtype uint16, code, reason string) {
+	s.warnings = append(s.warnings, Warning{
+		Collector: s.collector,
 		PeerASN:   peerASN,
 		Subtype:   subtype,
 		Code:      code,
@@ -663,106 +577,106 @@ func (d *sourceDecoder) warn(peerASN uint32, subtype uint16, code, reason string
 	skip := code != WarnAddPathSuspect && code != WarnResync && code != WarnQuarantine &&
 		code != WarnSequenceGap
 	if skip {
-		d.skipped++
+		s.src.Skipped++
 	}
-	if d.metrics != nil {
-		d.metrics.Counter("bgpstream.warnings", "reason", code, "subtype", fmt.Sprint(subtype)).Inc()
+	if s.metrics != nil {
+		s.metrics.Counter("bgpstream.warnings", "reason", code, "subtype", fmt.Sprint(subtype)).Inc()
 		if skip {
-			d.metrics.Counter("bgpstream.records_skipped", "reason", code).Inc()
+			s.metrics.Counter("bgpstream.records_skipped", "reason", code).Inc()
 		}
 	}
 }
 
-func (d *sourceDecoder) decode(rec mrt.Record) {
+func (s *Stream) decode(rec mrt.Record) {
 	switch rec.Type {
 	case mrt.TypeTableDumpV2:
 		switch {
 		case rec.Subtype == mrt.SubPeerIndexTable:
 			pit, err := mrt.ParsePeerIndexTable(rec.Body)
 			if err != nil {
-				d.warn(0, rec.Subtype, WarnPeerIndexTable, fmt.Sprintf("peer index table: %v", err))
+				s.warn(0, rec.Subtype, WarnPeerIndexTable, fmt.Sprintf("peer index table: %v", err))
 				return
 			}
-			d.peers = pit.Peers
+			s.peers = pit.Peers
 		case rec.IsRIB():
-			rib := &d.rib
+			rib := &s.rib
 			if err := mrt.ParseRIBInto(rib, rec.Subtype, rec.Body); err != nil {
-				d.warn(0, rec.Subtype, WarnRIBRecord, fmt.Sprintf("RIB record: %v", err))
+				s.warn(0, rec.Subtype, WarnRIBRecord, fmt.Sprintf("RIB record: %v", err))
 				return
 			}
-			if d.ribSeqValid && rib.Sequence != d.ribSeqNext {
-				d.warn(0, rec.Subtype, WarnSequenceGap,
-					fmt.Sprintf("RIB sequence %d, expected %d: records lost, duplicated, or reordered", rib.Sequence, d.ribSeqNext))
+			if s.ribSeqValid && rib.Sequence != s.ribSeqNext {
+				s.warn(0, rec.Subtype, WarnSequenceGap,
+					fmt.Sprintf("RIB sequence %d, expected %d: records lost, duplicated, or reordered", rib.Sequence, s.ribSeqNext))
 			}
-			d.ribSeqNext, d.ribSeqValid = rib.Sequence+1, true
-			d.msgCount++
+			s.ribSeqNext, s.ribSeqValid = rib.Sequence+1, true
+			s.msgCount++
 			// RIB attribute blocks always use 4-octet ASNs (RFC 6396
 			// §4.3.4); ADD-PATH follows the record subtype.
 			opt := bgp.Options{AS4: true, AddPath: rib.AddPath}
 			for _, entry := range rib.Entries {
-				if int(entry.PeerIndex) >= len(d.peers) {
-					d.warn(0, rec.Subtype, WarnPeerIndexRange, fmt.Sprintf("peer index %d out of range", entry.PeerIndex))
+				if int(entry.PeerIndex) >= len(s.peers) {
+					s.warn(0, rec.Subtype, WarnPeerIndexRange, fmt.Sprintf("peer index %d out of range", entry.PeerIndex))
 					continue
 				}
-				peer := d.peers[entry.PeerIndex]
-				m := d.memo.get(entry.Attrs, opt, true)
+				peer := s.peers[entry.PeerIndex]
+				m := s.memo.get(entry.Attrs, opt, true)
 				if m == nil {
-					attrs, err := bgp.AppendAttributes(d.attrs[:0], entry.Attrs, opt)
+					attrs, err := bgp.AppendAttributes(s.attrs[:0], entry.Attrs, opt)
 					if err != nil {
-						d.warn(peer.ASN, rec.Subtype, WarnRIBAttrs, fmt.Sprintf("RIB attributes: %v", err))
+						s.warn(peer.ASN, rec.Subtype, WarnRIBAttrs, fmt.Sprintf("RIB attributes: %v", err))
 						continue
 					}
-					d.attrs = attrs[:0]
-					m = d.memo.put(entry.Attrs, opt, true)
-					d.derive(m, attrs)
+					s.attrs = attrs[:0]
+					m = s.memo.put(entry.Attrs, opt, true)
+					s.derive(m, attrs)
 				}
 				e := Elem{
-					Type: ElemRIB, Timestamp: rec.Timestamp, Collector: d.collector,
+					Type: ElemRIB, Timestamp: rec.Timestamp, Collector: s.collector,
 					PeerAddr: peer.Addr, PeerASN: peer.ASN, Prefix: rib.Prefix,
-					PathID: entry.PathID, MsgIndex: d.msgCount,
+					PathID: entry.PathID, MsgIndex: s.msgCount,
 				}
 				m.stamp(&e)
-				d.emit(e)
+				s.emit(e)
 			}
 		default:
-			d.warn(0, rec.Subtype, WarnUnknownTD2Subtype, fmt.Sprintf("unknown TABLE_DUMP_V2 record subtype %d", rec.Subtype))
+			s.warn(0, rec.Subtype, WarnUnknownTD2Subtype, fmt.Sprintf("unknown TABLE_DUMP_V2 record subtype %d", rec.Subtype))
 		}
 	case mrt.TypeBGP4MP, mrt.TypeBGP4MPET:
 		switch rec.Subtype {
 		case mrt.SubStateChange, mrt.SubStateChangeAS4:
 			sc, err := mrt.ParseStateChange(rec.Subtype, rec.Body)
 			if err != nil {
-				d.warn(0, rec.Subtype, WarnStateChange, fmt.Sprintf("state change: %v", err))
+				s.warn(0, rec.Subtype, WarnStateChange, fmt.Sprintf("state change: %v", err))
 				return
 			}
-			d.msgCount++
-			if d.stateFlaps == nil {
-				d.stateFlaps = make(map[uint32]int)
+			s.msgCount++
+			if s.stateFlaps == nil {
+				s.stateFlaps = make(map[uint32]int)
 			}
-			d.stateFlaps[sc.PeerAS]++
-			d.emit(Elem{
-				Type: ElemState, Timestamp: rec.Timestamp, Collector: d.collector,
+			s.stateFlaps[sc.PeerAS]++
+			s.emit(Elem{
+				Type: ElemState, Timestamp: rec.Timestamp, Collector: s.collector,
 				PeerAddr: sc.PeerAddr, PeerASN: sc.PeerAS,
-				OldState: sc.OldState, NewState: sc.NewState, MsgIndex: d.msgCount,
+				OldState: sc.OldState, NewState: sc.NewState, MsgIndex: s.msgCount,
 			})
 		case mrt.SubMessage, mrt.SubMessageAS4, mrt.SubMessageAP, mrt.SubMessageAS4AP:
-			if err := mrt.ParseMessageInto(&d.msg, rec.Subtype, rec.Body); err != nil {
-				d.warn(0, rec.Subtype, WarnBGP4MPMessage, fmt.Sprintf("BGP4MP message: %v", err))
+			if err := mrt.ParseMessageInto(&s.msg, rec.Subtype, rec.Body); err != nil {
+				s.warn(0, rec.Subtype, WarnBGP4MPMessage, fmt.Sprintf("BGP4MP message: %v", err))
 				return
 			}
-			d.decodeUpdate(rec, &d.msg)
+			s.decodeUpdate(rec, &s.msg)
 		default:
-			d.warn(0, rec.Subtype, WarnUnknownBGP4MP, fmt.Sprintf("unknown BGP4MP record subtype %d", rec.Subtype))
+			s.warn(0, rec.Subtype, WarnUnknownBGP4MP, fmt.Sprintf("unknown BGP4MP record subtype %d", rec.Subtype))
 		}
 	default:
-		d.warn(0, rec.Subtype, WarnUnknownMRTType, fmt.Sprintf("unknown MRT record type %d", rec.Type))
+		s.warn(0, rec.Subtype, WarnUnknownMRTType, fmt.Sprintf("unknown MRT record type %d", rec.Type))
 	}
 }
 
-func (d *sourceDecoder) decodeUpdate(rec mrt.Record, msg *mrt.Message) {
+func (s *Stream) decodeUpdate(rec mrt.Record, msg *mrt.Message) {
 	h, err := bgp.ParseHeader(msg.Data)
 	if err != nil {
-		d.warn(msg.PeerAS, rec.Subtype, WarnBGPHeader, fmt.Sprintf("BGP header: %v", err))
+		s.warn(msg.PeerAS, rec.Subtype, WarnBGPHeader, fmt.Sprintf("BGP header: %v", err))
 		return
 	}
 	if h.Type != bgp.MsgUpdate {
@@ -770,21 +684,21 @@ func (d *sourceDecoder) decodeUpdate(rec mrt.Record, msg *mrt.Message) {
 		return
 	}
 	opt := bgp.Options{AS4: msg.AS4, AddPath: msg.AddPath}
-	u := &d.upd
+	u := &s.upd
 	// Only a memo miss parses the attribute block. It is memoized, and
 	// its path interned, once the message turns out to announce, unless
 	// it carries MP_REACH/MP_UNREACH, whose NLRI differ per message.
 	var m *memoEntry
 	var block []byte
 	err = bgp.ParseUpdateWith(u, msg.Data, opt, func(b []byte) (err error) {
-		if m = d.memo.get(b, opt, false); m == nil {
+		if m = s.memo.get(b, opt, false); m == nil {
 			block = b
 			u.Attrs, err = bgp.AppendAttributes(u.Attrs[:0], b, opt)
 		}
 		return err
 	})
 	if err != nil {
-		d.warn(msg.PeerAS, rec.Subtype, WarnUpdateParse, fmt.Sprintf("UPDATE parse: %v", err))
+		s.warn(msg.PeerAS, rec.Subtype, WarnUpdateParse, fmt.Sprintf("UPDATE parse: %v", err))
 		return
 	}
 	// MP_REACH/MP_UNREACH NLRI are folded in without copying.
@@ -799,12 +713,12 @@ func (d *sourceDecoder) decodeUpdate(rec mrt.Record, msg *mrt.Message) {
 	// turns the 4-byte path identifiers into phantom default routes.
 	// Two or more /0 entries in one message is never legitimate.
 	if zeroLen(u.Announced)+zeroLen(mpAnn)+zeroLen(u.Withdrawn)+zeroLen(mpWdr) >= 2 {
-		d.warn(msg.PeerAS, rec.Subtype, WarnAddPathSuspect, "suspicious NLRI: repeated zero-length prefixes (possible ADD-PATH mismatch)")
+		s.warn(msg.PeerAS, rec.Subtype, WarnAddPathSuspect, "suspicious NLRI: repeated zero-length prefixes (possible ADD-PATH mismatch)")
 	}
-	d.msgCount++
+	s.msgCount++
 	wdr := Elem{
-		Type: ElemWithdraw, Timestamp: rec.Timestamp, Collector: d.collector,
-		PeerAddr: msg.PeerAddr, PeerASN: msg.PeerAS, MsgIndex: d.msgCount,
+		Type: ElemWithdraw, Timestamp: rec.Timestamp, Collector: s.collector,
+		PeerAddr: msg.PeerAddr, PeerASN: msg.PeerAS, MsgIndex: s.msgCount,
 	}
 	// Every announcement of the message shares its path, so the path is
 	// flattened and interned once per message, not once per prefix.
@@ -812,11 +726,11 @@ func (d *sourceDecoder) decodeUpdate(rec mrt.Record, msg *mrt.Message) {
 	ann.Type = ElemAnnounce
 	if len(u.Announced)+len(mpAnn) > 0 {
 		if m == nil {
-			m, d.mp = &d.mp, memoEntry{}
+			m, s.mp = &s.mp, memoEntry{}
 			if u.Attr(bgp.AttrTypeMPReach) == nil && u.Attr(bgp.AttrTypeMPUnreach) == nil {
-				m = d.memo.put(block, opt, false)
+				m = s.memo.put(block, opt, false)
 			}
-			d.derive(m, u.Attrs)
+			s.derive(m, u.Attrs)
 		}
 		m.stamp(&ann)
 	}
@@ -825,7 +739,7 @@ func (d *sourceDecoder) decodeUpdate(rec mrt.Record, msg *mrt.Message) {
 			e := base
 			e.Prefix = n.Prefix
 			e.PathID = n.PathID
-			d.emit(e)
+			s.emit(e)
 		}
 	}
 	emitAll(wdr, u.Withdrawn)
@@ -847,20 +761,20 @@ func zeroLen(nlri []bgp.NLRI) int {
 
 // derive fills a fresh memo entry from a decoded attribute block: the
 // AS path, communities and, when the stream interns, the path's ID.
-func (d *sourceDecoder) derive(m *memoEntry, attrs []bgp.Attr) {
+func (s *Stream) derive(m *memoEntry, attrs []bgp.Attr) {
 	u := bgp.Update{Attrs: attrs}
 	m.path, _ = u.ASPathAttr()
 	m.comms, _ = u.Attr(bgp.AttrTypeCommunities).(bgp.Communities)
-	if d.intern == nil {
+	if s.intern == nil {
 		return
 	}
-	seq, err := m.path.AppendSequence(d.seqBuf[:0])
+	seq, err := m.path.AppendSequence(s.seqBuf[:0])
 	if err != nil {
 		m.unusable = true
 		return
 	}
-	d.seqBuf = seq
-	m.id = d.intern.Intern(seq)
+	s.seqBuf = seq
+	m.id = s.intern.Intern(seq)
 }
 
 // Memo slots start at memoMinSlots and double at 1/2 load up to

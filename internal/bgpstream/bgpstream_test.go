@@ -385,4 +385,9 @@ func TestEmptyBytesSource(t *testing.T) {
 	if _, err := s.NextBatch(); err != io.EOF {
 		t.Errorf("NextBatch after drain = %v, want io.EOF", err)
 	}
+	// A source that decoded nothing still has a ledger entry: atomize
+	// reports such an -updates archive by its zero element count.
+	if st, ok := s.SourceStats()["rrc00"]; !ok || st != (SourceStat{}) {
+		t.Errorf("SourceStats()[rrc00] = %+v, %v; want a zero entry", st, ok)
+	}
 }

@@ -121,20 +121,6 @@ func TestNoQuarantineBelowMinRecords(t *testing.T) {
 	}
 }
 
-func TestSetDegradationDisables(t *testing.T) {
-	var buf bytes.Buffer
-	writeRecord(t, &buf, mrt.Record{Type: mrt.TypeTableDumpV2, Subtype: mrt.SubPeerIndexTable, Body: marshalPIT(t, 1)})
-	for i := 0; i < 20; i++ {
-		writeRecord(t, &buf, mrt.Record{Type: mrt.TypeTableDumpV2, Subtype: mrt.SubRIBIPv4Unicast, Body: []byte{1}})
-	}
-	s := NewStream(nil, BytesSource("rrc13", buf.Bytes(), bgp.Options{}))
-	s.SetDegradation(-1, 0.3)
-	drain(t, s)
-	if q := s.Quarantined(); len(q) != 0 {
-		t.Fatalf("quarantine fired while disabled: %v", q)
-	}
-}
-
 func TestStateFlapsCounts(t *testing.T) {
 	var buf bytes.Buffer
 	mk := func(asn uint32) {

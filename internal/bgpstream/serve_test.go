@@ -15,9 +15,10 @@ import (
 )
 
 // mixedSources builds a source set exercising every serve-order hazard:
-// clean archives, a truncated one (warning + possible quarantine), one
-// with mid-stream garbage (resync), and a reader-backed source over the
-// same archive as the first.
+// clean archives, a truncated one (warning), one with mid-stream garbage
+// (resync), one large and damaged enough to blow the degradation budget
+// (quarantine), and a reader-backed source over the same archive as the
+// first.
 func mixedSources(t *testing.T) []Source {
 	t.Helper()
 	good := buildArchive(t)
@@ -28,29 +29,43 @@ func mixedSources(t *testing.T) []Source {
 	return []Source{
 		BytesSource("rrc00", good, bgp.Options{}),
 		BytesSource("bad", corrupt, bgp.Options{}),
+		BytesSource("degraded", degradedArchive(t), bgp.Options{}),
 		BytesSource("route-views2", garbage, bgp.Options{}),
 		{Collector: "reader-backed", R: bytes.NewReader(good), Options: bgp.Options{}},
 	}
 }
 
+// degradedArchive is a peer table, four clean RIB records and twelve
+// framing-valid records whose bodies fail to parse: 17 records, 12
+// skipped, well past the 16-record, 0.3-skip-ratio budget.
+func degradedArchive(t *testing.T) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	writeRecord(t, &buf, mrt.Record{Type: mrt.TypeTableDumpV2, Subtype: mrt.SubPeerIndexTable, Body: marshalPIT(t, 1)})
+	for seq := uint32(0); seq < 4; seq++ {
+		marshalRIBRecord(t, &buf, seq)
+	}
+	for i := 0; i < 12; i++ {
+		writeRecord(t, &buf, mrt.Record{Type: mrt.TypeTableDumpV2, Subtype: mrt.SubRIBIPv4Unicast, Body: []byte{1}})
+	}
+	return buf.Bytes()
+}
+
 // streamResult is everything a drained stream lets a caller observe:
 // elements (copied out, since batch memory is reused) and the length of
-// each batch, warnings, quarantine set, flaps and per-source counts.
+// each batch, warnings, quarantine set, flaps and per-source ledgers.
 type streamResult struct {
 	elems       []Elem
 	batches     []int
 	warnings    []Warning
 	quarantined []string
 	flaps       map[uint32]int
-	elemCounts  map[string]int
+	stats       map[string]SourceStat
 }
 
 func runStream(t *testing.T, intern *aspath.Table) streamResult {
 	t.Helper()
 	s := NewStream(nil, mixedSources(t)...)
-	// The fixture's archives are too small for the default budget; a
-	// zero-tolerance one quarantines every source that skipped a record.
-	s.SetDegradation(1, 0)
 	if intern != nil {
 		s.SetIntern(intern)
 	}
@@ -69,7 +84,7 @@ func runStream(t *testing.T, intern *aspath.Table) streamResult {
 	res.warnings = s.Warnings()
 	res.quarantined = s.Quarantined()
 	res.flaps = s.StateFlaps()
-	res.elemCounts = s.SourceElemCounts()
+	res.stats = s.SourceStats()
 	return res
 }
 
@@ -81,7 +96,7 @@ func runStream(t *testing.T, intern *aspath.Table) streamResult {
 // drain over fresh sources and a fresh intern table observes exactly
 // the same elements, interned IDs included (paths are interned in serve
 // order), warnings, quarantine verdicts, flap counts and per-source
-// counts.
+// ledgers.
 func TestNextBatchServeOrder(t *testing.T) {
 	res := runStream(t, aspath.NewTable())
 	if len(res.elems) == 0 {
@@ -131,13 +146,14 @@ func TestNextBatchServeOrder(t *testing.T) {
 		counts[e.Collector]++
 	}
 	for _, src := range mixedSources(t) {
-		if res.elemCounts[src.Collector] != counts[src.Collector] {
-			t.Errorf("%s: SourceElemCounts %d, served %d", src.Collector, res.elemCounts[src.Collector], counts[src.Collector])
+		if n := res.stats[src.Collector].Elems; n != counts[src.Collector] {
+			t.Errorf("%s: SourceStats counts %d elements, served %d", src.Collector, n, counts[src.Collector])
 		}
 	}
-	// Every archive carries one unknown-subtype record, so with the
-	// zero-tolerance budget every source is quarantined; the damaged ones
+	// Every archive carries one unknown-subtype record; the damaged ones
 	// also lose framing, and the reader-backed source warns as rrc00 does.
+	// Only the degraded archive is large enough, and damaged enough, to be
+	// quarantined.
 	warns := map[string][]string{}
 	for _, w := range res.warnings {
 		warns[w.Collector] = append(warns[w.Collector], w.Code)
@@ -150,7 +166,7 @@ func TestNextBatchServeOrder(t *testing.T) {
 			t.Errorf("%s: warnings %v lack %s", coll, warns[coll], WarnRecordError)
 		}
 	}
-	if want := []string{"bad", "reader-backed", "route-views2", "rrc00"}; !reflect.DeepEqual(res.quarantined, want) {
+	if want := []string{"degraded"}; !reflect.DeepEqual(res.quarantined, want) {
 		t.Errorf("quarantined %v, want %v", res.quarantined, want)
 	}
 	if len(res.flaps) == 0 {
@@ -163,25 +179,74 @@ func TestNextBatchServeOrder(t *testing.T) {
 	}
 }
 
+// TestDrainKeepsTheLedger: Drain keeps no element, yet leaves every
+// accessor as a NextBatch drain does. SortedSources takes a map's
+// archives in name order, and a clean archive's DecodedBytes is its
+// length.
+func TestDrainKeepsTheLedger(t *testing.T) {
+	want := runStream(t, nil)
+	s := NewStream(nil, mixedSources(t)...)
+	if err := s.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Warnings(); !reflect.DeepEqual(got, want.warnings) {
+		t.Errorf("warnings after Drain:\n  %+v\nafter NextBatch:\n  %+v", got, want.warnings)
+	}
+	if got := s.Quarantined(); !reflect.DeepEqual(got, want.quarantined) {
+		t.Errorf("quarantined %v after Drain, %v after NextBatch", got, want.quarantined)
+	}
+	if got := s.StateFlaps(); !reflect.DeepEqual(got, want.flaps) {
+		t.Errorf("flaps %v after Drain, %v after NextBatch", got, want.flaps)
+	}
+	if got := s.SourceStats(); !reflect.DeepEqual(got, want.stats) {
+		t.Errorf("source stats %+v after Drain, %+v after NextBatch", got, want.stats)
+	}
+
+	good := buildArchive(t)
+	sources := SortedSources(map[string][]byte{"rrc01": good, "rrc00": good, "empty": nil})
+	var names []string
+	for _, src := range sources {
+		names = append(names, src.Collector)
+	}
+	if want := []string{"empty", "rrc00", "rrc01"}; !reflect.DeepEqual(names, want) {
+		t.Fatalf("SortedSources order %v, want %v", names, want)
+	}
+	s = NewStream(nil, sources...)
+	if err := s.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := s.DecodedBytes(), int64(2*len(good)); got != want {
+		t.Errorf("DecodedBytes %d, want %d", got, want)
+	}
+}
+
 // TestStreamDecodesOnDemand: a stream decodes the current source one
-// record at a time, so serving the first batch opens only the first
-// source's reader. SetWorkers is a no-op and the pool clamp is lifted,
-// so neither may fan decode out across sources.
+// record at a time, so serving the first batch reads only the first
+// source: no later source has a record in its ledger and the
+// reader-backed one is unread. SetWorkers is a no-op and the pool clamp
+// is lifted, so neither may fan decode out across sources.
 func TestStreamDecodesOnDemand(t *testing.T) {
 	parallel.ForceParallel(true)
 	defer parallel.ForceParallel(false)
-	s := NewStream(nil, mixedSources(t)...)
+	sources := mixedSources(t)
+	last := sources[len(sources)-1].R.(*bytes.Reader)
+	unread := last.Len()
+	s := NewStream(nil, sources...)
 	s.SetWorkers(2)
 	if _, err := s.NextBatch(); err != nil {
 		t.Fatal(err)
 	}
-	for i, d := range s.decs[1:] {
-		if d.inited {
-			t.Errorf("source %d (%s) opened before source 0 was served", i+1, d.collector)
+	stats := s.SourceStats()
+	for _, src := range sources[1:] {
+		if st := stats[src.Collector]; st != (SourceStat{}) {
+			t.Errorf("%s decoded %+v before source 0 was served", src.Collector, st)
 		}
 	}
-	if d := s.decs[0]; !d.inited || d.done {
-		t.Errorf("source 0: inited=%v done=%v, want opened and not drained", d.inited, d.done)
+	if last.Len() != unread {
+		t.Errorf("reader-backed source read %d bytes before its turn", unread-last.Len())
+	}
+	if st := stats["rrc00"]; st.Records == 0 || st.Elems == 0 {
+		t.Errorf("source 0: %+v, want records decoded and elements served", st)
 	}
 }
 

@@ -25,10 +25,8 @@ import (
 	"errors"
 	"fmt"
 	"net/netip"
-	"sort"
 	"strings"
 
-	"repro/internal/bgp"
 	"repro/internal/bgpstream"
 	"repro/internal/collector"
 	"repro/internal/core"
@@ -58,10 +56,6 @@ type Config struct {
 	Classes []faultgen.Class
 	// FaultsPerArchive per class (0 = 1).
 	FaultsPerArchive int
-	// Degradation budget handed to the streams (zero values keep
-	// bgpstream defaults).
-	DegradationMinRecords   int
-	DegradationMaxSkipRatio float64
 }
 
 // DefaultConfig returns a small but structurally complete world: a few
@@ -156,37 +150,15 @@ func (r *runOutcome) signals() int {
 	return n
 }
 
-// sortedSources builds bgpstream sources in sorted-name order so the
-// stream's warning order — and hence the report — is deterministic.
-func sortedSources(archives map[string][]byte) []bgpstream.Source {
-	names := make([]string, 0, len(archives))
-	for name := range archives {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	out := make([]bgpstream.Source, 0, len(names))
-	for _, name := range names {
-		out = append(out, bgpstream.BytesSource(name, archives[name], bgp.Options{}))
-	}
-	return out
-}
-
 // runPipeline drives the production path: update stream → warnings,
 // session flaps, quarantine verdicts → sanitize.Clean over the RIB
-// sources → atoms.
+// sources → atoms. Sources are taken in name order, so the stream's
+// warning order — and hence the report — is deterministic.
 func runPipeline(cfg Config, ribs, upds map[string][]byte) *runOutcome {
 	out := &runOutcome{}
 
-	us := bgpstream.NewStream(nil, sortedSources(upds)...)
-	minRecords, maxSkip := cfg.DegradationMinRecords, cfg.DegradationMaxSkipRatio
-	if minRecords == 0 {
-		minRecords = bgpstream.DefaultDegradeMinRecords
-	}
-	if maxSkip == 0 {
-		maxSkip = bgpstream.DefaultDegradeMaxSkipRatio
-	}
-	us.SetDegradation(minRecords, maxSkip)
-	if _, err := us.All(); err != nil {
+	us := bgpstream.NewStream(nil, bgpstream.SortedSources(upds)...)
+	if err := us.Drain(); err != nil {
 		out.Err = fmt.Errorf("update stream: %w", err)
 		return out
 	}
@@ -202,15 +174,13 @@ func runPipeline(cfg Config, ribs, upds map[string][]byte) *runOutcome {
 	opts := sanitize.Defaults()
 	opts.Metrics = reg
 	opts.SessionFlaps = out.Flaps
-	opts.DegradationMinRecords = cfg.DegradationMinRecords
-	opts.DegradationMaxSkipRatio = cfg.DegradationMaxSkipRatio
 	if len(out.UpdQuarantined) > 0 {
 		opts.QuarantinedCollectors = make(map[string]bool, len(out.UpdQuarantined))
 		for _, name := range out.UpdQuarantined {
 			opts.QuarantinedCollectors[name] = true
 		}
 	}
-	snap, rep, err := sanitize.Clean(sortedSources(ribs), warnings, opts)
+	snap, rep, err := sanitize.Clean(bgpstream.SortedSources(ribs), warnings, opts)
 	out.Snap, out.Rep, out.Err = snap, rep, err
 	m := reg.Snapshot()
 	for key, v := range m.Counters {

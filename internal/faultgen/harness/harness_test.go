@@ -89,16 +89,15 @@ func TestHarnessDifferentSeedDifferentSchedule(t *testing.T) {
 	}
 }
 
-// TestHarnessQuarantine drives the degradation budget hard enough that
-// heavily damaged sources are quarantined, and asserts the harness
-// still explains everything — including the all-feeds-removed refusal
-// if every collector goes down.
+// TestHarnessQuarantine drives the fixed degradation budget hard enough
+// that heavily damaged sources are quarantined: 64 ADD-PATH rewrites per
+// archive skip more than 30% of the records of RIB and update archives
+// far past 16 records. The harness must still explain everything —
+// including the all-feeds-removed refusal if every collector goes down.
 func TestHarnessQuarantine(t *testing.T) {
 	cfg := DefaultConfig(23)
-	cfg.Classes = []faultgen.Class{faultgen.ClassBitFlip}
-	cfg.FaultsPerArchive = 8
-	cfg.DegradationMinRecords = 1
-	cfg.DegradationMaxSkipRatio = 0.0001
+	cfg.Classes = []faultgen.Class{faultgen.ClassAddPathMix}
+	cfg.FaultsPerArchive = 64
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -109,14 +108,13 @@ func TestHarnessQuarantine(t *testing.T) {
 	}
 	oc := res.Classes[0]
 	if oc.Quarantined == 0 && oc.Err == "" {
-		t.Errorf("budget (min=1, ratio=0.0001) never quarantined: %s", res.Marshal())
+		t.Errorf("%d ADD-PATH faults per archive never quarantined: %s", cfg.FaultsPerArchive, res.Marshal())
 	}
 }
 
-// TestHarnessQuarantineAtDefaults: at DefaultConfig the update streams
-// keep bgpstream's degradation budget, so an update archive of
-// DefaultDegradeMinRecords records, every one skipped, is quarantined
-// and its collector's feeds are dropped from the snapshot.
+// TestHarnessQuarantineAtDefaults: an update archive of 16 records (the
+// degradation budget's minimum), every one skipped, is quarantined and
+// its collector's feeds are dropped from the snapshot.
 func TestHarnessQuarantineAtDefaults(t *testing.T) {
 	cfg := DefaultConfig(17)
 	w := BuildWorld(cfg)

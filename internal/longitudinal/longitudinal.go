@@ -10,15 +10,12 @@ package longitudinal
 import (
 	"cmp"
 	"fmt"
-	"io"
 	"math"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/aspath"
-	"repro/internal/bgp"
 	"repro/internal/bgpstream"
 	"repro/internal/collector"
 	"repro/internal/core"
@@ -223,8 +220,11 @@ func (r *EraRun) SnapshotAt(t float64) (*core.AtomSet, *sanitize.Report, error) 
 	} else {
 		bsp := sp.Child("collector.build_ribs")
 		ribs := collector.BuildRIBs(r.Graph, r.Infra, ov, ts)
-		var totalBytes int
-		sources, totalBytes = sortedSources(ribs.Archives)
+		sources = bgpstream.SortedSources(ribs.Archives)
+		totalBytes := 0
+		for _, data := range ribs.Archives {
+			totalBytes += len(data)
+		}
 		bsp.SetAttr("archives", len(sources))
 		bsp.SetAttr("bytes", totalBytes)
 		bsp.End()
@@ -248,43 +248,24 @@ func (r *EraRun) SnapshotAt(t float64) (*core.AtomSet, *sanitize.Report, error) 
 	return core.ComputeAtoms(snap, sp, r.Cfg.Workers), rep, nil
 }
 
-// sortedSources wraps archives as byte-backed sources in sorted name
-// order (archive order feeds the decode pipeline, so the run is
-// byte-stable across processes) and totals their bytes.
-func sortedSources(archives map[string][]byte) ([]bgpstream.Source, int) {
-	names := make([]string, 0, len(archives))
-	for name := range archives {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	sources := make([]bgpstream.Source, 0, len(names))
-	total := 0
-	for _, name := range names {
-		sources = append(sources, bgpstream.BytesSource(name, archives[name], bgp.Options{}))
-		total += len(archives[name])
-	}
-	return sources, total
-}
-
 // UpdateSources synthesizes the update window's archives and returns
 // them as byte-backed sources in sorted name order — the deterministic
 // element stream behind Updates, exported so churn replay (replay.Run,
 // the churn benchmark) can drive an AtomIndex with the
 // very same messages the correlation analysis consumes.
 func (r *EraRun) UpdateSources(fromT, toT float64) []bgpstream.Source {
-	sources, _ := r.updateSources(fromT, toT, nil)
-	return sources
+	return r.updateSources(fromT, toT, nil)
 }
 
 // updateSources is UpdateSources scoped to peers (nil = every peer; see
-// collector.UpdateConfig.Peers), with the archives' total bytes.
-func (r *EraRun) updateSources(fromT, toT float64, peers map[uint32]bool) ([]bgpstream.Source, int) {
+// collector.UpdateConfig.Peers).
+func (r *EraRun) updateSources(fromT, toT float64, peers map[uint32]bool) []bgpstream.Source {
 	cfg := r.rates
 	cfg.Model = r.Model
 	cfg.FromT, cfg.ToT = fromT, toT
 	cfg.BaseTime = r.timestamp(fromT)
 	cfg.Peers = peers
-	return sortedSources(collector.BuildUpdates(r.Graph, r.Infra, cfg))
+	return bgpstream.SortedSources(collector.BuildUpdates(r.Graph, r.Infra, cfg))
 }
 
 // updateFilter is the family filter every update consumer shares.
@@ -311,7 +292,11 @@ func (r *EraRun) buildUpdates(fromT, toT float64, peers map[uint32]bool) (*obs.S
 	sp.SetAttr("from_t", fromT)
 	sp.SetAttr("to_t", toT)
 	bsp := sp.Child("collector.build_updates")
-	sources, totalBytes := r.updateSources(fromT, toT, peers)
+	sources := r.updateSources(fromT, toT, peers)
+	totalBytes := 0
+	for _, src := range sources {
+		totalBytes += len(src.Data)
+	}
 	bsp.SetAttr("archives", len(sources))
 	bsp.SetAttr("bytes", totalBytes)
 	bsp.End()
@@ -339,12 +324,8 @@ func (r *EraRun) updateWarnings() ([]bgpstream.Warning, error) {
 	defer dsp.End()
 	s := bgpstream.NewStream(r.updateFilter(), sources...)
 	s.SetMetrics(r.Cfg.Metrics)
-	for {
-		if _, err := s.NextBatch(); err == io.EOF {
-			break
-		} else if err != nil {
-			return nil, err
-		}
+	if err := s.Drain(); err != nil {
+		return nil, err
 	}
 	warnings := s.Warnings()
 	dsp.SetAttr("sources", len(sources))

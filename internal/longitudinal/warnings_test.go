@@ -78,7 +78,7 @@ func TestScopedWarningWindow(t *testing.T) {
 		for _, era := range trendEras {
 			r := NewEraRun(warningConfig(seed), era)
 			peers := r.Infra.WarningPeers()
-			full, _ := r.updateSources(OffsetBase, OffsetBase+UpdateHours, nil)
+			full := r.updateSources(OffsetBase, OffsetBase+UpdateHours, nil)
 			_, fullWarn, err := metrics.CollectRecords(full, r.updateFilter(), nil, nil)
 			if err != nil {
 				t.Fatal(err)
@@ -116,7 +116,7 @@ func TestScopedWarningWindow(t *testing.T) {
 			if len(want) == 0 {
 				t.Errorf("seed %d %v: ADD-PATH peers but no peer-attributed warning", seed, era)
 			}
-			scoped, _ := r.updateSources(OffsetBase, OffsetBase+UpdateHours, peers)
+			scoped := r.updateSources(OffsetBase, OffsetBase+UpdateHours, peers)
 			if len(scoped) != len(full) {
 				t.Fatalf("seed %d %v: %d scoped archives, %d full", seed, era, len(scoped), len(full))
 			}

@@ -3,10 +3,8 @@ package replay
 import (
 	"bytes"
 	"fmt"
-	"sort"
 	"testing"
 
-	"repro/internal/bgp"
 	"repro/internal/bgpstream"
 	"repro/internal/core"
 	"repro/internal/faultgen"
@@ -35,21 +33,6 @@ func marshalAtoms(as *core.AtomSet) []byte {
 	return b.Bytes()
 }
 
-// sortedSources wraps archives as byte-backed sources in sorted name
-// order, so every run sees the same source order.
-func sortedSources(archives map[string][]byte) []bgpstream.Source {
-	names := make([]string, 0, len(archives))
-	for name := range archives {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	out := make([]bgpstream.Source, 0, len(names))
-	for _, name := range names {
-		out = append(out, bgpstream.BytesSource(name, archives[name], bgp.Options{}))
-	}
-	return out
-}
-
 // buildIndex sanitizes the RIB archives into a fresh snapshot and wraps
 // it in an AtomIndex. Each call builds an independent snapshot, so
 // replays into different indexes never share mutable state.
@@ -57,7 +40,7 @@ func buildIndex(t *testing.T, ribs map[string][]byte) *core.AtomIndex {
 	t.Helper()
 	opts := sanitize.Defaults()
 	opts.Family = 4
-	snap, _, err := sanitize.Clean(sortedSources(ribs), nil, opts)
+	snap, _, err := sanitize.Clean(bgpstream.SortedSources(ribs), nil, opts)
 	if err != nil {
 		t.Fatalf("sanitize: %v", err)
 	}
@@ -80,7 +63,7 @@ func replayWorld(t *testing.T, ribs, upds map[string][]byte, workers int) (Stats
 		defer parallel.ForceParallel(false)
 	}
 	ix := buildIndex(t, ribs)
-	stats, err := Run(ix, sortedSources(upds), Options{})
+	stats, err := Run(ix, bgpstream.SortedSources(upds), Options{})
 	if err != nil {
 		t.Fatalf("replay (workers=%d): %v", workers, err)
 	}
@@ -164,7 +147,7 @@ func TestReplaySkipAccounting(t *testing.T) {
 	w := harness.BuildWorld(harness.DefaultConfig(3))
 	ix := buildIndex(t, w.Ribs)
 	reg := obs.NewRegistry()
-	stats, err := Run(ix, sortedSources(w.Upds), Options{Metrics: reg})
+	stats, err := Run(ix, bgpstream.SortedSources(w.Upds), Options{Metrics: reg})
 	if err != nil {
 		t.Fatalf("replay: %v", err)
 	}

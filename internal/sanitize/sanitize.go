@@ -57,12 +57,6 @@ type Options struct {
 	// (bgpstream.Stream.Quarantined). Clean merges its own RIB-stream
 	// quarantine into this set.
 	QuarantinedCollectors map[string]bool
-	// DegradationMinRecords / DegradationMaxSkipRatio configure the RIB
-	// stream's per-source degradation budget inside Clean. Zero values
-	// keep bgpstream's defaults; a negative DegradationMinRecords
-	// disables quarantine.
-	DegradationMinRecords   int
-	DegradationMaxSkipRatio float64
 	// KeepAllPrefixes reproduces Afek et al.'s 2002 methodology:
 	// no visibility thresholds, no length filter.
 	KeepAllPrefixes bool
@@ -311,14 +305,6 @@ func Clean(sources []bgpstream.Source, updateWarnings []bgpstream.Warning, opts 
 		table = aspath.NewTable()
 	}
 	stream.SetIntern(table)
-	degradeMin, degradeMax := opts.DegradationMinRecords, opts.DegradationMaxSkipRatio
-	if degradeMin == 0 {
-		degradeMin = bgpstream.DefaultDegradeMinRecords
-	}
-	if degradeMax == 0 {
-		degradeMax = bgpstream.DefaultDegradeMaxSkipRatio
-	}
-	stream.SetDegradation(degradeMin, degradeMax)
 	for {
 		batch, err := stream.NextBatch()
 		if err == io.EOF {
